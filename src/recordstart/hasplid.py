@@ -334,6 +334,9 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
       Geometric(q) wait are independent, so the mean slope is the mean
       improvement (:func:`mean_improvement`) times ``E[1/wait]``
       (:func:`recordstart.special.mean_reciprocal_wait`).
+
+    Raises ``ValueError`` when no record falls in the slope window, which
+    leaves the window checks without a sample.
     """
     if config.trajectories < 1000:
         raise ValueError("insufficient samples: need at least 1000 trajectories")
@@ -401,6 +404,10 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
             else:
                 t += 1
             it += 1
+    if not gaps:
+        lo = config.window_center - config.window_halfwidth
+        hi = config.window_center + config.window_halfwidth
+        raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
 
     # pass 3: record counts at the short and long horizons
     pmf_j = config.pmf_length
@@ -456,7 +463,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
             0.02,
         )
     )
-    slope_mean = float(np.mean(slopes)) if slopes else math.nan
+    slope_mean = float(np.mean(slopes))
     report.checks.append(
         _result("conditional_slope_mean", slope_mean, alpha * q_mid**alpha / lam, 0.05)
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import newton_cg
 from .objectives import ObjectiveSpec, Oracle, sample_uniform
-from .special import PtildeModel, RunStats, expected_slope, n_record_threshold, p_fail, solve_zeta
+from .special import PtildeModel, RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally
 
 __all__ = [
     "ZETA_GUARD",
@@ -62,7 +62,6 @@ class AlgoParams:
     epsilon: float = 1e-10
     ptilde_scale: float = 1.0
     max_total_evals: int = 100_000
-    count_line_search: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -77,15 +76,10 @@ class AlgoParams:
 
 @dataclass
 class RecordLog:
-    """Run-local record bookkeeping: (iterate index, record value) pairs
-    plus the raw iterate count."""
+    """Run-local record bookkeeping: record count and raw iterate count."""
 
-    entries: list = field(default_factory=list)
-    iterates: int = 0
-
-    @property
-    def records(self) -> int:
-        return len(self.entries)
+    records: int = 1
+    iterates: int = 1
 
     def stats(self) -> RunStats:
         return RunStats(records=self.records, iterates=self.iterates)
@@ -95,11 +89,9 @@ class RecordLog:
 class GlobalState:
     """Cross-run state of one global run."""
 
-    incumbent_x: np.ndarray | None = None
     incumbent_y: float = math.inf
     run_stats: list = field(default_factory=list)
     zeta: float = 1.0
-    lam: float = 0.5
     lam_effective: float = 0.5
     p_fail: float = 1.0
     restarts: int = 0
@@ -131,26 +123,30 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
     """Drive an initialized engine until a record is overdue, the engine
     terminates natively, or (optionally) the slope criterion fires.
 
-    The engine's current point counts as iterate 1 and record 1.  The
-    threshold check compares the iterate count against the expected
-    iterate count of the next record and is skipped until two iterates
-    exist; the slope check needs at least two records and is evaluated at
-    the previous record's value.  ``on_eval(f, is_record)`` is called for
-    every fresh oracle evaluation and may return False to abort (budget).
+    The engine's current point counts as iterate 1 and record 1.  The next
+    record is overdue once the expected record count of the iterates so
+    far, ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the
+    records held; the check is skipped until two iterates exist.  The slope
+    check needs at least two records and is evaluated at the previous
+    record's value.  ``on_eval(f, is_record)`` is called for every fresh
+    oracle evaluation and may return False to abort (budget).
     """
-    log = RecordLog(entries=[(1, engine.fx)], iterates=1)
     model = PtildeModel(scale=params.ptilde_scale)
     j, k = 1, 1
+    # expected records among the first j iterates, one term per iterate:
+    # zeta*(psi(j+zeta) - psi(zeta)) = 1 + sum_{i<j} zeta/(i+zeta)
+    expected = 1.0
     best = engine.fx
     best_t = 1
     while True:
         if engine.converged:
             break
-        if j >= 2 and j >= n_record_threshold(k - 1, zeta):
+        if j >= 2 and expected >= k:
             break
         fn = newton_cg.step(engine)
         if fn is None:
             break
+        expected += zeta / (j + zeta)
         j += 1
         is_record = fn < best - RECORD_TOL
         keep_going = True if on_eval is None else on_eval(fn, is_record)
@@ -159,7 +155,6 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
             slope = (best - fn) / (j - best_t)
             prev_value = best
             best, best_t = fn, j
-            log.entries.append((j, fn))
             if (
                 use_slope
                 and k >= 2
@@ -168,22 +163,23 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
                 break
         if not keep_going:
             break
-    log.iterates = j
-    return log
+    return RecordLog(records=k, iterates=j)
 
 
-def _effective_lambda(alpha: float, zeta: float, epsilon: float, record_counts: list) -> float:
+def _effective_lambda(alpha: float, zeta: float, epsilon: float, mean_records: float) -> float:
     """Tail-rate parameter used in the failure probability: ``alpha *
     min(zeta, ZETA_GUARD)`` capped so the tail depth ``-lam*log(eps)``
     does not exceed the mean observed record count."""
     lam = alpha * min(zeta, ZETA_GUARD)
-    depth_cap = float(np.mean(record_counts)) / (-math.log(epsilon))
+    depth_cap = mean_records / (-math.log(epsilon))
     return min(lam, depth_cap)
 
 
 def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algorithm: str) -> RunReport:
     rng = np.random.default_rng(seed)
-    state = GlobalState(zeta=1.0, lam=params.alpha, lam_effective=params.alpha, p_fail=1.0)
+    state = GlobalState(zeta=1.0, lam_effective=params.alpha, p_fail=1.0)
+    # sufficient statistics of state.run_stats: a restart adds O(j) work
+    tally = RunTally()
     history: list[HistoryRow] = []
     evals = 0
     ls_evals = 0
@@ -197,7 +193,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
         restart_index = state.restarts + 1
         evals += 1
         history.append(HistoryRow(evals, engine.fx, True, restart_index))
-        run_best_x, run_best_y = engine.x.copy(), engine.fx
+        start_y = engine.fx
 
         def on_eval(f_value, is_record, _ri=restart_index):
             nonlocal evals, budget_exhausted
@@ -210,31 +206,28 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
 
         if evals >= params.max_total_evals:
             budget_exhausted = True
-            log = RecordLog(entries=[(1, engine.fx)], iterates=1)
+            log = RecordLog()
         else:
             log = inner_loop(engine, params, zeta_w, use_slope=use_slope, on_eval=on_eval)
         ls_evals += engine.line_search_evals
-        if engine.fx < run_best_y:
-            run_best_x, run_best_y = engine.x.copy(), engine.fx
 
-        state.run_stats.append(log.stats())
+        stats = log.stats()
+        state.run_stats.append(stats)
+        tally.add(stats)
         state.restarts += 1
-        if run_best_y < state.incumbent_y:
-            state.incumbent_x, state.incumbent_y = run_best_x, run_best_y
-        state.zeta = solve_zeta(state.run_stats)
-        state.lam = params.alpha * state.zeta
-        counts = [s.records for s in state.run_stats]
-        state.lam_effective = _effective_lambda(params.alpha, state.zeta, params.epsilon, counts)
-        state.p_fail = p_fail(counts, state.lam_effective, params.epsilon)
+        state.incumbent_y = min(state.incumbent_y, start_y, engine.fx)
+        state.zeta = solve_zeta_tally(tally)
+        mean_records = tally.record_sum / tally.runs
+        state.lam_effective = _effective_lambda(params.alpha, state.zeta, params.epsilon, mean_records)
+        state.p_fail = p_fail_histogram(tally.record_hist, state.lam_effective, params.epsilon)
 
     success, first_hit = check_success(history, spec, params.epsilon)
-    total = evals + ls_evals if params.count_line_search else evals
     return RunReport(
         algorithm=algorithm,
         restarts=state.restarts,
         evals_to_target=first_hit,
         avg_inner_iters=float(np.mean([s.iterates for s in state.run_stats])) if state.run_stats else 0.0,
-        total_evals=total,
+        total_evals=evals,
         line_search_evals=ls_evals,
         success=success,
         budget_exhausted=budget_exhausted,

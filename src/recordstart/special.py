@@ -1,6 +1,9 @@
 """Closed-form record statistics and the special functions behind them.
 
-Everything in this module is pure and stateless.  The quantities all live in
+Everything in this module is pure and stateless, apart from
+:class:`RunTally`, the running sufficient statistics of completed runs from
+which :func:`solve_zeta_tally` and :func:`p_fail_histogram` evaluate the
+cross-run statistics without digamma.  The quantities all live in
 the record-value model of hesitant adaptive search with a power-law
 improvement distribution: a run of an iterative minimizer produces ``j``
 raw iterates of which ``k`` are records (strict improvements of the running
@@ -20,10 +23,11 @@ best, the initial point counting as record 1).  Under that model
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "RunStats",
+    "RunTally",
     "PtildeModel",
     "ZETA_MIN",
     "ZETA_MAX",
@@ -32,7 +36,9 @@ __all__ = [
     "stirling1_abs",
     "record_count_pmf",
     "solve_zeta",
+    "solve_zeta_tally",
     "p_fail",
+    "p_fail_histogram",
     "n_record_threshold",
     "expected_records",
     "ptilde",
@@ -57,6 +63,42 @@ class RunStats:
             raise ValueError(
                 f"need iterates >= records >= 1, got k={self.records} j={self.iterates}"
             )
+
+
+@dataclass
+class RunTally:
+    """Sufficient statistics of completed runs for :func:`solve_zeta_tally`
+    and :func:`p_fail_histogram`.
+
+    ``survivors[i-1]`` counts the runs with more than ``i`` iterates and
+    ``record_hist`` maps a record count to the number of runs with it.
+    Adding a run with ``j`` iterates costs O(j), however many runs came
+    before it.
+    """
+
+    runs: int = 0
+    excess_records: int = 0
+    record_sum: int = 0
+    survivors: list = field(default_factory=list)
+    record_hist: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, history: list[RunStats]) -> "RunTally":
+        tally = cls()
+        for st in history:
+            tally.add(st)
+        return tally
+
+    def add(self, st: RunStats) -> None:
+        self.runs += 1
+        self.excess_records += st.records - 1
+        self.record_sum += st.records
+        self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
+        survivors = self.survivors
+        shared = min(len(survivors), st.iterates - 1)
+        for i in range(shared):
+            survivors[i] += 1
+        survivors.extend([1] * (st.iterates - 1 - shared))
 
 
 @dataclass(frozen=True)
@@ -172,6 +214,8 @@ def record_count_pmf(j: int, k: int, zeta: float) -> float:
 def _zeta_equation(zeta: float, history: list[RunStats]) -> float:
     """Likelihood score whose root is the record-rate ratio estimate:
     ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``.
+
+    The digamma form of :func:`_zeta_score`, kept as its reference.
     """
     r = len(history)
     acc = 0.0
@@ -180,8 +224,27 @@ def _zeta_equation(zeta: float, history: list[RunStats]) -> float:
     return acc + zeta * (r * digamma(1.0 + zeta) - sum(digamma(st.iterates + zeta) for st in history))
 
 
+def _zeta_score(zeta: float, tally: RunTally) -> float:
+    """:func:`_zeta_equation` without digamma: since
+    ``psi(j+zeta) - psi(1+zeta) = sum_{i=1}^{j-1} 1/(i+zeta)``, the score is
+    ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)`` with ``N_i`` the number
+    of runs with more than ``i`` iterates.
+    """
+    acc = 0.0
+    for i, n in enumerate(tally.survivors, start=1):
+        acc += n * zeta / (i + zeta)
+    return tally.excess_records - acc
+
+
 def solve_zeta(history: list[RunStats]) -> float:
-    """Maximum-likelihood estimate of zeta from completed-run statistics.
+    """Maximum-likelihood estimate of zeta from completed-run statistics;
+    see :func:`solve_zeta_tally`."""
+    return solve_zeta_tally(RunTally.of(history))
+
+
+def solve_zeta_tally(tally: RunTally) -> float:
+    """Maximum-likelihood estimate of zeta from the runs' sufficient
+    statistics.
 
     Bracketed bisection on ``[ZETA_MIN, ZETA_MAX]`` (geometric midpoints,
     relative tolerance 1e-10).  Degenerate histories:
@@ -191,14 +254,12 @@ def solve_zeta(history: list[RunStats]) -> float:
       the root lies beyond ZETA_MAX, return ZETA_MAX;
     * score negative everywhere (all single-record runs): return ZETA_MIN.
     """
-    if not history:
+    if not tally.runs:
         raise ValueError("history must be non-empty")
-    if all(st.records == 1 and st.iterates == 1 for st in history):
+    if not tally.survivors:
         return 1.0
-    f_lo = _zeta_equation(ZETA_MIN, history)
-    f_hi = _zeta_equation(ZETA_MAX, history)
-    if f_lo == 0.0 and f_hi == 0.0:
-        return 1.0
+    f_lo = _zeta_score(ZETA_MIN, tally)
+    f_hi = _zeta_score(ZETA_MAX, tally)
     if f_lo > 0 and f_hi > 0:
         return ZETA_MAX
     if f_lo < 0 and f_hi < 0:
@@ -206,11 +267,11 @@ def solve_zeta(history: list[RunStats]) -> float:
     lo, hi = ZETA_MIN, ZETA_MAX
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if _zeta_equation(mid, history) * f_lo <= 0:
+        f_mid = _zeta_score(mid, tally)
+        if f_mid * f_lo <= 0:
             hi = mid
         else:
-            lo = mid
-            f_lo = _zeta_equation(lo, history)
+            lo, f_lo = mid, f_mid
         if hi - lo <= 1e-10 * lo:
             break
     return math.sqrt(lo * hi)
@@ -218,18 +279,28 @@ def solve_zeta(history: list[RunStats]) -> float:
 
 def p_fail(record_counts: list[int], lam: float, epsilon: float) -> float:
     """Probability that every completed run missed the eps-target tail:
-    ``prod_r G(k_r, -lam * log(epsilon))``.  Empty input gives 1.0.
+    ``prod_r G(k_r, -lam * log(epsilon))``; see :func:`p_fail_histogram`.
+    Empty input gives 1.0.
     """
+    hist: dict[int, int] = {}
+    for k in record_counts:
+        hist[k] = hist.get(k, 0) + 1
+    return p_fail_histogram(hist, lam, epsilon)
+
+
+def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) -> float:
+    """:func:`p_fail` over the record-count histogram ``{k: c_k}``:
+    ``prod_k G(k, -lam * log(epsilon))**c_k``."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = -lam * math.log(epsilon)
     out = 1.0
-    for k in record_counts:
+    for k in sorted(record_hist):
         if k < 1:
             raise ValueError("record counts must be >= 1")
-        out *= incomplete_gamma_g(k, x)
+        out *= incomplete_gamma_g(k, x) ** record_hist[k]
     return out
 
 

@@ -137,6 +137,15 @@ def test_validation_requires_enough_samples():
         hl.validate_statistics(hl.LabConfig(trajectories=999))
 
 
+def test_validation_rejects_an_empty_slope_window():
+    # a trajectory starts above 9.98 with probability exp(-9.98) = 4.6e-5 on
+    # the exponential model; none of the 1000 at seed 0 does, so no record
+    # can fall in the window
+    config = hl.LabConfig(model_name="exponential", window_center=10.0, trajectories=1000)
+    with pytest.raises(ValueError, match=r"slope window \[9\.98, 10\.02\]"):
+        hl.validate_statistics(config)
+
+
 def test_validation_report_roundtrip_small():
     report = hl.validate_statistics(hl.LabConfig(trajectories=2000, seed=3))
     data = report.to_dict()

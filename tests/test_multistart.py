@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from recordstart import multistart as ms
 from recordstart import newton_cg, objectives, special
@@ -104,6 +106,33 @@ def test_inner_loop_on_eval_abort(scripted):
     assert log.iterates == 3  # init + the two evaluated steps
 
 
+@given(
+    st.floats(min_value=math.log(1e-3), max_value=math.log(ms.ZETA_GUARD)),
+    st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
+    # k records, then a plateau up to iterate 200: the loop must stop at the
+    # first j >= 2 with j >= n_record_threshold(records - 1, zeta), the rule
+    # the running expected-records sum replaces
+    zeta = math.exp(log_zeta)
+    horizon = 200
+    script = [10.0 - i for i in range(1, k)] + [11.0 - k] * (horizon - k)
+    thresholds = [special.n_record_threshold(r - 1, zeta) for r in range(1, k + 1)]
+    stop = horizon
+    for j in range(2, horizon + 1):
+        held = min(j, k)
+        # a tie at an integer j is decided by rounding, not by the rule
+        assume(abs(special.expected_records(j, zeta) - held) >= 1e-9)
+        if j >= thresholds[held - 1]:
+            stop = j
+            break
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton_cg, "step", lambda state: state.advance())
+        log = ms.inner_loop(ScriptedEngine(10.0, script), params(), zeta=zeta)
+    assert (log.iterates, log.records) == (stop, min(stop, k))
+
+
 # ---------------------------------------------------------------------------
 # global drivers
 # ---------------------------------------------------------------------------
@@ -140,7 +169,7 @@ def test_p_fail_matches_declared_relation(zakharov_reports):
         state = report.state
         counts = [s.records for s in state.run_stats]
         assert state.zeta == special.solve_zeta(state.run_stats)
-        lam = ms._effective_lambda(0.5, state.zeta, 0.01**5, counts)
+        lam = ms._effective_lambda(0.5, state.zeta, 0.01**5, float(np.mean(counts)))
         assert state.lam_effective == lam
         assert state.p_fail == special.p_fail(counts, lam, 0.01**5)
         assert state.p_fail < 1e-3  # loop exit condition

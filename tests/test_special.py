@@ -243,6 +243,44 @@ def test_zeta_empty_history_rejected():
         sp.solve_zeta([])
 
 
+run_histories = st.lists(
+    st.integers(min_value=1, max_value=80).flatmap(
+        lambda j: st.builds(sp.RunStats, st.integers(min_value=1, max_value=j), st.just(j))
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
+@settings(max_examples=200, deadline=None)
+def test_survival_count_score_matches_digamma_form(history, log_zeta):
+    # relative to the size of the score's two parts, which cancel at the
+    # root; above zeta ~ 100 the digamma form itself loses more than 1e-12
+    # to the cancellation of R*psi(1+zeta) against sum_r psi(j_r+zeta)
+    zeta = math.exp(log_zeta)
+    tally = sp.RunTally.of(history)
+    survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(tally.survivors, start=1))
+    scale = tally.excess_records + survivors
+    assert sp._zeta_score(zeta, tally) == pytest.approx(sp._zeta_equation(zeta, history), abs=1e-12 * scale)
+
+
+def test_run_tally_survival_counts():
+    tally = sp.RunTally.of([sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)])
+    assert tally.runs == 3
+    assert tally.excess_records == 3
+    assert tally.survivors == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
+    assert (tally.record_sum, tally.record_hist) == (6, {2: 1, 1: 1, 3: 1})
+
+
+@given(run_histories, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_zeta_does_not_depend_on_history_order(history, rnd):
+    shuffled = list(history)
+    rnd.shuffle(shuffled)
+    assert sp.solve_zeta(shuffled) == sp.solve_zeta(history)
+
+
 def test_run_stats_validation():
     with pytest.raises(ValueError):
         sp.RunStats(records=3, iterates=2)
@@ -276,6 +314,14 @@ def test_p_fail_two_runs_squares():
 def test_p_fail_appending_a_run_strictly_decreases(counts, extra):
     base = sp.p_fail(counts, 1.0, 0.01)
     assert sp.p_fail(counts + [extra], 1.0, 0.01) < base
+
+
+def test_p_fail_histogram_equals_p_fail_of_the_counts():
+    counts = [3, 1, 3, 7, 3, 1]
+    assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, 0.4, 1e-10) == sp.p_fail(counts, 0.4, 1e-10)
+    assert sp.p_fail(counts, 0.4, 1e-10) == pytest.approx(
+        math.prod(sp.incomplete_gamma_g(k, -0.4 * math.log(1e-10)) for k in counts), rel=1e-14
+    )
 
 
 def test_p_fail_domain_errors():
