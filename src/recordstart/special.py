@@ -95,10 +95,9 @@ class RunTally:
         self.record_sum += st.records
         self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
         survivors = self.survivors
-        shared = min(len(survivors), st.iterates - 1)
-        for i in range(shared):
+        survivors.extend([0] * (st.iterates - 1 - len(survivors)))
+        for i in range(st.iterates - 1):
             survivors[i] += 1
-        survivors.extend([1] * (st.iterates - 1 - shared))
 
 
 @dataclass(frozen=True)
