@@ -142,7 +142,6 @@ def _run_bare_ncg(spec, params: AlgoParams, seed) -> RunReport:
         evals_to_target=first_hit,
         avg_inner_iters=float(evals),
         total_evals=evals,
-        line_search_evals=engine.line_search_evals,
         success=success,
         budget_exhausted=evals >= params.max_total_evals,
         history=history,

@@ -10,19 +10,21 @@ and ``lam`` (improvement-quality exponent):
   drawing the new value with conditional CDF ``(p(t)/p(y))**lam``, and
   otherwise hesitates (repeats ``y``).
 
-The lab simulates trajectories, extracts record sequences and slope
-samples, and checks the closed forms from :mod:`recordstart.special`
-against empirical statistics.  Every trajectory's random stream is a pure
-function of ``(seed, trajectory_index)``, so batches can be partitioned
-across workers with results identical to serial execution.
+So the sampler waits a Geometric(``p(y)**alpha``) number of steps at each
+record, independently of the record values.  :func:`record_chain`
+simulates only the records: it draws each wait and each next record for a
+whole batch of trajectories at once, from one random stream.
+:func:`run_hasplid` is its per-iterate view of one trajectory, and
+:func:`validate_statistics` builds every check of the closed forms from
+:mod:`recordstart.special` out of one pass over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -35,10 +37,10 @@ __all__ = [
     "mean_improvement",
     "HasplidTrajectory",
     "RecordSequence",
+    "record_chain",
     "run_hasplid",
     "extract_records",
     "slope_samples",
-    "simulate_trajectories",
     "LabConfig",
     "CheckResult",
     "ValidationReport",
@@ -48,7 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RangeModel:
-    """Range distribution given by its CDF and quantile function."""
+    """Range distribution given by its CDF and quantile function, both
+    numpy expressions that take scalars and arrays alike."""
 
     name: str
     cdf: callable
@@ -57,15 +60,15 @@ class RangeModel:
 
 def uniform_model() -> RangeModel:
     """Uniform range distribution on [0, 1]: p(y) = y."""
-    return RangeModel("uniform", lambda y: min(max(y, 0.0), 1.0), lambda u: u)
+    return RangeModel("uniform", lambda y: np.clip(y, 0.0, 1.0), lambda u: u)
 
 
 def exponential_model() -> RangeModel:
     """Unit-rate exponential range distribution: p(y) = 1 - exp(-y)."""
     return RangeModel(
         "exponential",
-        lambda y: -math.expm1(-y) if y > 0 else 0.0,
-        lambda u: -math.log1p(-u),
+        lambda y: -np.expm1(-np.maximum(y, 0.0)),
+        lambda u: -np.log1p(-u),
     )
 
 
@@ -104,7 +107,7 @@ def mean_improvement(model: RangeModel, y: float, lam: float) -> float:
     if p_y <= 0.0:
         return 0.0
     t = y * _GL_NODES**4
-    ratio = np.array([model.cdf(float(ti)) for ti in t]) / p_y
+    ratio = model.cdf(t) / p_y
     return float(4.0 * y * np.sum(_GL_WEIGHTS * _GL_NODES**3 * ratio**lam))
 
 
@@ -125,50 +128,51 @@ class RecordSequence:
     values: list
 
 
-class _UniformStream:
-    """Chunked uniform(0,1) stream so hot loops stay in plain Python."""
-
-    __slots__ = ("_rng", "_buf", "_i", "_chunk")
-
-    def __init__(self, rng, chunk=256):
-        self._rng = rng
-        self._chunk = chunk
-        self._buf = rng.random(chunk).tolist()
-        self._i = 0
-
-    def next(self):
-        i = self._i
-        if i == len(self._buf):
-            self._buf = self._rng.random(self._chunk).tolist()
-            i = 0
-        self._i = i + 1
-        return self._buf[i]
+# smallest normal float: the success probability of a wait drawn where
+# p**alpha has underflowed to 0, which numpy's geometric sampler rejects
+_TINY = np.finfo(float).tiny
 
 
-def _trajectory_rng(seed, index: int):
-    return np.random.default_rng([int(seed), int(index)])
+def record_chain(alpha: float, lam: float, model: RangeModel, n: int, rng):
+    """Levels and times of records 1, 2, ... of ``n`` trajectories.
+
+    An endless generator of ``(levels, times)`` arrays of length ``n``,
+    one pair per record, starting with the initial sample at time 0.  The
+    chain runs in p-space: the initial ``p`` is ``U**(1/lam)``, and each
+    step adds a Geometric(``p**alpha``) wait to the time, multiplies ``p``
+    by a fresh ``U**(1/lam)`` and yields ``model.inverse_cdf(p)``, drawing
+    both for all ``n`` trajectories from ``rng``.  Times are floats, exact
+    below ``2**53``; a wait past the int64 range saturates instead of
+    wrapping.  The yielded arrays are never modified afterwards.
+    """
+    inv_lam = 1.0 / lam
+    p = rng.random(n) ** inv_lam
+    t = np.zeros(n)
+    while True:
+        yield model.inverse_cdf(p), t
+        t = t + rng.geometric(np.maximum(p**alpha, _TINY))
+        p = p * rng.random(n) ** inv_lam
 
 
 def run_hasplid(alpha: float, lam: float, model: RangeModel, max_iters: int, seed) -> HasplidTrajectory:
     """Simulate one trajectory of ``max_iters`` transitions after the
-    initial sample; deterministic given the seed."""
+    initial sample; deterministic given the seed.  This is the per-iterate
+    view of :func:`record_chain` at ``n = 1``: each record level repeats
+    until the time of the next record."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    stream = _UniformStream(np.random.default_rng(seed))
-    inv_lam = 1.0 / lam
-    y = model.inverse_cdf(stream.next() ** inv_lam)
-    values = [y]
-    p = model.cdf
-    inv = model.inverse_cdf
-    for _ in range(max_iters):
-        py = p(y)
-        if stream.next() < py**alpha:
-            y = inv(py * stream.next() ** inv_lam)
-        values.append(y)
+    values = []
+    for levels, times in record_chain(alpha, lam, model, 1, np.random.default_rng(seed)):
+        # hesitate at the previous record until this record's time
+        end = min(times[0], max_iters + 1)
+        values += values[-1:] * int(end - len(values))
+        if len(values) > max_iters:
+            break
+        values.append(float(levels[0]))
     return HasplidTrajectory(values=values, seed=seed)
 
 
@@ -196,42 +200,7 @@ def slope_samples(records: RecordSequence) -> list:
     return [(v[k] - v[k + 1]) / (t[k + 1] - t[k]) for k in range(len(v) - 1)]
 
 
-def _simulate_range(args):
-    alpha, lam, model_name, max_iters, seed, lo, hi = args
-    model = _MODELS[model_name]()
-    out = []
-    for idx in range(lo, hi):
-        out.append(run_hasplid(alpha, lam, model, max_iters, _trajectory_rng(seed, idx)))
-    return out
-
-
 _MODELS = {"uniform": uniform_model, "exponential": exponential_model}
-
-
-def simulate_trajectories(
-    alpha: float,
-    lam: float,
-    model_name: str,
-    n_trajectories: int,
-    max_iters: int,
-    seed: int,
-    workers: int = 1,
-) -> list:
-    """Batch of trajectories; trajectory ``i`` depends only on
-    ``(seed, i)``, so any worker partition reproduces the serial result."""
-    if model_name not in _MODELS:
-        raise KeyError(f"unknown range model {model_name!r}")
-    bounds = np.linspace(0, n_trajectories, max(1, workers) + 1).astype(int)
-    jobs = [
-        (alpha, lam, model_name, max_iters, seed, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    if workers <= 1:
-        chunks = [_simulate_range(j) for j in jobs]
-    else:
-        with Pool(workers) as pool:
-            chunks = pool.map(_simulate_range, jobs)
-    return [t for c in chunks for t in c]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +304,15 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
       improvement (:func:`mean_improvement`) times ``E[1/wait]``
       (:func:`recordstart.special.mean_reciprocal_wait`).
 
-    Raises ``ValueError`` when no record falls in the slope window, which
+    Every statistic comes from one pass of :func:`record_chain` over all
+    trajectories, drawn from ``default_rng(config.seed)``; the pass ends
+    once every trajectory's latest record is the third or later, lies
+    below the target level and the slope window, and lies past both
+    horizons.
+
+    Raises ``ValueError`` on a ``lam`` that is not positive and finite, on
+    a slope window that reaches the bottom of the range (the pass would
+    never leave it), and when no record falls in the slope window, which
     leaves the window checks without a sample.
     """
     if config.trajectories < 1000:
@@ -346,86 +323,46 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     alpha, lam = config.alpha, config.lam
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1] for validation")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     zeta = lam / alpha
     n = config.trajectories
-    p = model.cdf
-    inv = model.inverse_cdf
-    inv_lam = 1.0 / lam
-
     y_t = config.target_level
-    q_lo = p(config.window_center - config.window_halfwidth)
-    q_hi = p(config.window_center + config.window_halfwidth)
-    q_mid = p(config.window_center)
-    poi = -lam * math.log(p(y_t))
-
-    # pass 1: records until below the target level and until the third
-    # record exists; collects Poisson counts and third-record survival
-    counts = np.empty(n)
-    third_above = np.empty(n, dtype=bool)
-    cap = 20_000
-    for i in range(n):
-        stream = _UniformStream(_trajectory_rng(config.seed, i))
-        y = inv(stream.next() ** inv_lam)
-        recs = 1
-        above = 1 if y > y_t else 0
-        third = y if recs == 3 else None
-        it = 0
-        while (y > y_t or recs < 3) and it < cap:
-            py = p(y)
-            if stream.next() < py**alpha:
-                y = inv(py * stream.next() ** inv_lam)
-                recs += 1
-                if y > y_t:
-                    above += 1
-                if recs == 3:
-                    third = y
-            it += 1
-        counts[i] = above
-        third_above[i] = third is not None and third > y_t
-
-    # pass 2: inter-record times and slopes for records in the window
-    gaps = []
-    slopes = []
-    for i in range(n):
-        stream = _UniformStream(_trajectory_rng(config.seed + 1, i))
-        y = inv(stream.next() ** inv_lam)
-        t = 0
-        rec_t, rec_y = 0, y
-        it = 0
-        while p(y) >= q_lo and it < cap:
-            py = p(y)
-            if stream.next() < py**alpha:
-                t += 1
-                y = inv(py * stream.next() ** inv_lam)
-                if q_lo <= p(rec_y) <= q_hi:
-                    gaps.append(t - rec_t)
-                    slopes.append((rec_y - y) / (t - rec_t))
-                rec_t, rec_y = t, y
-            else:
-                t += 1
-            it += 1
-    if not gaps:
-        lo = config.window_center - config.window_halfwidth
-        hi = config.window_center + config.window_halfwidth
-        raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
-
-    # pass 3: record counts at the short and long horizons
+    lo = config.window_center - config.window_halfwidth
+    hi = config.window_center + config.window_halfwidth
+    if model.cdf(lo) <= 0.0:
+        raise ValueError(f"slope window [{lo}, {hi}] reaches the bottom of the range")
+    q_mid = model.cdf(config.window_center)
+    poi = -lam * math.log(model.cdf(y_t))
     pmf_j = config.pmf_length
     curve_j = config.curve_length
-    pmf_counts = np.zeros(pmf_j + 1)
-    curve_counts = np.empty(n)
-    for i in range(n):
-        stream = _UniformStream(_trajectory_rng(config.seed + 2, i))
-        y = inv(stream.next() ** inv_lam)
-        recs = 1
-        for step in range(1, curve_j):
-            py = p(y)
-            if stream.next() < py**alpha:
-                y = inv(py * stream.next() ** inv_lam)
-                recs += 1
-            if step == pmf_j - 1:
-                pmf_counts[min(recs, pmf_j)] += 1
-        curve_counts[i] = recs
+    horizon = max(pmf_j, curve_j)
+
+    # per trajectory: records above the target level, and records among
+    # the first pmf_j and the first curve_j iterates
+    counts, pmf_recs, curve_counts = (np.zeros(n, dtype=np.int32) for _ in range(3))
+    gaps, slopes = [], []
+    chain = record_chain(alpha, lam, model, n, np.random.default_rng(config.seed))
+    y, t = next(chain)
+    for rec in itertools.count(1):
+        counts += y > y_t
+        pmf_recs += t < pmf_j
+        curve_counts += t < curve_j
+        if rec == 3:
+            third_above = y > y_t
+        if rec >= 3 and not np.any((y > y_t) | (y >= lo) | (t < horizon)):
+            break
+        next_y, next_t = next(chain)
+        # wait and slope from each record in the window to the next one
+        w = (lo <= y) & (y <= hi)
+        gaps.append(next_t[w] - t[w])
+        slopes.append((y[w] - next_y[w]) / gaps[-1])
+        y, t = next_y, next_t
+    gaps = np.concatenate(gaps)
+    slopes = np.concatenate(slopes)
+    if not gaps.size:
+        raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
+    pmf_counts = np.bincount(pmf_recs, minlength=pmf_j + 1)
 
     report = ValidationReport(config=config)
     report.checks.append(_result("poisson_mean_records", float(np.mean(counts)), poi, 0.02))

@@ -112,7 +112,6 @@ class RunReport:
     evals_to_target: int | None
     avg_inner_iters: float
     total_evals: int
-    line_search_evals: int
     success: bool
     budget_exhausted: bool
     history: list
@@ -182,7 +181,6 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
     tally = RunTally()
     history: list[HistoryRow] = []
     evals = 0
-    ls_evals = 0
     budget_exhausted = False
 
     while state.p_fail >= params.delta and not budget_exhausted:
@@ -209,7 +207,6 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
             log = RecordLog()
         else:
             log = inner_loop(engine, params, zeta_w, use_slope=use_slope, on_eval=on_eval)
-        ls_evals += engine.line_search_evals
 
         stats = log.stats()
         state.run_stats.append(stats)
@@ -228,7 +225,6 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
         evals_to_target=first_hit,
         avg_inner_iters=float(np.mean([s.iterates for s in state.run_stats])) if state.run_stats else 0.0,
         total_evals=evals,
-        line_search_evals=ls_evals,
         success=success,
         budget_exhausted=budget_exhausted,
         history=history,

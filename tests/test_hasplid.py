@@ -1,5 +1,6 @@
 """Simulator tests: construction invariants, the worked record-extraction
-example, inverse-CDF sampling law, and worker-partition equivalence.
+example, inverse-CDF sampling law, the per-iterate simulator against the
+record chain it views, and determinism of the validation report.
 Distributional validation at full trajectory counts lives in the
 acceptance suite."""
 
@@ -103,12 +104,56 @@ def test_simulator_deterministic_given_seed():
     assert a.values == b.values
 
 
-def test_batch_partition_invariance():
-    serial = hl.simulate_trajectories(0.5, 1.0, "uniform", 40, 25, seed=7, workers=1)
-    parallel = hl.simulate_trajectories(0.5, 1.0, "uniform", 40, 25, seed=7, workers=3)
-    assert len(serial) == len(parallel) == 40
-    for a, b in zip(serial, parallel):
-        assert a.values == b.values
+def _chain_records(model, alpha, lam, n, count, seed):
+    """The first ``count`` records of ``record_chain`` as (levels, times)
+    arrays of shape (count, n)."""
+    chain = hl.record_chain(alpha, lam, model, n, np.random.default_rng(seed))
+    levels, times = zip(*(next(chain) for _ in range(count)))
+    return np.array(levels), np.array(times)
+
+
+@pytest.mark.parametrize("model", [hl.uniform_model(), hl.exponential_model()], ids=lambda m: m.name)
+@pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.0, 1.0)])
+def test_run_hasplid_is_the_record_chain_per_iterate(model, alpha, lam):
+    for seed in (0, 7, 123):
+        recs = hl.extract_records(hl.run_hasplid(alpha, lam, model, 300, seed=seed))
+        levels, times = _chain_records(model, alpha, lam, 1, len(recs.values) + 1, seed)
+        levels, times = levels[:, 0], times[:, 0]
+        # the record after the last one extracted falls past the horizon
+        assert times[-1] > 300
+        assert recs.times == times[:-1].tolist()
+        assert recs.values == levels[:-1].tolist()
+
+
+@given(
+    st.sampled_from(["uniform", "exponential"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.25, max_value=4.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_record_chain_levels_fall_and_times_rise(model_name, alpha, lam, seed):
+    model = hl._MODELS[model_name]()
+    levels, times = _chain_records(model, alpha, lam, 8, 25, seed)
+    assert np.all(times[0] == 0)
+    assert np.all(np.diff(levels, axis=0) < 0)
+    assert np.all(np.diff(times, axis=0) >= 1)
+    if alpha == 0.0:
+        assert np.all(times == np.arange(25)[:, None])
+
+
+def test_record_chain_draws_waits_past_underflow():
+    # at lam = 0.01 the product of four U**100 underflows to 0 in about 6%
+    # of the trajectories; numpy rejects a geometric success probability of
+    # 0, so the kernel draws that wait at the smallest normal one
+    levels, times = _chain_records(hl.uniform_model(), 1.0, 0.01, 2000, 5, 0)
+    assert np.any(levels[3] == 0.0)
+    assert np.all(np.diff(times, axis=0) >= 1)
+
+
+def test_validation_report_is_deterministic():
+    config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
+    assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()
 
 
 def test_run_hasplid_rejects_bad_arguments():
@@ -135,6 +180,19 @@ def test_mean_improvement_edges():
 def test_validation_requires_enough_samples():
     with pytest.raises(ValueError, match="insufficient"):
         hl.validate_statistics(hl.LabConfig(trajectories=999))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_validation_rejects_a_bad_lam(lam):
+    with pytest.raises(ValueError, match="lam"):
+        hl.validate_statistics(hl.LabConfig(lam=lam, trajectories=1000))
+
+
+def test_validation_rejects_a_window_at_the_bottom_of_the_range():
+    # no record ever falls below the window, so the pass could not end
+    config = hl.LabConfig(window_center=0.01, trajectories=1000)
+    with pytest.raises(ValueError, match="bottom of the range"):
+        hl.validate_statistics(config)
 
 
 def test_validation_rejects_an_empty_slope_window():
