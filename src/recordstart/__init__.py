@@ -3,12 +3,13 @@
 Subpackages: :mod:`recordstart.special` (closed-form record statistics),
 :mod:`recordstart.hasplid` (Monte-Carlo lab), :mod:`recordstart.objectives`
 (benchmark functions), :mod:`recordstart.newton_cg` (inner search),
-:mod:`recordstart.multistart` (DMSS/RDMSS drivers), :mod:`recordstart.bench`
+:mod:`recordstart.multistart` (DMSS/RDMSS drivers and the bare
+Newton-CG baseline, one loop), :mod:`recordstart.bench`
 (experiment CLI).
 """
 
 from .bench import ExperimentConfig, run_experiment
-from .multistart import AlgoParams, run_dmss, run_rdmss
+from .multistart import AlgoParams, run_dmss, run_ncg, run_rdmss
 from .objectives import make
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "ExperimentConfig",
     "make",
     "run_dmss",
+    "run_ncg",
     "run_rdmss",
     "run_experiment",
 ]

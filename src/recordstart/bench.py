@@ -20,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -28,9 +27,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .hasplid import LabConfig, validate_statistics
-from .multistart import AlgoParams, HistoryRow, RunReport, check_success, run_dmss, run_rdmss
-from .objectives import OBJECTIVE_IDS, Oracle, make, sample_uniform
-from .newton_cg import init as ncg_init, step as ncg_step
+from .multistart import AlgoParams, RunReport, run_dmss, run_ncg, run_rdmss
+from .objectives import OBJECTIVE_IDS, make
 
 __all__ = [
     "ExperimentConfig",
@@ -110,46 +108,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _run_bare_ncg(spec, params: AlgoParams, seed) -> RunReport:
-    """Baseline: a single descent to native convergence, no restarts."""
-    rng = np.random.default_rng(seed)
-    x0 = sample_uniform(spec, rng)
-    oracle = Oracle(spec)
-    engine = ncg_init(spec, x0, oracle)
-    history = [HistoryRow(1, engine.fx, True, 1)]
-    evals = 1
-    best = engine.fx
-    while not engine.converged and evals < params.max_total_evals:
-        fn = ncg_step(engine)
-        if fn is None:
-            break
-        evals += 1
-        is_record = fn < best
-        if is_record:
-            best = fn
-        history.append(HistoryRow(evals, fn, is_record, 1))
-    success, first_hit = check_success(history, spec, params.epsilon)
-    from .multistart import GlobalState
-    from .special import RunStats
-
-    state = GlobalState()
-    state.run_stats = [RunStats(records=sum(1 for r in history if r.is_record), iterates=evals)]
-    state.restarts = 1
-    state.incumbent_y = best
-    return RunReport(
-        algorithm="ncg",
-        restarts=1,
-        evals_to_target=first_hit,
-        avg_inner_iters=float(evals),
-        total_evals=evals,
-        success=success,
-        budget_exhausted=evals >= params.max_total_evals,
-        history=history,
-        state=state,
-    )
-
-
-_DRIVERS = {"dmss": run_dmss, "rdmss": run_rdmss, "ncg": _run_bare_ncg}
+_DRIVERS = {"dmss": run_dmss, "rdmss": run_rdmss, "ncg": run_ncg}
 
 
 def _run_single(job) -> RunReport:

@@ -311,7 +311,8 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     horizons.
 
     Raises ``ValueError`` on a ``lam`` that is not positive and finite, on
-    a slope window that reaches the bottom of the range (the pass would
+    a ``target_level`` outside the range (``p(target)`` not in (0, 1)
+    leaves no Poisson mean to check), on a slope window that reaches the bottom of the range (the pass would
     never leave it), and when no record falls in the slope window, which
     leaves the window checks without a sample.
     """
@@ -332,8 +333,11 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     hi = config.window_center + config.window_halfwidth
     if model.cdf(lo) <= 0.0:
         raise ValueError(f"slope window [{lo}, {hi}] reaches the bottom of the range")
+    p_t = model.cdf(y_t)
+    if not 0.0 < p_t < 1.0:
+        raise ValueError(f"target_level {y_t} must lie inside the range, where 0 < p(target_level) < 1")
     q_mid = model.cdf(config.window_center)
-    poi = -lam * math.log(model.cdf(y_t))
+    poi = -lam * math.log(p_t)
     pmf_j = config.pmf_length
     curve_j = config.curve_length
     horizon = max(pmf_j, curve_j)

@@ -1,13 +1,15 @@
-"""Multi-start drivers with record-value stopping rules.
+"""DMSS/RDMSS drivers and the bare Newton-CG baseline, one loop.
 
-Both drivers share one loop.  A global run repeats: draw a uniform
-restart point, descend with the Newton-CG engine while the run's record
-bookkeeping says a new record is not yet overdue, then refresh the
+All three algorithms share one loop.  A global run repeats: draw a
+uniform restart point, descend with the Newton-CG engine while the run's
+record bookkeeping says a new record is not yet overdue, then refresh the
 record-rate ratio ``zeta`` (maximum likelihood over all completed runs)
 and the failure probability ``p_fail``; the outer loop ends once
-``p_fail`` drops below ``delta``.  The revised driver additionally breaks
-a run at a record whose realized improvement slope falls below the model
-expectation ``ptilde(prev_record)**alpha / zeta``.
+``p_fail`` drops below ``delta``.  The revised driver (``rdmss``)
+additionally breaks a run at a record whose realized improvement slope
+falls below the model expectation ``ptilde(prev_record)**alpha / zeta``.
+The baseline (``ncg``) descends from one start point to native
+termination: no overdue rule, no restart, no ``zeta``/``p_fail`` update.
 
 Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
@@ -38,13 +40,13 @@ __all__ = [
     "ZETA_GUARD",
     "RECORD_TOL",
     "AlgoParams",
-    "RecordLog",
     "GlobalState",
     "HistoryRow",
     "RunReport",
     "inner_loop",
     "run_dmss",
     "run_rdmss",
+    "run_ncg",
     "check_success",
 ]
 
@@ -72,17 +74,6 @@ class AlgoParams:
             raise ValueError("epsilon must be in (0, 1)")
         if self.ptilde_scale <= 0:
             raise ValueError("ptilde_scale must be positive")
-
-
-@dataclass
-class RecordLog:
-    """Run-local record bookkeeping: record count and raw iterate count."""
-
-    records: int = 1
-    iterates: int = 1
-
-    def stats(self) -> RunStats:
-        return RunStats(records=self.records, iterates=self.iterates)
 
 
 @dataclass
@@ -118,9 +109,10 @@ class RunReport:
     state: GlobalState
 
 
-def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False, on_eval=None) -> RecordLog:
-    """Drive an initialized engine until a record is overdue, the engine
-    terminates natively, or (optionally) the slope criterion fires.
+def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss", on_eval=None) -> RunStats:
+    """Drive an initialized engine until it terminates natively, a record
+    is overdue (``dmss``, ``rdmss``) or the slope criterion fires
+    (``rdmss``).
 
     The engine's current point counts as iterate 1 and record 1.  The next
     record is overdue once the expected record count of the iterates so
@@ -130,6 +122,8 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
     record's value.  ``on_eval(f, is_record)`` is called for every fresh
     oracle evaluation and may return False to abort (budget).
     """
+    overdue = algorithm != "ncg"
+    use_slope = algorithm == "rdmss"
     model = PtildeModel(scale=params.ptilde_scale)
     j, k = 1, 1
     # expected records among the first j iterates, one term per iterate:
@@ -140,7 +134,7 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
     while True:
         if engine.converged:
             break
-        if j >= 2 and expected >= k:
+        if overdue and j >= 2 and expected >= k:
             break
         fn = newton_cg.step(engine)
         if fn is None:
@@ -162,7 +156,7 @@ def inner_loop(engine, params: AlgoParams, zeta: float, use_slope: bool = False,
                 break
         if not keep_going:
             break
-    return RecordLog(records=k, iterates=j)
+    return RunStats(records=k, iterates=j)
 
 
 def _effective_lambda(alpha: float, zeta: float, epsilon: float, mean_records: float) -> float:
@@ -174,9 +168,9 @@ def _effective_lambda(alpha: float, zeta: float, epsilon: float, mean_records: f
     return min(lam, depth_cap)
 
 
-def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algorithm: str) -> RunReport:
+def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> RunReport:
     rng = np.random.default_rng(seed)
-    state = GlobalState(zeta=1.0, lam_effective=params.alpha, p_fail=1.0)
+    state = GlobalState(lam_effective=params.alpha)
     # sufficient statistics of state.run_stats: a restart adds O(j) work
     tally = RunTally()
     history: list[HistoryRow] = []
@@ -204,15 +198,16 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
 
         if evals >= params.max_total_evals:
             budget_exhausted = True
-            log = RecordLog()
+            stats = RunStats(1, 1)
         else:
-            log = inner_loop(engine, params, zeta_w, use_slope=use_slope, on_eval=on_eval)
+            stats = inner_loop(engine, params, zeta_w, algorithm, on_eval)
 
-        stats = log.stats()
         state.run_stats.append(stats)
-        tally.add(stats)
         state.restarts += 1
         state.incumbent_y = min(state.incumbent_y, start_y, engine.fx)
+        if algorithm == "ncg":
+            break
+        tally.add(stats)
         state.zeta = solve_zeta_tally(tally)
         mean_records = tally.record_sum / tally.runs
         state.lam_effective = _effective_lambda(params.alpha, state.zeta, params.epsilon, mean_records)
@@ -234,12 +229,17 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, use_slope: bool, algor
 
 def run_dmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     """Record-overdue inner termination only."""
-    return _drive(spec, params, seed, use_slope=False, algorithm="dmss")
+    return _drive(spec, params, seed, "dmss")
 
 
 def run_rdmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     """Record-overdue plus slope-criterion inner termination."""
-    return _drive(spec, params, seed, use_slope=True, algorithm="rdmss")
+    return _drive(spec, params, seed, "rdmss")
+
+
+def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
+    """Baseline: one descent to native termination, no restarts."""
+    return _drive(spec, params, seed, "ncg")
 
 
 def check_success(history, spec: ObjectiveSpec, epsilon: float):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, Oracle
 
-__all__ = ["G_TOL", "NcgState", "init", "step", "run_to_convergence"]
+__all__ = ["G_TOL", "NcgState", "init", "step"]
 
 G_TOL = 1e-8
 ARMIJO_C = 1e-4
@@ -42,7 +42,6 @@ class NcgState:
     x: np.ndarray
     fx: float
     gx: np.ndarray
-    iteration: int
     converged: bool
     line_search_evals: int = 0
 
@@ -61,7 +60,6 @@ def init(spec: ObjectiveSpec, x0, oracle: Oracle | None = None) -> NcgState:
         x=x,
         fx=fx,
         gx=gx,
-        iteration=0,
         converged=bool(np.linalg.norm(gx) <= G_TOL),
     )
 
@@ -125,21 +123,9 @@ def step(state: NcgState) -> float | None:
             state.x = xn
             state.fx = fn
             state.gx = state.oracle.grad(xn)
-            state.iteration += 1
             state.converged = bool(np.linalg.norm(state.gx) <= G_TOL)
             return fn
         t *= 0.5
     state.converged = True  # no strict decrease available: native stop
     return None
 
-
-def run_to_convergence(spec: ObjectiveSpec, x0, max_iters: int = 1000, oracle: Oracle | None = None):
-    """Bare descent with the native stopping rule only; returns the
-    trajectory of (x, f) pairs including the start point."""
-    state = init(spec, x0, oracle=oracle)
-    history = [(state.x.copy(), state.fx)]
-    while not state.converged and state.iteration < max_iters:
-        if step(state) is None:
-            break
-        history.append((state.x.copy(), state.fx))
-    return history

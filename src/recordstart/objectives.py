@@ -11,19 +11,15 @@ attain the stated minimum -3.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ObjectiveSpec",
-    "OracleCounter",
     "Oracle",
     "OBJECTIVE_IDS",
     "make",
-    "evaluate",
-    "gradient",
-    "hessian_vector_product",
     "sample_uniform",
 ]
 
@@ -43,64 +39,38 @@ class ObjectiveSpec:
     _hvp: callable
 
 
-@dataclass
-class OracleCounter:
-    """Cumulative oracle usage; monotone non-decreasing within a run."""
-
-    f_evals: int = 0
-    grad_evals: int = 0
-    hvp_evals: int = 0
+def _check_dim(spec: ObjectiveSpec, x, what: str = "point") -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"{spec.name}: {what} has shape {x.shape}, expected ({spec.dim},)")
+    return x
 
 
 @dataclass
 class Oracle:
-    """Counted view of one objective for a single run."""
+    """Counted, shape-checked view of one objective: the only way to
+    evaluate it.  The counts are monotone non-decreasing within a run."""
 
     spec: ObjectiveSpec
-    counter: OracleCounter = field(default_factory=OracleCounter)
+    f_evals: int = 0
+    grad_evals: int = 0
+    hvp_evals: int = 0
 
-    def f(self, x):
-        self.counter.f_evals += 1
+    def f(self, x) -> float:
+        x = _check_dim(self.spec, x)
+        self.f_evals += 1
         return self.spec._f(x)
 
-    def grad(self, x):
-        self.counter.grad_evals += 1
+    def grad(self, x) -> np.ndarray:
+        x = _check_dim(self.spec, x)
+        self.grad_evals += 1
         return self.spec._grad(x)
 
-    def hvp(self, x, v):
-        self.counter.hvp_evals += 1
+    def hvp(self, x, v) -> np.ndarray:
+        x = _check_dim(self.spec, x)
+        v = _check_dim(self.spec, v, "vector")
+        self.hvp_evals += 1
         return self.spec._hvp(x, v)
-
-
-def _check_dim(spec: ObjectiveSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"{spec.name}: expected shape ({spec.dim},), got {x.shape}")
-    return x
-
-
-def evaluate(spec: ObjectiveSpec, x, counter: OracleCounter | None = None) -> float:
-    x = _check_dim(spec, x)
-    if counter is not None:
-        counter.f_evals += 1
-    return spec._f(x)
-
-
-def gradient(spec: ObjectiveSpec, x, counter: OracleCounter | None = None) -> np.ndarray:
-    x = _check_dim(spec, x)
-    if counter is not None:
-        counter.grad_evals += 1
-    return spec._grad(x)
-
-
-def hessian_vector_product(spec: ObjectiveSpec, x, v, counter: OracleCounter | None = None) -> np.ndarray:
-    x = _check_dim(spec, x)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.dim,):
-        raise ValueError(f"{spec.name}: vector has shape {v.shape}, expected ({spec.dim},)")
-    if counter is not None:
-        counter.hvp_evals += 1
-    return spec._hvp(x, v)
 
 
 def sample_uniform(spec: ObjectiveSpec, rng) -> np.ndarray:

@@ -169,22 +169,23 @@ def test_criterion_06_derivatives_match_finite_differences():
     for name in objectives.OBJECTIVE_IDS:
         for dim in (2, 5, 15):
             spec = objectives.make(name, dim)
+            oracle = objectives.Oracle(spec)
             rng = np.random.default_rng(zlib.crc32(f"{name}:{dim}".encode()))
             for _ in range(20):
                 x = objectives.sample_uniform(spec, rng)
-                g = objectives.gradient(spec, x)
+                g = oracle.grad(x)
                 fd = np.zeros(dim)
                 for i in range(dim):
                     h = 1e-6 * (1.0 + abs(x[i]))
                     xp, xm = x.copy(), x.copy()
                     xp[i] += h
                     xm[i] -= h
-                    fd[i] = (objectives.evaluate(spec, xp) - objectives.evaluate(spec, xm)) / (2 * h)
+                    fd[i] = (oracle.f(xp) - oracle.f(xm)) / (2 * h)
                 worst_g = max(worst_g, np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)))
                 v = rng.standard_normal(dim)
-                hv = objectives.hessian_vector_product(spec, x, v)
+                hv = oracle.hvp(x, v)
                 hfd = (
-                    objectives.gradient(spec, x + 1e-6 * v) - objectives.gradient(spec, x - 1e-6 * v)
+                    oracle.grad(x + 1e-6 * v) - oracle.grad(x - 1e-6 * v)
                 ) / 2e-6
                 worst_h = max(worst_h, np.linalg.norm(hv - hfd) / max(1.0, np.linalg.norm(hfd)))
     ok = worst_g <= 1e-5 and worst_h <= 1e-4

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from recordstart import bench
+from recordstart.multistart import run_ncg
+from recordstart.objectives import make
 
 
 def small_config(**kw):
@@ -121,6 +123,16 @@ def test_ncg_baseline_single_descent():
         assert r.restarts == 1
         assert max(h.restart_index for h in r.history) == 1
     assert aggregate.success_count == 3  # convex objective
+
+
+def test_ncg_experiment_runs_the_shared_driver():
+    cfg = small_config(algorithm="ncg", objective="rosenbrock", runs=3)
+    _, reports = bench.run_experiment(cfg)
+    spec = make("rosenbrock", 5)
+    for i, report in enumerate(reports):
+        direct = run_ncg(spec, cfg.algo_params(), bench.derive_seed(cfg.seed, i))
+        assert report.algorithm == "ncg"
+        assert report.history == direct.history
 
 
 def test_compare_identical_and_mismatched(tmp_path):

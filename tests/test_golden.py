@@ -10,6 +10,12 @@ when the global run ends.  These digests therefore guard every rewrite
 of the record statistics against moving a threshold across an integer
 boundary.  A change that alters them on purpose must say why and
 re-record them.
+
+The ncg digests of rosenbrock, shifted_sinusoidal and zakharov were
+re-recorded when the baseline moved onto the shared driver loop and began
+flagging records with ``RECORD_TOL``: rows that improve on the last record
+by less than that tolerance are no longer records.  No value, index or
+restart changed.
 """
 
 import hashlib
@@ -27,16 +33,16 @@ CANONICAL = {
     ("rhe", "ncg"): "eed29b1cfa4f49c471030716df294a7b651611cea13b47051ac9116e9c0cec7d",
     ("rosenbrock", "dmss"): "335e86811eab91f59c64ac334f0dc23b38a649a5afe004aa86a4ee1d2027819f",
     ("rosenbrock", "rdmss"): "c3072265a39dd7baa3b20ef572a0e74cfecc461d41d1cb4268654152f4b54df3",
-    ("rosenbrock", "ncg"): "d865587e0945cb40024734eb68dadbd64f0a86d8ab21206c8c52d4000e7fe541",
+    ("rosenbrock", "ncg"): "50f0b97b753535a8259b7f6c06f0518ed6d3a6f970e55c019243a13a4de64b41",
     ("shifted_sinusoidal", "dmss"): "55e95cec1beb11d3678593dc4779061ccb0c71133f814d5c6d3a093ddfa5f2e4",
     ("shifted_sinusoidal", "rdmss"): "c4507cd56ee9f46da492da7eb5fe375508f3cbee6e455dec362dc0814ae79747",
-    ("shifted_sinusoidal", "ncg"): "ab320d6965c825e9a953ab5086c3966f7419338f97a5f53b907773e3f4a8c74b",
+    ("shifted_sinusoidal", "ncg"): "8da2ac38dc0b26caf19b89d6b6e6b48320be111043b4a0103fcf11081d25a6a3",
     ("styblinski_tang", "dmss"): "629fe52d8ed329051b9b4e4f80606588a0df05f62f4f7ace67bc6e703bcef825",
     ("styblinski_tang", "rdmss"): "6b3449198ee7aa2e4d91baf91016588ab14f272bca36a82767ed36c1b3e090a8",
     ("styblinski_tang", "ncg"): "52711a2a7347353ee459a6f43588cebad854cd5f22c8d1b0f92ac983be30274a",
     ("zakharov", "dmss"): "d29c5428d5ce8a6c771994212879d4d01718d5c8cea48d3217552190c863392a",
     ("zakharov", "rdmss"): "fb9c3047ef01c546efcc9e635e77811cd517a8760b2c5859c0aa094a4d245d7a",
-    ("zakharov", "ncg"): "f7eeac74f7e6ee986e4ced0245b2ec865d67fa6e932014529fa5472458566420",
+    ("zakharov", "ncg"): "1ad8d7528d714f2801832333ce471def6e9d6ecd37d12b5acbd51c58777036fb",
 }
 
 DEEP = {

@@ -188,6 +188,12 @@ def test_validation_rejects_a_bad_lam(lam):
         hl.validate_statistics(hl.LabConfig(lam=lam, trajectories=1000))
 
 
+@pytest.mark.parametrize("level", [0.0, -0.1, 1.0, 1.5, math.nan])
+def test_validation_rejects_a_target_level_outside_the_range(level):
+    with pytest.raises(ValueError, match="target_level"):
+        hl.validate_statistics(hl.LabConfig(target_level=level, trajectories=1000))
+
+
 def test_validation_rejects_a_window_at_the_bottom_of_the_range():
     # no record ever falls below the window, so the pass could not end
     config = hl.LabConfig(window_center=0.01, trajectories=1000)

@@ -1,6 +1,6 @@
 """Driver tests: inner-loop termination semantics against worked
-examples, cross-run bookkeeping invariants, determinism, and the
-DMSS/RDMSS relationship."""
+examples, cross-run bookkeeping invariants, determinism, the DMSS/RDMSS
+relationship, and the bare Newton-CG baseline on the same loop."""
 
 import math
 
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from recordstart import bench, newton_cg, objectives, special
 from recordstart import multistart as ms
-from recordstart import newton_cg, objectives, special
 
 
 class ScriptedEngine:
@@ -80,7 +80,7 @@ def test_inner_loop_slope_criterion_breaks_after_the_record(scripted):
     # right after evaluating it
     engine = scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0]))
     log_plain = ms.inner_loop(scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])), params(), zeta=1.0)
-    log_slope = ms.inner_loop(engine, params(), zeta=1.0, use_slope=True)
+    log_slope = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
     assert log_slope.records == 3
     assert log_slope.iterates == 3
     assert log_plain.iterates > log_slope.iterates
@@ -89,8 +89,16 @@ def test_inner_loop_slope_criterion_breaks_after_the_record(scripted):
 def test_inner_loop_slope_needs_two_records(scripted):
     # a tiny first improvement alone must not trigger the slope break
     engine = scripted(ScriptedEngine(10.0, [10.0 - 1e-9]))
-    log = ms.inner_loop(engine, params(), zeta=1.0, use_slope=True)
+    log = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
     assert log.records == 2
+
+
+def test_inner_loop_ncg_ignores_overdue_records(scripted):
+    # the plateau that ends a dmss restart at iterate 4 runs on to native
+    # termination under the baseline
+    engine = scripted(ScriptedEngine(10.0, [9.0] * 6))
+    log = ms.inner_loop(engine, params(), zeta=1.0, algorithm="ncg")
+    assert (log.records, log.iterates) == (2, 7)
 
 
 def test_inner_loop_on_eval_abort(scripted):
@@ -219,12 +227,72 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     assert disabled.restarts == base.restarts
 
 
-def test_budget_exhaustion_is_flagged_not_raised():
+@pytest.mark.parametrize("algorithm", ["dmss", "rdmss", "ncg"])
+def test_budget_exhaustion_is_flagged_not_raised(algorithm):
     spec = objectives.make("zakharov", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5, max_total_evals=7)
-    report = ms.run_dmss(spec, p, 3)
+    report = getattr(ms, f"run_{algorithm}")(spec, p, 3)
     assert report.budget_exhausted
-    assert report.total_evals <= 8
+    assert report.total_evals <= p.max_total_evals
+
+
+# ---------------------------------------------------------------------------
+# bare Newton-CG baseline
+# ---------------------------------------------------------------------------
+
+# the first five runs of the canonical table (master seed 52); their
+# rosenbrock, shifted_sinusoidal and zakharov descents hold improvements
+# smaller than RECORD_TOL
+CANONICAL_SEEDS = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(5)]
+
+
+@pytest.fixture(scope="module")
+def ncg_reports():
+    p = params()
+    return [
+        (name, seed, ms.run_ncg(objectives.make(name, 5), p, seed))
+        for name in objectives.OBJECTIVE_IDS
+        for seed in CANONICAL_SEEDS
+    ]
+
+
+def test_ncg_is_one_plain_descent(ncg_reports):
+    for name, seed, report in ncg_reports:
+        spec = objectives.make(name, 5)
+        engine = newton_cg.init(spec, objectives.sample_uniform(spec, np.random.default_rng(seed)))
+        values = [engine.fx]
+        while not engine.converged:
+            fn = newton_cg.step(engine)
+            if fn is None:
+                break
+            values.append(fn)
+        assert [r.f_value for r in report.history] == values
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert [r.restart_index for r in report.history] == [1] * len(values)
+        assert report.restarts == 1 and not report.budget_exhausted
+
+
+def test_ncg_flags_records_with_the_driver_tolerance(ncg_reports):
+    below_tolerance = 0
+    for _, _, report in ncg_reports:
+        best = math.inf
+        for row in report.history:
+            assert row.is_record == (row.f_value < best - ms.RECORD_TOL)
+            if row.is_record:
+                best = row.f_value
+            else:
+                below_tolerance += 1
+    assert below_tolerance > 0
+
+
+def test_ncg_leaves_the_record_statistics_alone(ncg_reports):
+    default = ms.GlobalState()
+    for _, _, report in ncg_reports:
+        state = report.state
+        assert (state.zeta, state.p_fail) == (default.zeta, default.p_fail)
+        records = sum(r.is_record for r in report.history)
+        assert state.run_stats == [special.RunStats(records, len(report.history))]
+        assert state.incumbent_y == report.history[-1].f_value
 
 
 def test_check_success_exact_hit_and_miss():

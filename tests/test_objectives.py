@@ -8,18 +8,20 @@ from recordstart import objectives as ob
 
 
 def fd_gradient(spec, x, h_scale=1e-6):
+    f = ob.Oracle(spec).f
     g = np.zeros_like(x)
     for i in range(spec.dim):
         h = h_scale * (1.0 + abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (ob.evaluate(spec, xp) - ob.evaluate(spec, xm)) / (2.0 * h)
+        g[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
 
 
 def fd_hvp(spec, x, v, h=1e-6):
-    return (ob.gradient(spec, x + h * v) - ob.gradient(spec, x - h * v)) / (2.0 * h)
+    grad = ob.Oracle(spec).grad
+    return (grad(x + h * v) - grad(x - h * v)) / (2.0 * h)
 
 
 def rel_err(a, b):
@@ -38,35 +40,35 @@ def every_spec(request):
 
 def test_zakharov_zero_at_origin():
     spec = ob.make("zakharov", 7)
-    assert ob.evaluate(spec, np.zeros(7)) == 0.0
+    assert ob.Oracle(spec).f(np.zeros(7)) == 0.0
 
 
 def test_rosenbrock_zero_at_ones():
     spec = ob.make("rosenbrock", 5)
-    assert ob.evaluate(spec, np.ones(5)) == 0.0
+    assert ob.Oracle(spec).f(np.ones(5)) == 0.0
 
 
 def test_styblinski_tang_minimum_scales_with_dimension():
     spec = ob.make("styblinski_tang", 5)
     # the commonly quoted constant is a rounded version of the true value
     assert spec.f_star == pytest.approx(-39.16599 * 5, abs=1e-2)
-    assert ob.evaluate(spec, np.full(5, -2.903534)) == pytest.approx(-195.83, abs=1e-2)
+    assert ob.Oracle(spec).f(np.full(5, -2.903534)) == pytest.approx(-195.83, abs=1e-2)
 
 
 def test_shifted_sinusoidal_minimum_at_thirty():
     spec = ob.make("shifted_sinusoidal", 5)
-    assert ob.evaluate(spec, np.full(5, 30.0)) == pytest.approx(-3.5, abs=1e-12)
+    assert ob.Oracle(spec).f(np.full(5, 30.0)) == pytest.approx(-3.5, abs=1e-12)
 
 
 def test_centered_sinusoidal_minimum_at_origin():
     spec = ob.make("centered_sinusoidal", 4)
-    assert ob.evaluate(spec, np.zeros(4)) == pytest.approx(-3.5, abs=1e-12)
+    assert ob.Oracle(spec).f(np.zeros(4)) == pytest.approx(-3.5, abs=1e-12)
 
 
 def test_every_minimum_is_consistent(every_spec):
     spec = every_spec
-    assert ob.evaluate(spec, spec.x_star) == pytest.approx(spec.f_star, abs=1e-9)
-    assert np.linalg.norm(ob.gradient(spec, spec.x_star)) <= 1e-6
+    assert ob.Oracle(spec).f(spec.x_star) == pytest.approx(spec.f_star, abs=1e-9)
+    assert np.linalg.norm(ob.Oracle(spec).grad(spec.x_star)) <= 1e-6
     assert spec.lower <= spec.x_star.min() and spec.x_star.max() <= spec.upper
 
 
@@ -75,7 +77,7 @@ def test_uniform_samples_never_beat_the_minimum(every_spec):
     rng = np.random.default_rng(123)
     for _ in range(10_000):
         x = ob.sample_uniform(spec, rng)
-        assert ob.evaluate(spec, x) >= spec.f_star - 1e-9
+        assert ob.Oracle(spec).f(x) >= spec.f_star - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_gradient_matches_finite_differences(dim):
         spec = ob.make(name, dim)
         for _ in range(5):
             x = ob.sample_uniform(spec, rng)
-            assert rel_err(ob.gradient(spec, x), fd_gradient(spec, x)) <= 1e-5, name
+            assert rel_err(ob.Oracle(spec).grad(x), fd_gradient(spec, x)) <= 1e-5, name
 
 
 @pytest.mark.parametrize("dim", [2, 5])
@@ -101,12 +103,12 @@ def test_hvp_matches_gradient_differences(dim):
         for _ in range(5):
             x = ob.sample_uniform(spec, rng)
             v = rng.standard_normal(dim)
-            assert rel_err(ob.hessian_vector_product(spec, x, v), fd_hvp(spec, x, v)) <= 1e-4, name
+            assert rel_err(ob.Oracle(spec).hvp(x, v), fd_hvp(spec, x, v)) <= 1e-4, name
 
 
 def test_zakharov_gradient_zero_at_origin():
     spec = ob.make("zakharov", 6)
-    assert np.all(ob.gradient(spec, np.zeros(6)) == 0.0)
+    assert np.all(ob.Oracle(spec).grad(np.zeros(6)) == 0.0)
 
 
 def test_rhe_gradient_closed_form():
@@ -114,14 +116,14 @@ def test_rhe_gradient_closed_form():
     rng = np.random.default_rng(3)
     x = ob.sample_uniform(spec, rng)
     expected = 2.0 * np.array([5 - i for i in range(5)]) * x  # 2*(d-i+1)*x_i, one-indexed
-    assert np.allclose(ob.gradient(spec, x), expected, rtol=1e-14)
+    assert np.allclose(ob.Oracle(spec).grad(x), expected, rtol=1e-14)
 
 
 def test_rhe_hvp_independent_of_point():
     spec = ob.make("rhe", 4)
     v = np.array([1.0, -2.0, 0.5, 3.0])
-    a = ob.hessian_vector_product(spec, np.zeros(4), v)
-    b = ob.hessian_vector_product(spec, np.full(4, 17.3), v)
+    a = ob.Oracle(spec).hvp(np.zeros(4), v)
+    b = ob.Oracle(spec).hvp(np.full(4, 17.3), v)
     assert np.array_equal(a, b)
 
 
@@ -129,10 +131,10 @@ def test_hvp_linear_in_v_and_zero_at_zero(every_spec):
     spec = every_spec
     rng = np.random.default_rng(5)
     x = ob.sample_uniform(spec, rng)
-    assert np.all(ob.hessian_vector_product(spec, x, np.zeros(5)) == 0.0)
+    assert np.all(ob.Oracle(spec).hvp(x, np.zeros(5)) == 0.0)
     v = rng.standard_normal(5)
-    two = ob.hessian_vector_product(spec, x, 2.0 * v)
-    one = ob.hessian_vector_product(spec, x, v)
+    two = ob.Oracle(spec).hvp(x, 2.0 * v)
+    one = ob.Oracle(spec).hvp(x, v)
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
 
 
@@ -166,18 +168,21 @@ def test_oracle_counts_calls():
     oracle.f(x)
     oracle.grad(x)
     oracle.hvp(x, np.ones(5))
-    assert oracle.counter.f_evals == 2
-    assert oracle.counter.grad_evals == 1
-    assert oracle.counter.hvp_evals == 1
+    assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (2, 1, 1)
 
 
 def test_dimension_mismatch_raises(every_spec):
-    with pytest.raises(ValueError):
-        ob.evaluate(every_spec, np.zeros(3))
-    with pytest.raises(ValueError):
-        ob.gradient(every_spec, np.zeros(6))
-    with pytest.raises(ValueError):
-        ob.hessian_vector_product(every_spec, np.zeros(5), np.zeros(4))
+    oracle = ob.Oracle(every_spec)
+    with pytest.raises(ValueError, match="point"):
+        oracle.f(np.zeros(3))
+    with pytest.raises(ValueError, match="point"):
+        oracle.grad(np.zeros(6))
+    with pytest.raises(ValueError, match="point"):
+        oracle.hvp(np.zeros(4), np.zeros(5))
+    with pytest.raises(ValueError, match="vector"):
+        oracle.hvp(np.zeros(5), np.zeros(4))
+    # a rejected call is not counted
+    assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (0, 0, 0)
 
 
 def test_registry_contents():
