@@ -13,10 +13,11 @@ and ``lam`` (improvement-quality exponent):
 So the sampler waits a Geometric(``p(y)**alpha``) number of steps at each
 record, independently of the record values.  :func:`record_chain`
 simulates only the records: it draws each wait and each next record for a
-whole batch of trajectories at once, from one random stream.
-:func:`run_hasplid` is its per-iterate view of one trajectory, and
+whole batch of trajectories at once, from one random stream, and
 :func:`validate_statistics` builds every check of the closed forms from
-:mod:`recordstart.special` out of one pass over it.
+:mod:`recordstart.special` out of one pass over it.  The test suite checks
+the kernel in distribution against a brute-force sampler that draws every
+iterate.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ __all__ = [
     "uniform_model",
     "exponential_model",
     "mean_improvement",
-    "HasplidTrajectory",
-    "RecordSequence",
     "record_chain",
-    "run_hasplid",
-    "extract_records",
-    "slope_samples",
     "LabConfig",
     "CheckResult",
     "ValidationReport",
@@ -111,23 +107,6 @@ def mean_improvement(model: RangeModel, y: float, lam: float) -> float:
     return float(4.0 * y * np.sum(_GL_WEIGHTS * _GL_NODES**3 * ratio**lam))
 
 
-@dataclass(frozen=True)
-class HasplidTrajectory:
-    """Non-increasing sequence of sampled range values."""
-
-    values: list
-    seed: object
-
-
-@dataclass(frozen=True)
-class RecordSequence:
-    """Strictly increasing record times 0 = R(1) < R(2) < ... and the
-    strictly decreasing record values; the initial sample is record 1."""
-
-    times: list
-    values: list
-
-
 # smallest normal float: the success probability of a wait drawn where
 # p**alpha has underflowed to 0, which numpy's geometric sampler rejects
 _TINY = np.finfo(float).tiny
@@ -152,52 +131,6 @@ def record_chain(alpha: float, lam: float, model: RangeModel, n: int, rng):
         yield model.inverse_cdf(p), t
         t = t + rng.geometric(np.maximum(p**alpha, _TINY))
         p = p * rng.random(n) ** inv_lam
-
-
-def run_hasplid(alpha: float, lam: float, model: RangeModel, max_iters: int, seed) -> HasplidTrajectory:
-    """Simulate one trajectory of ``max_iters`` transitions after the
-    initial sample; deterministic given the seed.  This is the per-iterate
-    view of :func:`record_chain` at ``n = 1``: each record level repeats
-    until the time of the next record."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    values = []
-    for levels, times in record_chain(alpha, lam, model, 1, np.random.default_rng(seed)):
-        # hesitate at the previous record until this record's time
-        end = min(times[0], max_iters + 1)
-        values += values[-1:] * int(end - len(values))
-        if len(values) > max_iters:
-            break
-        values.append(float(levels[0]))
-    return HasplidTrajectory(values=values, seed=seed)
-
-
-def extract_records(trajectory: HasplidTrajectory) -> RecordSequence:
-    """Strict-improvement times and values; the initial value is record 1."""
-    values = trajectory.values
-    if not values:
-        raise ValueError("trajectory is empty")
-    times = [0]
-    recs = [values[0]]
-    best = values[0]
-    for j, v in enumerate(values):
-        if v < best:
-            best = v
-            times.append(j)
-            recs.append(v)
-    return RecordSequence(times=times, values=recs)
-
-
-def slope_samples(records: RecordSequence) -> list:
-    """Improvement per iterate between consecutive records,
-    ``(Y_{R(k)} - Y_{R(k+1)}) / (R(k+1) - R(k))``; empty if fewer than
-    two records."""
-    t, v = records.times, records.values
-    return [(v[k] - v[k + 1]) / (t[k + 1] - t[k]) for k in range(len(v) - 1)]
 
 
 _MODELS = {"uniform": uniform_model, "exponential": exponential_model}

@@ -15,10 +15,12 @@ Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
 essentially every iterate, a regime where the raw estimators degenerate):
 
-* the working ``zeta`` consumed by the inner thresholds is clamped to
-  ``ZETA_GUARD`` (the MLE diverges to the bracket edge on record-saturated
-  histories, which would disable both inner criteria and freeze ``p_fail``
-  at 1),
+* the working ``zeta_w`` consumed by the inner thresholds is the MLE
+  clamped to ``ZETA_GUARD`` (the MLE diverges to the bracket edge on
+  record-saturated histories, which would disable both inner criteria and
+  freeze ``p_fail`` at 1); the score falls as ``zeta`` grows, so one
+  evaluation at the guard tells whether the clamp applies before any
+  bisection runs,
 * the tail depth fed to ``p_fail`` is capped at the mean observed record
   count (the model's own moment identity: a run that explored to depth x
   accrues Poisson(x) records), keeping the failure probability responsive
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import newton_cg
 from .objectives import ObjectiveSpec, Oracle, sample_uniform
-from .special import PtildeModel, RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally
+from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
 
 __all__ = [
     "ZETA_GUARD",
@@ -78,14 +80,12 @@ class AlgoParams:
 
 @dataclass
 class GlobalState:
-    """Cross-run state of one global run."""
+    """Cross-run state of one global run: the completed restarts, the
+    working zeta the next restart uses and the failure probability."""
 
-    incumbent_y: float = math.inf
     run_stats: list = field(default_factory=list)
-    zeta: float = 1.0
-    lam_effective: float = 0.5
+    zeta_w: float = 1.0
     p_fail: float = 1.0
-    restarts: int = 0
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,6 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
     """
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
-    model = PtildeModel(scale=params.ptilde_scale)
     j, k = 1, 1
     # expected records among the first j iterates, one term per iterate:
     # zeta*(psi(j+zeta) - psi(zeta)) = 1 + sum_{i<j} zeta/(i+zeta)
@@ -151,7 +150,7 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
             if (
                 use_slope
                 and k >= 2
-                and slope < expected_slope(prev_value, params.alpha, zeta, model)
+                and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale)
             ):
                 break
         if not keep_going:
@@ -159,18 +158,24 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
     return RunStats(records=k, iterates=j)
 
 
-def _effective_lambda(alpha: float, zeta: float, epsilon: float, mean_records: float) -> float:
+def _working_zeta(tally: RunTally) -> float:
+    """``min(solve_zeta_tally(tally), ZETA_GUARD)``: the score falls as
+    zeta grows, so a positive score at the guard puts the root above it
+    and the bisection is skipped."""
+    return ZETA_GUARD if zeta_score(ZETA_GUARD, tally) > 0 else solve_zeta_tally(tally)
+
+
+def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records: float) -> float:
     """Tail-rate parameter used in the failure probability: ``alpha *
-    min(zeta, ZETA_GUARD)`` capped so the tail depth ``-lam*log(eps)``
-    does not exceed the mean observed record count."""
-    lam = alpha * min(zeta, ZETA_GUARD)
+    zeta_w`` capped so the tail depth ``-lam*log(eps)`` does not exceed
+    the mean observed record count."""
     depth_cap = mean_records / (-math.log(epsilon))
-    return min(lam, depth_cap)
+    return min(alpha * zeta_w, depth_cap)
 
 
 def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> RunReport:
     rng = np.random.default_rng(seed)
-    state = GlobalState(lam_effective=params.alpha)
+    state = GlobalState()
     # sufficient statistics of state.run_stats: a restart adds O(j) work
     tally = RunTally()
     history: list[HistoryRow] = []
@@ -178,14 +183,12 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> Run
     budget_exhausted = False
 
     while state.p_fail >= params.delta and not budget_exhausted:
-        zeta_w = min(state.zeta, ZETA_GUARD)
         x0 = sample_uniform(spec, rng)
         oracle = Oracle(spec)
         engine = newton_cg.init(spec, x0, oracle)
-        restart_index = state.restarts + 1
+        restart_index = len(state.run_stats) + 1
         evals += 1
         history.append(HistoryRow(evals, engine.fx, True, restart_index))
-        start_y = engine.fx
 
         def on_eval(f_value, is_record, _ri=restart_index):
             nonlocal evals, budget_exhausted
@@ -200,23 +203,20 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> Run
             budget_exhausted = True
             stats = RunStats(1, 1)
         else:
-            stats = inner_loop(engine, params, zeta_w, algorithm, on_eval)
+            stats = inner_loop(engine, params, state.zeta_w, algorithm, on_eval)
 
         state.run_stats.append(stats)
-        state.restarts += 1
-        state.incumbent_y = min(state.incumbent_y, start_y, engine.fx)
         if algorithm == "ncg":
             break
         tally.add(stats)
-        state.zeta = solve_zeta_tally(tally)
-        mean_records = tally.record_sum / tally.runs
-        state.lam_effective = _effective_lambda(params.alpha, state.zeta, params.epsilon, mean_records)
-        state.p_fail = p_fail_histogram(tally.record_hist, state.lam_effective, params.epsilon)
+        state.zeta_w = _working_zeta(tally)
+        lam = _effective_lambda(params.alpha, state.zeta_w, params.epsilon, tally.record_sum / tally.runs)
+        state.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
 
     success, first_hit = check_success(history, spec, params.epsilon)
     return RunReport(
         algorithm=algorithm,
-        restarts=state.restarts,
+        restarts=len(state.run_stats),
         evals_to_target=first_hit,
         avg_inner_iters=float(np.mean([s.iterates for s in state.run_stats])) if state.run_stats else 0.0,
         total_evals=evals,

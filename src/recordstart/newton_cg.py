@@ -43,7 +43,6 @@ class NcgState:
     fx: float
     gx: np.ndarray
     converged: bool
-    line_search_evals: int = 0
 
 
 def init(spec: ObjectiveSpec, x0, oracle: Oracle | None = None) -> NcgState:
@@ -117,9 +116,7 @@ def step(state: NcgState) -> float | None:
     for _ in range(MAX_BACKTRACKS):
         xn = np.clip(state.x + t * p, spec.lower, spec.upper)
         fn = state.oracle.f(xn)
-        state.line_search_evals += 1
         if fn < state.fx and fn <= state.fx + ARMIJO_C * t * slope:
-            state.line_search_evals -= 1  # accepted probe is the iterate's own eval
             state.x = xn
             state.fx = fn
             state.gx = state.oracle.grad(xn)

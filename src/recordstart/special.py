@@ -2,8 +2,11 @@
 
 Everything in this module is pure and stateless, apart from
 :class:`RunTally`, the running sufficient statistics of completed runs from
-which :func:`solve_zeta_tally` and :func:`p_fail_histogram` evaluate the
-cross-run statistics without digamma.  The quantities all live in
+which :func:`zeta_score`, :func:`solve_zeta_tally` and
+:func:`p_fail_histogram` evaluate the drivers' cross-run statistics without
+digamma.  The drivers also use the surrogate slope law (:func:`ptilde`,
+:func:`expected_slope`); the closed forms below are what the lab in
+:mod:`recordstart.hasplid` checks.  The quantities all live in
 the record-value model of hesitant adaptive search with a power-law
 improvement distribution: a run of an iterative minimizer produces ``j``
 raw iterates of which ``k`` are records (strict improvements of the running
@@ -28,18 +31,16 @@ from dataclasses import dataclass, field
 __all__ = [
     "RunStats",
     "RunTally",
-    "PtildeModel",
     "ZETA_MIN",
     "ZETA_MAX",
+    "PTILDE_FLOOR",
     "digamma",
     "incomplete_gamma_g",
     "stirling1_abs",
     "record_count_pmf",
-    "solve_zeta",
+    "zeta_score",
     "solve_zeta_tally",
-    "p_fail",
     "p_fail_histogram",
-    "n_record_threshold",
     "expected_records",
     "ptilde",
     "expected_slope",
@@ -48,6 +49,9 @@ __all__ = [
 
 ZETA_MIN = 1e-6
 ZETA_MAX = 1e6
+# ptilde is clamped to [PTILDE_FLOOR, 1 - PTILDE_FLOOR]: its raw form is
+# negative below y = 0, where several benchmark objectives take values
+PTILDE_FLOOR = 1e-12
 _STIRLING_MAX_N = 20
 
 
@@ -82,13 +86,6 @@ class RunTally:
     survivors: list = field(default_factory=list)
     record_hist: dict = field(default_factory=dict)
 
-    @classmethod
-    def of(cls, history: list[RunStats]) -> "RunTally":
-        tally = cls()
-        for st in history:
-            tally.add(st)
-        return tally
-
     def add(self, st: RunStats) -> None:
         self.runs += 1
         self.excess_records += st.records - 1
@@ -98,25 +95,6 @@ class RunTally:
         survivors.extend([0] * (st.iterates - 1 - len(survivors)))
         for i in range(st.iterates - 1):
             survivors[i] += 1
-
-
-@dataclass(frozen=True)
-class PtildeModel:
-    """Surrogate range CDF ``1 - exp(-y/scale)`` clamped away from {0, 1}.
-
-    The raw expression is negative for ``y < 0`` (several benchmark
-    objectives take negative values), so the output is clamped to
-    ``[clamp_floor, 1 - clamp_floor]``.
-    """
-
-    scale: float = 1.0
-    clamp_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if not 0 < self.clamp_floor < 0.5:
-            raise ValueError("clamp_floor must be in (0, 0.5)")
 
 
 def digamma(x: float) -> float:
@@ -210,35 +188,18 @@ def record_count_pmf(j: int, k: int, zeta: float) -> float:
     return math.exp(log_p)
 
 
-def _zeta_equation(zeta: float, history: list[RunStats]) -> float:
-    """Likelihood score whose root is the record-rate ratio estimate:
-    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``.
-
-    The digamma form of :func:`_zeta_score`, kept as its reference.
-    """
-    r = len(history)
-    acc = 0.0
-    for st in history:
-        acc += st.records - 1
-    return acc + zeta * (r * digamma(1.0 + zeta) - sum(digamma(st.iterates + zeta) for st in history))
-
-
-def _zeta_score(zeta: float, tally: RunTally) -> float:
-    """:func:`_zeta_equation` without digamma: since
-    ``psi(j+zeta) - psi(1+zeta) = sum_{i=1}^{j-1} 1/(i+zeta)``, the score is
-    ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)`` with ``N_i`` the number
-    of runs with more than ``i`` iterates.
+def zeta_score(zeta: float, tally: RunTally) -> float:
+    """Likelihood score whose root is the record-rate ratio estimate,
+    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``,
+    without digamma: since ``psi(j+zeta) - psi(1+zeta) = sum_{i=1}^{j-1}
+    1/(i+zeta)``, it is ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)`` with
+    ``N_i`` the number of runs with more than ``i`` iterates.  It falls as
+    ``zeta`` grows, strictly unless every run has a single iterate.
     """
     acc = 0.0
     for i, n in enumerate(tally.survivors, start=1):
         acc += n * zeta / (i + zeta)
     return tally.excess_records - acc
-
-
-def solve_zeta(history: list[RunStats]) -> float:
-    """Maximum-likelihood estimate of zeta from completed-run statistics;
-    see :func:`solve_zeta_tally`."""
-    return solve_zeta_tally(RunTally.of(history))
 
 
 def solve_zeta_tally(tally: RunTally) -> float:
@@ -257,8 +218,8 @@ def solve_zeta_tally(tally: RunTally) -> float:
         raise ValueError("history must be non-empty")
     if not tally.survivors:
         return 1.0
-    f_lo = _zeta_score(ZETA_MIN, tally)
-    f_hi = _zeta_score(ZETA_MAX, tally)
+    f_lo = zeta_score(ZETA_MIN, tally)
+    f_hi = zeta_score(ZETA_MAX, tally)
     if f_lo > 0 and f_hi > 0:
         return ZETA_MAX
     if f_lo < 0 and f_hi < 0:
@@ -266,7 +227,7 @@ def solve_zeta_tally(tally: RunTally) -> float:
     lo, hi = ZETA_MIN, ZETA_MAX
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        f_mid = _zeta_score(mid, tally)
+        f_mid = zeta_score(mid, tally)
         if f_mid * f_lo <= 0:
             hi = mid
         else:
@@ -276,20 +237,12 @@ def solve_zeta_tally(tally: RunTally) -> float:
     return math.sqrt(lo * hi)
 
 
-def p_fail(record_counts: list[int], lam: float, epsilon: float) -> float:
-    """Probability that every completed run missed the eps-target tail:
-    ``prod_r G(k_r, -lam * log(epsilon))``; see :func:`p_fail_histogram`.
-    Empty input gives 1.0.
-    """
-    hist: dict[int, int] = {}
-    for k in record_counts:
-        hist[k] = hist.get(k, 0) + 1
-    return p_fail_histogram(hist, lam, epsilon)
-
-
 def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) -> float:
-    """:func:`p_fail` over the record-count histogram ``{k: c_k}``:
-    ``prod_k G(k, -lam * log(epsilon))**c_k``."""
+    """Probability that every completed run missed the eps-target tail,
+    ``prod_r G(k_r, -lam * log(epsilon))``, over the record-count histogram
+    ``{k: c_k}``: ``prod_k G(k, -lam * log(epsilon))**c_k``.  An empty
+    histogram gives 1.0.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if lam <= 0:
@@ -314,42 +267,14 @@ def expected_records(j: float, zeta: float) -> float:
     return zeta * (digamma(j + zeta) - digamma(zeta))
 
 
-def n_record_threshold(records_so_far: int, zeta: float) -> float:
-    """Iterate count at which the next record is overdue.
-
-    Continuous root ``j*`` of ``zeta*(psi(j+zeta) - psi(zeta)) =
-    records_so_far + 1``: the expected-records curve reaches one more
-    record than currently held.  Strictly increasing in records_so_far.
-    """
-    if records_so_far < 0:
-        raise ValueError("records_so_far must be nonnegative")
-    target = records_so_far + 1.0
-    if expected_records(1.0, zeta) >= target:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while expected_records(hi, zeta) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expected_records(mid, zeta) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+def ptilde(y: float, scale: float) -> float:
+    """Surrogate range CDF ``1 - exp(-y/scale)`` clamped to
+    ``[PTILDE_FLOOR, 1 - PTILDE_FLOOR]``."""
+    raw = 1.0 - math.exp(-y / scale) if y / scale > -700 else -math.inf
+    return min(max(raw, PTILDE_FLOOR), 1.0 - PTILDE_FLOOR)
 
 
-def ptilde(y: float, model: PtildeModel) -> float:
-    """Clamped surrogate range CDF ``1 - exp(-y/scale)``."""
-    raw = 1.0 - math.exp(-y / model.scale) if y / model.scale > -700 else -math.inf
-    return min(max(raw, model.clamp_floor), 1.0 - model.clamp_floor)
-
-
-def expected_slope(y_record: float, alpha: float, zeta: float, model: PtildeModel) -> float:
+def expected_slope(y_record: float, alpha: float, zeta: float, scale: float) -> float:
     """Model expectation of the record-improvement slope at level y:
     ``ptilde(y)**alpha / zeta``.
     """
@@ -357,7 +282,7 @@ def expected_slope(y_record: float, alpha: float, zeta: float, model: PtildeMode
         raise ValueError("alpha must be in (0, 1]")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    return ptilde(y_record, model) ** alpha / zeta
+    return ptilde(y_record, scale) ** alpha / zeta
 
 
 def mean_reciprocal_wait(q: float) -> float:

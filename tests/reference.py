@@ -1,0 +1,113 @@
+"""Reference implementations the tests compare the program against.
+
+Not a test module: pytest does not collect it, and the tests import it by
+name.
+
+* :func:`zeta_equation` and :func:`n_record_threshold` are the digamma
+  forms of the zeta score and of the record-overdue rule, which the
+  drivers evaluate from running sums instead;
+* :func:`per_iterate_values` simulates HASPLID one iterate at a time, the
+  brute-force counterpart of the event-driven kernel
+  :func:`recordstart.hasplid.record_chain`, and :func:`extract_records`
+  flags the records of its trajectories.
+
+:func:`tally_of` and the ``run_histories`` strategy build the run
+statistics that the record-statistics tests share.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from recordstart.special import RunStats, RunTally, digamma, expected_records
+
+# completed-run histories: 1 to 40 runs of 1 to 80 iterates each
+run_histories = st.lists(
+    st.integers(min_value=1, max_value=80).flatmap(
+        lambda j: st.builds(RunStats, st.integers(min_value=1, max_value=j), st.just(j))
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def tally_of(history: list[RunStats]) -> RunTally:
+    """The running statistics of ``history``, added in order."""
+    tally = RunTally()
+    for run in history:
+        tally.add(run)
+    return tally
+
+
+def zeta_equation(zeta: float, history: list[RunStats]) -> float:
+    """Likelihood score whose root is the record-rate ratio estimate:
+    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``.
+
+    The digamma form of :func:`recordstart.special.zeta_score`.
+    """
+    r = len(history)
+    acc = 0.0
+    for run in history:
+        acc += run.records - 1
+    return acc + zeta * (r * digamma(1.0 + zeta) - sum(digamma(run.iterates + zeta) for run in history))
+
+
+def n_record_threshold(records_so_far: int, zeta: float) -> float:
+    """Iterate count at which the next record is overdue.
+
+    Continuous root ``j*`` of ``zeta*(psi(j+zeta) - psi(zeta)) =
+    records_so_far + 1``: the expected-records curve reaches one more
+    record than currently held.  Strictly increasing in records_so_far.
+    The drivers' running expected-records sum reproduces this test
+    without a bisection per iterate.
+    """
+    if records_so_far < 0:
+        raise ValueError("records_so_far must be nonnegative")
+    target = records_so_far + 1.0
+    if expected_records(1.0, zeta) >= target:
+        return 1.0
+    lo, hi = 1.0, 2.0
+    while expected_records(hi, zeta) < target:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e18:
+            return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected_records(mid, zeta) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def per_iterate_values(alpha: float, lam: float, model, n: int, horizon: int, rng) -> np.ndarray:
+    """Values of ``n`` HASPLID trajectories at iterates ``0 .. horizon-1``,
+    shape ``(horizon, n)``, simulated one iterate at a time.
+
+    The initial value is ``inverse_cdf(U**(1/lam))``.  At every later
+    iterate one uniform decides whether the trajectory improves, with
+    probability ``p(y)**alpha`` at its current level ``y``; an improving
+    trajectory moves to ``inverse_cdf(p(y) * U**(1/lam))``, which has
+    conditional CDF ``(p(t)/p(y))**lam``, and the others repeat ``y``.
+    """
+    inv_lam = 1.0 / lam
+    values = np.empty((horizon, n))
+    y = values[0] = model.inverse_cdf(rng.random(n) ** inv_lam)
+    for t in range(1, horizon):
+        p_y = model.cdf(y)
+        improve = rng.random(n) < p_y**alpha
+        y = values[t] = np.where(improve, model.inverse_cdf(p_y * rng.random(n) ** inv_lam), y)
+    return values
+
+
+def extract_records(values: np.ndarray) -> np.ndarray:
+    """Record flags of per-iterate values (axis 0 is the iterate): the
+    first value and every strict improvement of the running best."""
+    values = np.asarray(values, dtype=float)
+    flags = np.ones(values.shape, dtype=bool)
+    flags[1:] = values[1:] < np.minimum.accumulate(values, axis=0)[:-1]
+    return flags

@@ -37,6 +37,7 @@ import pytest
 from recordstart import bench, newton_cg, objectives, special
 from recordstart.hasplid import LabConfig, validate_statistics
 from recordstart.multistart import ZETA_GUARD
+from reference import n_record_threshold, tally_of
 
 MASTER_SEED = bench.DEFAULT_SEED
 RUNS = 50
@@ -147,7 +148,7 @@ def test_criterion_05_conditional_slope_expectation():
         # taken at the surrogate level whose CDF equals the lab's
         # q = p(window_center) = 0.5
         level = -math.log1p(-0.5)
-        threshold = special.expected_slope(level, alpha, 1.0 / alpha, special.PtildeModel())
+        threshold = special.expected_slope(level, alpha, 1.0 / alpha, 1.0)
         assert stated.theoretical == pytest.approx(threshold, rel=1e-12)
         assert not stated.passed, "the stated form now matches the simulated process"
         ok = ok and exact.passed
@@ -308,8 +309,8 @@ def test_rdmss_restarts_are_prefixes_of_dmss_on_rosenbrock():
     for run in dmss:
         stats = run.state.run_stats
         for i, s in enumerate(stats):
-            zeta_w = 1.0 if i == 0 else min(special.solve_zeta(stats[:i]), ZETA_GUARD)
-            assert s.iterates < special.n_record_threshold(s.records - 1, zeta_w)
+            zeta_w = 1.0 if i == 0 else min(special.solve_zeta_tally(tally_of(stats[:i])), ZETA_GUARD)
+            assert s.iterates < n_record_threshold(s.records - 1, zeta_w)
     for scale in (1.0, 2.0**DIM):
         for d, r in zip(dmss, benchmark_runs("rosenbrock", "rdmss", ptilde_scale=scale)):
             assert not (d.budget_exhausted or r.budget_exhausted)

@@ -1,9 +1,9 @@
-"""Simulator tests: construction invariants, the worked record-extraction
-example, inverse-CDF sampling law, the per-iterate simulator against the
-record chain it views, and determinism of the validation report.
-Distributional validation at full trajectory counts lives in the
-acceptance suite."""
+"""Simulator tests: construction invariants, the inverse-CDF sampling law,
+the event-driven record chain against an independent per-iterate sampler,
+and determinism of the validation report.  Distributional validation at
+full trajectory counts lives in the acceptance suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordstart import hasplid as hl
+from reference import extract_records, per_iterate_values
+
+
+def _chain_records(model, alpha, lam, n, count, seed):
+    """The first ``count`` records of ``record_chain`` as (levels, times)
+    arrays of shape (count, n)."""
+    chain = hl.record_chain(alpha, lam, model, n, np.random.default_rng(seed))
+    levels, times = zip(*(next(chain) for _ in range(count)))
+    return np.array(levels), np.array(times)
 
 
 def test_range_models_invert_their_cdf():
@@ -21,10 +30,9 @@ def test_range_models_invert_their_cdf():
 
 
 def test_zero_alpha_every_iterate_is_a_record():
-    traj = hl.run_hasplid(0.0, 1.0, hl.uniform_model(), 200, seed=5)
-    recs = hl.extract_records(traj)
-    assert len(recs.values) == len(traj.values)
-    assert all(b < a for a, b in zip(traj.values, traj.values[1:]))
+    levels, times = _chain_records(hl.uniform_model(), 0.0, 1.0, 4, 200, 5)
+    assert np.all(times == np.arange(200)[:, None])
+    assert np.all(np.diff(levels, axis=0) < 0)
 
 
 @given(
@@ -34,8 +42,8 @@ def test_zero_alpha_every_iterate_is_a_record():
 )
 @settings(max_examples=40, deadline=None)
 def test_trajectories_never_increase(alpha, lam, seed):
-    traj = hl.run_hasplid(alpha, lam, hl.uniform_model(), 60, seed=seed)
-    assert all(b <= a for a, b in zip(traj.values, traj.values[1:]))
+    values = per_iterate_values(alpha, lam, hl.uniform_model(), 4, 60, np.random.default_rng(seed))
+    assert np.all(np.diff(values, axis=0) <= 0)
 
 
 def test_initial_sample_law_matches_power_cdf():
@@ -50,79 +58,117 @@ def test_initial_sample_law_matches_power_cdf():
 
 
 def test_initial_sample_consistent_with_simulator():
-    # the simulator's first value is exactly inverse_cdf(u0**(1/lam))
-    for seed in (0, 1, 99):
-        for lam in (0.5, 2.0):
-            u0 = np.random.default_rng(seed).random()
-            traj = hl.run_hasplid(0.7, lam, hl.uniform_model(), 1, seed=seed)
-            assert traj.values[0] == pytest.approx(u0 ** (1.0 / lam), rel=1e-15)
+    # the chain's first level is exactly inverse_cdf(u0**(1/lam))
+    for model in (hl.uniform_model(), hl.exponential_model()):
+        for seed in (0, 1, 99):
+            for lam in (0.5, 2.0):
+                u0 = np.random.default_rng(seed).random()
+                levels, _ = _chain_records(model, 0.7, lam, 1, 1, seed)
+                assert levels[0, 0] == pytest.approx(model.inverse_cdf(u0 ** (1.0 / lam)), rel=1e-15)
 
 
 def test_extract_records_worked_example():
-    traj = hl.HasplidTrajectory(values=[9, 7, 7, 5, 5, 5, 3, 2, 1, 1], seed=None)
-    recs = hl.extract_records(traj)
-    assert recs.times == [0, 1, 3, 6, 7, 8]
-    assert recs.values == [9, 7, 5, 3, 2, 1]
+    values = np.array([9, 7, 7, 5, 5, 5, 3, 2, 1, 1])
+    flags = extract_records(values)
+    assert np.flatnonzero(flags).tolist() == [0, 1, 3, 6, 7, 8]
+    assert values[flags].tolist() == [9, 7, 5, 3, 2, 1]
 
 
 def test_extract_records_strictly_decreasing_trajectory():
-    traj = hl.HasplidTrajectory(values=[5.0, 4.0, 2.5, 1.0], seed=None)
-    recs = hl.extract_records(traj)
-    assert recs.times == [0, 1, 2, 3]
+    assert extract_records([5.0, 4.0, 2.5, 1.0]).all()
 
 
 def test_extract_records_constant_trajectory():
-    recs = hl.extract_records(hl.HasplidTrajectory(values=[2.0, 2.0, 2.0], seed=None))
-    assert recs.times == [0]
-    assert recs.values == [2.0]
+    assert extract_records([2.0, 2.0, 2.0]).tolist() == [True, False, False]
 
 
 @given(st.integers(min_value=0, max_value=2000))
 @settings(max_examples=30, deadline=None)
 def test_record_invariants_on_simulated_trajectories(seed):
-    traj = hl.run_hasplid(0.5, 1.0, hl.uniform_model(), 80, seed=seed)
-    recs = hl.extract_records(traj)
-    assert recs.times[0] == 0
-    assert all(b > a for a, b in zip(recs.times, recs.times[1:]))
-    assert all(b < a for a, b in zip(recs.values, recs.values[1:]))
-    for s in hl.slope_samples(recs):
-        assert s > 0
-
-
-def test_slope_samples_worked_example():
-    recs = hl.RecordSequence(times=[2, 4], values=[5.0, 3.0])
-    assert hl.slope_samples(recs) == [1.0]
-
-
-def test_slope_samples_single_record_empty():
-    assert hl.slope_samples(hl.RecordSequence(times=[0], values=[4.0])) == []
+    # the per-iterate sampler moves only to a strictly lower level, so
+    # every change of value is a record
+    values = per_iterate_values(0.5, 1.0, hl.uniform_model(), 8, 80, np.random.default_rng(seed))
+    flags = extract_records(values)
+    assert flags[0].all()
+    assert np.array_equal(flags[1:], values[1:] != values[:-1])
 
 
 def test_simulator_deterministic_given_seed():
-    a = hl.run_hasplid(0.5, 1.0, hl.uniform_model(), 50, seed=42)
-    b = hl.run_hasplid(0.5, 1.0, hl.uniform_model(), 50, seed=42)
-    assert a.values == b.values
+    a = _chain_records(hl.uniform_model(), 0.5, 1.0, 16, 50, 42)
+    b = _chain_records(hl.uniform_model(), 0.5, 1.0, 16, 50, 42)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def _chain_records(model, alpha, lam, n, count, seed):
-    """The first ``count`` records of ``record_chain`` as (levels, times)
-    arrays of shape (count, n)."""
-    chain = hl.record_chain(alpha, lam, model, n, np.random.default_rng(seed))
-    levels, times = zip(*(next(chain) for _ in range(count)))
-    return np.array(levels), np.array(times)
+# trajectories and horizon of the comparison with the per-iterate sampler;
+# the tolerances below are two-sample bounds at this size
+TRAJECTORIES = 20_000
+HORIZON = 100
+# a difference of means or frequencies may reach Z_BOUND standard errors
+Z_BOUND = 4.0
+# Kolmogorov-Smirnov distance at significance 1e-3 for two samples of
+# TRAJECTORIES each: 1.95 * sqrt(2 / TRAJECTORIES) (conservative for the
+# discrete record times)
+KS_BOUND = 1.95 * math.sqrt(2.0 / TRAJECTORIES)
+
+
+def _chain_summary(model, alpha, lam, seed):
+    """Record counts among the first 3 and the first ``HORIZON`` iterates,
+    and time and level of the second record, of ``record_chain``'s
+    trajectories; a second record at or past the horizon reads as time
+    ``HORIZON`` and level inf."""
+    chain = hl.record_chain(alpha, lam, model, TRAJECTORIES, np.random.default_rng(seed))
+    first3 = first_horizon = 0
+    for rec in itertools.count(1):
+        level, time = next(chain)
+        first3 = first3 + (time < 3)
+        first_horizon = first_horizon + (time < HORIZON)
+        if rec == 2:
+            t2 = np.where(time < HORIZON, time, HORIZON)
+            y2 = np.where(time < HORIZON, level, np.inf)
+        if rec >= 2 and np.all(time >= HORIZON):
+            return first3, first_horizon, t2, y2
+
+
+def _sampler_summary(model, alpha, lam, seed):
+    """:func:`_chain_summary` of the per-iterate reference sampler."""
+    values = per_iterate_values(alpha, lam, model, TRAJECTORIES, HORIZON, np.random.default_rng(seed))
+    seen = np.cumsum(extract_records(values), axis=0)
+    second = seen >= 2
+    reached = second.any(axis=0)
+    at = second.argmax(axis=0)
+    t2 = np.where(reached, at, HORIZON)
+    y2 = np.where(reached, values[at, np.arange(TRAJECTORIES)], np.inf)
+    return seen[2], seen[-1], t2, y2
+
+
+def _ks_distance(a, b):
+    """Largest gap between the empirical CDFs of two samples."""
+    grid = np.union1d(a, b)
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 @pytest.mark.parametrize("model", [hl.uniform_model(), hl.exponential_model()], ids=lambda m: m.name)
-@pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.0, 1.0)])
-def test_run_hasplid_is_the_record_chain_per_iterate(model, alpha, lam):
-    for seed in (0, 7, 123):
-        recs = hl.extract_records(hl.run_hasplid(alpha, lam, model, 300, seed=seed))
-        levels, times = _chain_records(model, alpha, lam, 1, len(recs.values) + 1, seed)
-        levels, times = levels[:, 0], times[:, 0]
-        # the record after the last one extracted falls past the horizon
-        assert times[-1] > 300
-        assert recs.times == times[:-1].tolist()
-        assert recs.values == levels[:-1].tolist()
+@pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.8, 2.0), (0.0, 1.0)])
+def test_record_chain_matches_per_iterate_sampler(model, alpha, lam):
+    # record_chain draws only the records (a Geometric(p**alpha) wait and
+    # a U**(1/lam) shrink of p per record); the reference draws every
+    # iterate, improving with probability p(y)**alpha.  Independent seeds.
+    chain = _chain_summary(model, alpha, lam, seed=1)
+    naive = _sampler_summary(model, alpha, lam, seed=2)
+    n = TRAJECTORIES
+    # record-count pmf among the first 3 iterates
+    for k in (1, 2, 3):
+        f_chain, f_naive = np.mean(chain[0] == k), np.mean(naive[0] == k)
+        pooled = (f_chain + f_naive) / 2
+        assert abs(f_chain - f_naive) <= Z_BOUND * math.sqrt(2 * pooled * (1 - pooled) / n), k
+    # mean record count among the first HORIZON iterates
+    error = math.sqrt((np.var(chain[1]) + np.var(naive[1])) / n)
+    assert abs(np.mean(chain[1]) - np.mean(naive[1])) <= Z_BOUND * error
+    # time and level of the second record
+    assert _ks_distance(chain[2], naive[2]) <= KS_BOUND
+    assert _ks_distance(chain[3], naive[3]) <= KS_BOUND
 
 
 @given(
@@ -154,15 +200,6 @@ def test_record_chain_draws_waits_past_underflow():
 def test_validation_report_is_deterministic():
     config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
     assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()
-
-
-def test_run_hasplid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        hl.run_hasplid(1.5, 1.0, hl.uniform_model(), 10, seed=0)
-    with pytest.raises(ValueError):
-        hl.run_hasplid(0.5, -1.0, hl.uniform_model(), 10, seed=0)
-    with pytest.raises(ValueError):
-        hl.run_hasplid(0.5, 1.0, hl.uniform_model(), 0, seed=0)
 
 
 def test_mean_improvement_edges():

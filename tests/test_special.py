@@ -1,6 +1,7 @@
 """Math-core tests: independent high-precision oracles first, frozen
 values second, structural properties via hypothesis."""
 
+import collections
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordstart import special as sp
+from reference import n_record_threshold, run_histories, tally_of, zeta_equation
 
 mpmath.mp.dps = 40
 
@@ -208,48 +210,43 @@ def test_pmf_out_of_range_is_zero():
 # ---------------------------------------------------------------------------
 
 
+def solve_zeta(history):
+    return sp.solve_zeta_tally(tally_of(history))
+
+
 def test_zeta_degenerate_single_point_history():
-    assert sp.solve_zeta([sp.RunStats(1, 1), sp.RunStats(1, 1)]) == 1.0
+    assert solve_zeta([sp.RunStats(1, 1), sp.RunStats(1, 1)]) == 1.0
 
 
 def test_zeta_matches_independent_bisection():
     oracle = solve_zeta_oracle_k2_j5()
-    assert sp.solve_zeta([sp.RunStats(2, 5)]) == pytest.approx(oracle, abs=1e-6)
+    assert solve_zeta([sp.RunStats(2, 5)]) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_zeta_homogeneous_history_same_root():
-    one = sp.solve_zeta([sp.RunStats(2, 5)])
-    two = sp.solve_zeta([sp.RunStats(2, 5), sp.RunStats(2, 5)])
+    one = solve_zeta([sp.RunStats(2, 5)])
+    two = solve_zeta([sp.RunStats(2, 5), sp.RunStats(2, 5)])
     assert two == pytest.approx(one, rel=1e-8)
 
 
 def test_zeta_residual_small_when_bracketed():
     history = [sp.RunStats(3, 9), sp.RunStats(2, 7), sp.RunStats(4, 6)]
-    z = sp.solve_zeta(history)
-    residual = sp._zeta_equation(z, history)
+    z = solve_zeta(history)
+    residual = zeta_equation(z, history)
     assert abs(residual) <= 1e-8 * (1 + sum(s.records for s in history))
 
 
 def test_zeta_record_saturated_history_clamps_high():
-    assert sp.solve_zeta([sp.RunStats(5, 5)]) == sp.ZETA_MAX
+    assert solve_zeta([sp.RunStats(5, 5)]) == sp.ZETA_MAX
 
 
 def test_zeta_single_record_history_clamps_low():
-    assert sp.solve_zeta([sp.RunStats(1, 9)]) == sp.ZETA_MIN
+    assert solve_zeta([sp.RunStats(1, 9)]) == sp.ZETA_MIN
 
 
 def test_zeta_empty_history_rejected():
     with pytest.raises(ValueError):
-        sp.solve_zeta([])
-
-
-run_histories = st.lists(
-    st.integers(min_value=1, max_value=80).flatmap(
-        lambda j: st.builds(sp.RunStats, st.integers(min_value=1, max_value=j), st.just(j))
-    ),
-    min_size=1,
-    max_size=40,
-)
+        sp.solve_zeta_tally(sp.RunTally())
 
 
 @given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
@@ -259,14 +256,31 @@ def test_survival_count_score_matches_digamma_form(history, log_zeta):
     # root; above zeta ~ 100 the digamma form itself loses more than 1e-12
     # to the cancellation of R*psi(1+zeta) against sum_r psi(j_r+zeta)
     zeta = math.exp(log_zeta)
-    tally = sp.RunTally.of(history)
+    tally = tally_of(history)
     survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(tally.survivors, start=1))
     scale = tally.excess_records + survivors
-    assert sp._zeta_score(zeta, tally) == pytest.approx(sp._zeta_equation(zeta, history), abs=1e-12 * scale)
+    assert sp.zeta_score(zeta, tally) == pytest.approx(zeta_equation(zeta, history), abs=1e-12 * scale)
+
+
+@given(
+    run_histories,
+    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(sp.ZETA_MAX)),
+    st.floats(min_value=0.01, max_value=10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_zeta_score_falls_as_zeta_grows(history, log_zeta, log_step):
+    # the drivers read the sign of the score at ZETA_GUARD as the side of
+    # the guard the root lies on
+    tally = tally_of(history)
+    lo, hi = math.exp(log_zeta), math.exp(log_zeta + log_step)
+    if tally.survivors:
+        assert sp.zeta_score(hi, tally) < sp.zeta_score(lo, tally)
+    else:
+        assert sp.zeta_score(hi, tally) == sp.zeta_score(lo, tally) == 0
 
 
 def test_run_tally_survival_counts():
-    tally = sp.RunTally.of([sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)])
+    tally = tally_of([sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)])
     assert tally.runs == 3
     assert tally.excess_records == 3
     assert tally.survivors == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
@@ -278,7 +292,7 @@ def test_run_tally_survival_counts():
 def test_zeta_does_not_depend_on_history_order(history, rnd):
     shuffled = list(history)
     rnd.shuffle(shuffled)
-    assert sp.solve_zeta(shuffled) == sp.solve_zeta(history)
+    assert solve_zeta(shuffled) == solve_zeta(history)
 
 
 def test_run_stats_validation():
@@ -293,18 +307,22 @@ def test_run_stats_validation():
 # ---------------------------------------------------------------------------
 
 
+def p_fail(record_counts, lam, epsilon):
+    return sp.p_fail_histogram(collections.Counter(record_counts), lam, epsilon)
+
+
 def test_p_fail_empty_product():
-    assert sp.p_fail([], 1.0, 0.01) == 1.0
+    assert sp.p_fail_histogram({}, 1.0, 0.01) == 1.0
 
 
 def test_p_fail_single_run_equals_gamma_value():
-    assert sp.p_fail([2], 1.0, 0.01) == pytest.approx(0.9439483, abs=1e-7)
+    assert p_fail([2], 1.0, 0.01) == pytest.approx(0.9439483, abs=1e-7)
 
 
 def test_p_fail_two_runs_squares():
-    one = sp.p_fail([2], 1.0, 0.01)
-    assert sp.p_fail([2, 2], 1.0, 0.01) == pytest.approx(one * one, rel=1e-12)
-    assert sp.p_fail([2, 2], 1.0, 0.01) == pytest.approx(0.8910384, abs=1e-7)
+    one = p_fail([2], 1.0, 0.01)
+    assert p_fail([2, 2], 1.0, 0.01) == pytest.approx(one * one, rel=1e-12)
+    assert p_fail([2, 2], 1.0, 0.01) == pytest.approx(0.8910384, abs=1e-7)
 
 
 @given(
@@ -312,25 +330,24 @@ def test_p_fail_two_runs_squares():
     st.integers(min_value=1, max_value=30),
 )
 def test_p_fail_appending_a_run_strictly_decreases(counts, extra):
-    base = sp.p_fail(counts, 1.0, 0.01)
-    assert sp.p_fail(counts + [extra], 1.0, 0.01) < base
+    base = p_fail(counts, 1.0, 0.01)
+    assert p_fail(counts + [extra], 1.0, 0.01) < base
 
 
 def test_p_fail_histogram_equals_p_fail_of_the_counts():
     counts = [3, 1, 3, 7, 3, 1]
-    assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, 0.4, 1e-10) == sp.p_fail(counts, 0.4, 1e-10)
-    assert sp.p_fail(counts, 0.4, 1e-10) == pytest.approx(
+    assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, 0.4, 1e-10) == pytest.approx(
         math.prod(sp.incomplete_gamma_g(k, -0.4 * math.log(1e-10)) for k in counts), rel=1e-14
     )
 
 
 def test_p_fail_domain_errors():
     with pytest.raises(ValueError):
-        sp.p_fail([2], 1.0, 1.5)
+        sp.p_fail_histogram({2: 1}, 1.0, 1.5)
     with pytest.raises(ValueError):
-        sp.p_fail([2], 1.0, 0.0)
+        sp.p_fail_histogram({2: 1}, 1.0, 0.0)
     with pytest.raises(ValueError):
-        sp.p_fail([0], 1.0, 0.1)
+        sp.p_fail_histogram({0: 1}, 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +356,14 @@ def test_p_fail_domain_errors():
 
 
 def test_threshold_first_record_unit_zeta():
-    assert sp.n_record_threshold(0, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert n_record_threshold(0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_threshold_second_record_unit_zeta_matches_mpmath_root():
     # j* solving psi(j+1) = 2 - gamma, via mpmath's solver
     oracle = float(mpmath.findroot(lambda j: mpmath.digamma(j + 1) - (2 - mpmath.euler), 3.5))
-    assert sp.n_record_threshold(1, 1.0) == pytest.approx(oracle, abs=1e-8)
-    assert sp.n_record_threshold(1, 1.0) == pytest.approx(3.64, abs=0.01)
+    assert n_record_threshold(1, 1.0) == pytest.approx(oracle, abs=1e-8)
+    assert n_record_threshold(1, 1.0) == pytest.approx(3.64, abs=0.01)
 
 
 def test_threshold_consistent_with_harmonic_sums():
@@ -357,13 +374,13 @@ def test_threshold_consistent_with_harmonic_sums():
 
 @pytest.mark.parametrize("zeta", [0.5, 1.0, 3.0, 25.0])
 def test_threshold_monotone_in_record_count(zeta):
-    values = [sp.n_record_threshold(k, zeta) for k in range(8)]
+    values = [n_record_threshold(k, zeta) for k in range(8)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_threshold_inverts_expected_records():
     for k, zeta in [(2, 0.7), (5, 1.0), (3, 12.0)]:
-        j_star = sp.n_record_threshold(k, zeta)
+        j_star = n_record_threshold(k, zeta)
         assert sp.expected_records(j_star, zeta) == pytest.approx(k + 1, abs=1e-8)
 
 
@@ -373,53 +390,48 @@ def test_threshold_inverts_expected_records():
 
 
 def test_ptilde_log_two():
-    assert sp.ptilde(math.log(2.0), sp.PtildeModel()) == pytest.approx(0.5, abs=1e-14)
+    assert sp.ptilde(math.log(2.0), 1.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_ptilde_scaling_identity():
-    assert sp.ptilde(32.0 * math.log(2.0), sp.PtildeModel(scale=32.0)) == pytest.approx(
-        0.5, abs=1e-14
-    )
+    assert sp.ptilde(32.0 * math.log(2.0), 32.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_ptilde_clamps_negatives():
-    assert sp.ptilde(-5.0, sp.PtildeModel()) == 1e-12
-    assert sp.ptilde(-1e9, sp.PtildeModel()) == 1e-12
+    assert sp.ptilde(-5.0, 1.0) == 1e-12
+    assert sp.ptilde(-1e9, 1.0) == 1e-12
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=0.0, max_value=10.0))
 def test_ptilde_monotone(y, dy):
-    m = sp.PtildeModel()
-    assert sp.ptilde(y + dy, m) >= sp.ptilde(y, m)
-    assert 1e-12 <= sp.ptilde(y, m) <= 1.0 - 1e-12
+    assert sp.ptilde(y + dy, 1.0) >= sp.ptilde(y, 1.0)
+    assert 1e-12 <= sp.ptilde(y, 1.0) <= 1.0 - 1e-12
 
 
 def test_expected_slope_saturates_at_inverse_zeta():
-    m = sp.PtildeModel()
-    assert sp.expected_slope(1e9, 0.5, 2.0, m) == pytest.approx(
+    assert sp.expected_slope(1e9, 0.5, 2.0, 1.0) == pytest.approx(
         (1.0 - 1e-12) ** 0.5 / 2.0, rel=1e-12
     )
 
 
 def test_expected_slope_example():
-    assert sp.expected_slope(math.log(2.0), 0.5, 2.0, sp.PtildeModel()) == pytest.approx(
+    assert sp.expected_slope(math.log(2.0), 0.5, 2.0, 1.0) == pytest.approx(
         math.sqrt(0.5) / 2.0, abs=1e-12
     )
 
 
 def test_expected_slope_clamp_propagates():
-    assert sp.expected_slope(-5.0, 0.5, 2.0, sp.PtildeModel()) == pytest.approx(5e-7, rel=1e-9)
+    assert sp.expected_slope(-5.0, 0.5, 2.0, 1.0) == pytest.approx(5e-7, rel=1e-9)
 
 
 def test_expected_slope_monotone_in_level():
-    m = sp.PtildeModel()
-    values = [sp.expected_slope(y, 0.5, 2.0, m) for y in np.linspace(-2, 10, 50)]
+    values = [sp.expected_slope(y, 0.5, 2.0, 1.0) for y in np.linspace(-2, 10, 50)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_expected_slope_rejects_zero_alpha():
     with pytest.raises(ValueError):
-        sp.expected_slope(1.0, 0.0, 1.0, sp.PtildeModel())
+        sp.expected_slope(1.0, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
