@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -92,14 +92,7 @@ class AggregateReport:
     runs: int
 
     def to_dict(self) -> dict:
-        return {
-            "avg_restarts": self.avg_restarts,
-            "avg_evals_to_target": self.avg_evals_to_target,
-            "avg_inner_iterations": self.avg_inner_iterations,
-            "avg_total_evals": self.avg_total_evals,
-            "success_count": self.success_count,
-            "runs": self.runs,
-        }
+        return asdict(self)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -112,18 +105,16 @@ _DRIVERS = {"dmss": run_dmss, "rdmss": run_rdmss, "ncg": run_ncg}
 
 
 def _run_single(job) -> RunReport:
-    cfg_fields, index = job
-    cfg = ExperimentConfig(**cfg_fields)
-    spec = make(cfg.objective, cfg.dim)
-    seed = derive_seed(cfg.seed, index)
-    return _DRIVERS[cfg.algorithm](spec, cfg.algo_params(), seed)
+    config, index = job
+    spec = make(config.objective, config.dim)
+    seed = derive_seed(config.seed, index)
+    return _DRIVERS[config.algorithm](spec, config.algo_params(), seed)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Execute all runs, write artifacts when ``out_dir`` is given, and
     return ``(AggregateReport, list[RunReport])``."""
-    cfg_fields = {k: getattr(config, k) for k in config.__dataclass_fields__}
-    jobs = [(cfg_fields, i) for i in range(config.runs)]
+    jobs = [(config, i) for i in range(config.runs)]
     if config.workers <= 1:
         reports = [_run_single(j) for j in jobs]
     else:
@@ -135,7 +126,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         emit_history(reports, os.path.join(out_dir, "history.csv"))
         # the worker count must not leak into artifacts: identical configs
         # produce byte-identical files at any parallelism
-        summary_cfg = {k: v for k, v in cfg_fields.items() if k != "workers"}
+        summary_cfg = asdict(config)
+        del summary_cfg["workers"]
         summary = {"config": summary_cfg, "aggregate": aggregate.to_dict()}
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -156,10 +148,11 @@ def _aggregate(reports) -> AggregateReport:
 
 
 def emit_history(reports, path: str, sort_values: bool = False) -> None:
-    """One CSV row per counted oracle call, chronological within runs.
+    """One CSV row per counted oracle call, chronological within runs;
+    ``eval_index`` is the row's 1-based rank within its run.
 
     With ``sort_values`` the rows of each run are reordered by
-    non-increasing objective value and re-indexed by rank, the layout the
+    non-increasing objective value before they are ranked, the layout the
     dimension-scaling plots consume.
     """
     with open(path, "w", newline="") as fh:
@@ -173,7 +166,7 @@ def emit_history(reports, path: str, sort_values: bool = False) -> None:
                 writer.writerow(
                     [
                         run_id,
-                        rank if sort_values else row.eval_index,
+                        rank,
                         repr(row.f_value),
                         int(row.is_record),
                         row.restart_index,

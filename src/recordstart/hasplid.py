@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import expected_records, incomplete_gamma_g, mean_reciprocal_wait, record_count_pmf
+from .special import _STIRLING_MAX_N, expected_records, incomplete_gamma_g, mean_reciprocal_wait, record_count_pmf
 
 __all__ = [
     "RangeModel",
@@ -164,11 +164,14 @@ class CheckResult:
     theoretical: float
     tolerance: float
     relative: bool
-    passed: bool
 
     def deviation(self) -> float:
         d = abs(self.statistic - self.theoretical)
         return d / abs(self.theoretical) if self.relative else d
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.deviation() <= self.tolerance)
 
 
 @dataclass
@@ -207,9 +210,7 @@ class ValidationReport:
 
 
 def _result(name, stat, theo, tol, relative=True) -> CheckResult:
-    stat, theo = float(stat), float(theo)
-    dev = abs(stat - theo) / (abs(theo) if relative else 1.0)
-    return CheckResult(name, stat, theo, tol, relative, bool(dev <= tol))
+    return CheckResult(name, float(stat), float(theo), tol, relative)
 
 
 def validate_statistics(config: LabConfig) -> ValidationReport:
@@ -246,7 +247,9 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     Raises ``ValueError`` on a ``lam`` that is not positive and finite, on
     a ``target_level`` outside the range (``p(target)`` not in (0, 1)
     leaves no Poisson mean to check), on a slope window that reaches the bottom of the range (the pass would
-    never leave it), and when no record falls in the slope window, which
+    never leave it), on a ``pmf_length`` outside 1..20 (the exact
+    Stirling numbers stop at 20) or a ``curve_length`` below 1, all
+    before the pass, and when no record falls in the slope window, which
     leaves the window checks without a sample.
     """
     if config.trajectories < 1000:
@@ -272,7 +275,11 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     q_mid = model.cdf(config.window_center)
     poi = -lam * math.log(p_t)
     pmf_j = config.pmf_length
+    if not 1 <= pmf_j <= _STIRLING_MAX_N:
+        raise ValueError(f"pmf_length must be in 1..{_STIRLING_MAX_N}, got {pmf_j}")
     curve_j = config.curve_length
+    if curve_j < 1:
+        raise ValueError(f"curve_length must be >= 1, got {curve_j}")
     horizon = max(pmf_j, curve_j)
 
     # per trajectory: records above the target level, and records among
@@ -316,19 +323,8 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     report.checks.append(
         _result("inter_record_time_mean", float(np.mean(gaps)), q_mid ** (-alpha), 0.03)
     )
-    pmf_dev = float(
-        max(abs(pmf_counts[k] / n - record_count_pmf(pmf_j, k, zeta)) for k in range(1, pmf_j + 1))
-    )
-    report.checks.append(
-        CheckResult(
-            "record_count_pmf_short_horizon",
-            pmf_dev,
-            0.0,
-            0.01,
-            False,
-            bool(pmf_dev <= 0.01),
-        )
-    )
+    pmf_dev = max(abs(pmf_counts[k] / n - record_count_pmf(pmf_j, k, zeta)) for k in range(1, pmf_j + 1))
+    report.checks.append(_result("record_count_pmf_short_horizon", pmf_dev, 0.0, 0.01, relative=False))
     report.checks.append(
         _result(
             "expected_records_long_horizon",

@@ -5,11 +5,20 @@ uniform restart point, descend with the Newton-CG engine while the run's
 record bookkeeping says a new record is not yet overdue, then refresh the
 record-rate ratio ``zeta`` (maximum likelihood over all completed runs)
 and the failure probability ``p_fail``; the outer loop ends once
-``p_fail`` drops below ``delta``.  The revised driver (``rdmss``)
-additionally breaks a run at a record whose realized improvement slope
-falls below the model expectation ``ptilde(prev_record)**alpha / zeta``.
-The baseline (``ncg``) descends from one start point to native
-termination: no overdue rule, no restart, no ``zeta``/``p_fail`` update.
+``p_fail`` drops below ``delta`` or the run holds ``max_total_evals``
+evaluations.  The revised driver (``rdmss``) additionally breaks a run at
+a record whose realized improvement slope falls below the model
+expectation ``ptilde(prev_record)**alpha / zeta``.  The baseline (``ncg``)
+descends from one start point to native termination: no overdue rule, no
+restart, no ``zeta``/``p_fail`` update.
+
+A global run is written down once, in its ``RunReport``: the driver
+creates it at the start and appends every evaluation to ``history`` and
+every restart's ``RunStats`` to ``run_stats``.  The restart count, the
+evaluation count, the mean inner-loop length and the success flag are
+read off those two lists.  ``inner_loop`` gets the evaluations left in
+the budget and returns the ones it made, so the evaluation count cannot
+overshoot ``max_total_evals``.
 
 Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
@@ -42,7 +51,6 @@ __all__ = [
     "ZETA_GUARD",
     "RECORD_TOL",
     "AlgoParams",
-    "GlobalState",
     "HistoryRow",
     "RunReport",
     "inner_loop",
@@ -76,21 +84,15 @@ class AlgoParams:
             raise ValueError("epsilon must be in (0, 1)")
         if self.ptilde_scale <= 0:
             raise ValueError("ptilde_scale must be positive")
-
-
-@dataclass
-class GlobalState:
-    """Cross-run state of one global run: the completed restarts, the
-    working zeta the next restart uses and the failure probability."""
-
-    run_stats: list = field(default_factory=list)
-    zeta_w: float = 1.0
-    p_fail: float = 1.0
+        if self.max_total_evals < 1:
+            raise ValueError("max_total_evals must be >= 1")
 
 
 @dataclass(frozen=True)
 class HistoryRow:
-    eval_index: int
+    """One counted oracle evaluation; its 1-based position in
+    ``RunReport.history`` is its evaluation index."""
+
     f_value: float
     is_record: bool
     restart_index: int
@@ -98,29 +100,50 @@ class HistoryRow:
 
 @dataclass
 class RunReport:
+    """The one record of a global run, filled in as the run goes: every
+    evaluation in order, the completed restarts, and the working zeta and
+    failure probability after the last restart.  The counts and the
+    success flag are derived from these."""
+
     algorithm: str
-    restarts: int
-    evals_to_target: int | None
-    avg_inner_iters: float
-    total_evals: int
-    success: bool
-    budget_exhausted: bool
-    history: list
-    state: GlobalState
+    history: list = field(default_factory=list)
+    run_stats: list = field(default_factory=list)
+    zeta_w: float = 1.0
+    p_fail: float = 1.0
+    budget_exhausted: bool = False
+    evals_to_target: int | None = None
+
+    @property
+    def restarts(self) -> int:
+        return len(self.run_stats)
+
+    @property
+    def total_evals(self) -> int:
+        return len(self.history)
+
+    @property
+    def success(self) -> bool:
+        return self.evals_to_target is not None
+
+    @property
+    def avg_inner_iters(self) -> float:
+        return float(np.mean([s.iterates for s in self.run_stats]))
 
 
-def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss", on_eval=None) -> RunStats:
+def inner_loop(
+    engine, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
+) -> tuple[RunStats, list]:
     """Drive an initialized engine until it terminates natively, a record
-    is overdue (``dmss``, ``rdmss``) or the slope criterion fires
-    (``rdmss``).
+    is overdue (``dmss``, ``rdmss``), the slope criterion fires
+    (``rdmss``) or ``budget`` evaluations are held.
 
     The engine's current point counts as iterate 1 and record 1.  The next
     record is overdue once the expected record count of the iterates so
     far, ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the
     records held; the check is skipped until two iterates exist.  The slope
     check needs at least two records and is evaluated at the previous
-    record's value.  ``on_eval(f, is_record)`` is called for every fresh
-    oracle evaluation and may return False to abort (budget).
+    record's value.  Returns the run's ``RunStats`` and its evaluations
+    ``[(f, is_record), ...]``, the start point first.
     """
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
@@ -130,8 +153,9 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
     expected = 1.0
     best = engine.fx
     best_t = 1
+    evals = [(best, True)]
     while True:
-        if engine.converged:
+        if engine.converged or j >= budget:
             break
         if overdue and j >= 2 and expected >= k:
             break
@@ -141,7 +165,7 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
         expected += zeta / (j + zeta)
         j += 1
         is_record = fn < best - RECORD_TOL
-        keep_going = True if on_eval is None else on_eval(fn, is_record)
+        evals.append((fn, is_record))
         if is_record:
             k += 1
             slope = (best - fn) / (j - best_t)
@@ -153,9 +177,7 @@ def inner_loop(engine, params: AlgoParams, zeta: float, algorithm: str = "dmss",
                 and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale)
             ):
                 break
-        if not keep_going:
-            break
-    return RunStats(records=k, iterates=j)
+    return RunStats(records=k, iterates=j), evals
 
 
 def _working_zeta(tally: RunTally) -> float:
@@ -175,56 +197,28 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
 
 def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> RunReport:
     rng = np.random.default_rng(seed)
-    state = GlobalState()
-    # sufficient statistics of state.run_stats: a restart adds O(j) work
+    report = RunReport(algorithm)
+    # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
-    history: list[HistoryRow] = []
-    evals = 0
-    budget_exhausted = False
 
-    while state.p_fail >= params.delta and not budget_exhausted:
+    while report.p_fail >= params.delta and not report.budget_exhausted:
         x0 = sample_uniform(spec, rng)
-        oracle = Oracle(spec)
-        engine = newton_cg.init(spec, x0, oracle)
-        restart_index = len(state.run_stats) + 1
-        evals += 1
-        history.append(HistoryRow(evals, engine.fx, True, restart_index))
-
-        def on_eval(f_value, is_record, _ri=restart_index):
-            nonlocal evals, budget_exhausted
-            evals += 1
-            history.append(HistoryRow(evals, f_value, is_record, _ri))
-            if evals >= params.max_total_evals:
-                budget_exhausted = True
-                return False
-            return True
-
-        if evals >= params.max_total_evals:
-            budget_exhausted = True
-            stats = RunStats(1, 1)
-        else:
-            stats = inner_loop(engine, params, state.zeta_w, algorithm, on_eval)
-
-        state.run_stats.append(stats)
+        engine = newton_cg.init(spec, x0, Oracle(spec))
+        budget = params.max_total_evals - report.total_evals
+        stats, evals = inner_loop(engine, params, report.zeta_w, algorithm, budget)
+        restart_index = report.restarts + 1
+        report.history.extend(HistoryRow(f, is_record, restart_index) for f, is_record in evals)
+        report.run_stats.append(stats)
+        report.budget_exhausted = report.total_evals >= params.max_total_evals
         if algorithm == "ncg":
             break
         tally.add(stats)
-        state.zeta_w = _working_zeta(tally)
-        lam = _effective_lambda(params.alpha, state.zeta_w, params.epsilon, tally.record_sum / tally.runs)
-        state.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
+        report.zeta_w = _working_zeta(tally)
+        lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
+        report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
 
-    success, first_hit = check_success(history, spec, params.epsilon)
-    return RunReport(
-        algorithm=algorithm,
-        restarts=len(state.run_stats),
-        evals_to_target=first_hit,
-        avg_inner_iters=float(np.mean([s.iterates for s in state.run_stats])) if state.run_stats else 0.0,
-        total_evals=evals,
-        success=success,
-        budget_exhausted=budget_exhausted,
-        history=history,
-        state=state,
-    )
+    _, report.evals_to_target = check_success(report.history, spec, params.epsilon)
+    return report
 
 
 def run_dmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
@@ -245,7 +239,7 @@ def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
 def check_success(history, spec: ObjectiveSpec, epsilon: float):
     """First oracle evaluation whose value is within epsilon of the known
     minimum; returns (success, 1-based eval index or None)."""
-    for row in history:
+    for index, row in enumerate(history, start=1):
         if abs(row.f_value - spec.f_star) <= epsilon:
-            return True, row.eval_index
+            return True, index
     return False, None

@@ -307,14 +307,14 @@ def test_rdmss_restarts_are_prefixes_of_dmss_on_rosenbrock():
     # surrogate scale can stretch an RDMSS restart past the DMSS one.
     dmss = benchmark_runs("rosenbrock", "dmss")
     for run in dmss:
-        stats = run.state.run_stats
+        stats = run.run_stats
         for i, s in enumerate(stats):
             zeta_w = 1.0 if i == 0 else min(special.solve_zeta_tally(tally_of(stats[:i])), ZETA_GUARD)
             assert s.iterates < n_record_threshold(s.records - 1, zeta_w)
     for scale in (1.0, 2.0**DIM):
         for d, r in zip(dmss, benchmark_runs("rosenbrock", "rdmss", ptilde_scale=scale)):
             assert not (d.budget_exhausted or r.budget_exhausted)
-            for sd, sr in zip(d.state.run_stats, r.state.run_stats):
+            for sd, sr in zip(d.run_stats, r.run_stats):
                 assert sr.iterates <= sd.iterates
 
 

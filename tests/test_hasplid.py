@@ -231,6 +231,20 @@ def test_validation_rejects_a_target_level_outside_the_range(level):
         hl.validate_statistics(hl.LabConfig(target_level=level, trajectories=1000))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("pmf_length", 0), ("pmf_length", 21), ("curve_length", 0), ("curve_length", -3)],
+)
+def test_validation_rejects_a_horizon_length_out_of_range(monkeypatch, field, value):
+    # rejected before the simulation pass: the kernel must never be asked
+    def no_pass(*args):
+        raise AssertionError("the simulation pass ran")
+
+    monkeypatch.setattr(hl, "record_chain", no_pass)
+    with pytest.raises(ValueError, match=field):
+        hl.validate_statistics(hl.LabConfig(trajectories=1000, **{field: value}))
+
+
 def test_validation_rejects_a_window_at_the_bottom_of_the_range():
     # no record ever falls below the window, so the pass could not end
     config = hl.LabConfig(window_center=0.01, trajectories=1000)

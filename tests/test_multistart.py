@@ -55,22 +55,24 @@ def params(**kw):
 def test_inner_loop_converged_at_init(scripted):
     engine = scripted(ScriptedEngine(4.0, []))
     engine.converged = True
-    log = ms.inner_loop(engine, params(), zeta=1.0)
+    log, evals = ms.inner_loop(engine, params(), zeta=1.0)
     assert log.records == 1 and log.iterates == 1
+    assert evals == [(4.0, True)]
 
 
 def test_inner_loop_stuck_after_second_record_stops_at_four(scripted):
     # one improvement then a plateau; at unit zeta the second record is
     # overdue once the iterate count passes ~3.64, so the run ends at 4
     engine = scripted(ScriptedEngine(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0]))
-    log = ms.inner_loop(engine, params(), zeta=1.0)
+    log, evals = ms.inner_loop(engine, params(), zeta=1.0)
     assert log.records == 2
     assert log.iterates == 4
+    assert evals == [(10.0, True), (9.0, True), (9.0, False), (9.0, False)]
 
 
 def test_inner_loop_descending_run_records_every_iterate(scripted):
     engine = scripted(ScriptedEngine(10.0, [8.0, 6.0, 4.0, 2.0]))
-    log = ms.inner_loop(engine, params(), zeta=1.0)
+    log, _ = ms.inner_loop(engine, params(), zeta=1.0)
     assert log.records == log.iterates == 5
 
 
@@ -79,8 +81,8 @@ def test_inner_loop_slope_criterion_breaks_after_the_record(scripted):
     # expectation at the previous record's level, so the loop breaks
     # right after evaluating it
     engine = scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0]))
-    log_plain = ms.inner_loop(scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])), params(), zeta=1.0)
-    log_slope = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
+    log_plain, _ = ms.inner_loop(scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])), params(), zeta=1.0)
+    log_slope, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
     assert log_slope.records == 3
     assert log_slope.iterates == 3
     assert log_plain.iterates > log_slope.iterates
@@ -89,7 +91,7 @@ def test_inner_loop_slope_criterion_breaks_after_the_record(scripted):
 def test_inner_loop_slope_needs_two_records(scripted):
     # a tiny first improvement alone must not trigger the slope break
     engine = scripted(ScriptedEngine(10.0, [10.0 - 1e-9]))
-    log = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
+    log, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
     assert log.records == 2
 
 
@@ -97,20 +99,14 @@ def test_inner_loop_ncg_ignores_overdue_records(scripted):
     # the plateau that ends a dmss restart at iterate 4 runs on to native
     # termination under the baseline
     engine = scripted(ScriptedEngine(10.0, [9.0] * 6))
-    log = ms.inner_loop(engine, params(), zeta=1.0, algorithm="ncg")
+    log, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="ncg")
     assert (log.records, log.iterates) == (2, 7)
 
 
-def test_inner_loop_on_eval_abort(scripted):
+def test_inner_loop_stops_at_its_budget(scripted):
     engine = scripted(ScriptedEngine(10.0, [9.0, 8.0, 7.0, 6.0]))
-    calls = []
-
-    def on_eval(f, is_record):
-        calls.append(f)
-        return len(calls) < 2
-
-    log = ms.inner_loop(engine, params(), zeta=1.0, on_eval=on_eval)
-    assert len(calls) == 2
+    log, evals = ms.inner_loop(engine, params(), zeta=1.0, budget=3)
+    assert evals == [(10.0, True), (9.0, True), (8.0, True)]
     assert log.iterates == 3  # init + the two evaluated steps
 
 
@@ -137,7 +133,7 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
             break
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(newton_cg, "step", lambda state: state.advance())
-        log = ms.inner_loop(ScriptedEngine(10.0, script), params(), zeta=zeta)
+        log, _ = ms.inner_loop(ScriptedEngine(10.0, script), params(), zeta=zeta)
     assert (log.iterates, log.records) == (stop, min(stop, k))
 
 
@@ -163,19 +159,18 @@ def test_reports_are_deterministic(zakharov_reports):
 
 def test_every_run_satisfies_record_bounds(zakharov_reports):
     for report in zakharov_reports:
-        for st in report.state.run_stats:
+        for st in report.run_stats:
             assert st.iterates >= st.records >= 1
 
 
 def test_p_fail_matches_declared_relation(zakharov_reports):
     for report in zakharov_reports:
-        state = report.state
-        tally = tally_of(state.run_stats)
-        assert state.zeta_w == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
-        counts = [s.records for s in state.run_stats]
-        lam = ms._effective_lambda(0.5, state.zeta_w, 0.01**5, float(np.mean(counts)))
-        assert state.p_fail == special.p_fail_histogram(tally.record_hist, lam, 0.01**5)
-        assert state.p_fail < 1e-3  # loop exit condition
+        tally = tally_of(report.run_stats)
+        assert report.zeta_w == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
+        counts = [s.records for s in report.run_stats]
+        lam = ms._effective_lambda(0.5, report.zeta_w, 0.01**5, float(np.mean(counts)))
+        assert report.p_fail == special.p_fail_histogram(tally.record_hist, lam, 0.01**5)
+        assert report.p_fail < 1e-3  # loop exit condition
 
 
 @given(run_histories)
@@ -189,9 +184,6 @@ def test_working_zeta_is_the_guarded_mle(history):
 
 def test_history_rows_are_chronological_and_flagged(zakharov_reports):
     for report in zakharov_reports:
-        idx = [r.eval_index for r in report.history]
-        assert idx == list(range(1, len(idx) + 1))
-        restart_rows = [r for r in report.history if r.restart_index != 0]
         # restart indices form a non-decreasing sequence starting at 1
         seq = [r.restart_index for r in report.history]
         assert seq[0] == 1 and all(b - a in (0, 1) for a, b in zip(seq, seq[1:]))
@@ -205,10 +197,12 @@ def test_history_rows_are_chronological_and_flagged(zakharov_reports):
 def test_total_evals_counts_history_rows(zakharov_reports):
     for report in zakharov_reports:
         assert report.total_evals == len(report.history)
-        assert report.restarts == len(report.state.run_stats)
-        assert report.avg_inner_iters == pytest.approx(
-            np.mean([s.iterates for s in report.state.run_stats])
-        )
+        assert report.restarts == len(report.run_stats) == report.history[-1].restart_index
+        assert report.avg_inner_iters == pytest.approx(np.mean([s.iterates for s in report.run_stats]))
+        # each restart's stats count its own history rows
+        for i, s in enumerate(report.run_stats, start=1):
+            rows = [r for r in report.history if r.restart_index == i]
+            assert (s.iterates, s.records) == (len(rows), sum(r.is_record for r in rows))
 
 
 def test_rdmss_equals_dmss_until_first_slope_cut(zakharov_reports):
@@ -238,6 +232,21 @@ def test_budget_exhaustion_is_flagged_not_raised(algorithm):
     report = getattr(ms, f"run_{algorithm}")(spec, p, 3)
     assert report.budget_exhausted
     assert report.total_evals <= p.max_total_evals
+
+
+@pytest.mark.parametrize("algorithm", ["dmss", "rdmss", "ncg"])
+def test_budgeted_run_is_a_prefix_of_the_unbudgeted_run(algorithm):
+    # every decision reads only the evaluations so far, so a budget of m
+    # cuts the run after its m-th evaluation and changes nothing before it
+    spec = objectives.make("zakharov", 5)
+    run = getattr(ms, f"run_{algorithm}")
+    full = run(spec, params(), 3)
+    length = full.total_evals
+    assert not full.budget_exhausted
+    for m in range(1, length + 2):
+        cut = run(spec, params(max_total_evals=m), 3)
+        assert cut.history == full.history[: min(length, m)]
+        assert cut.budget_exhausted == (length >= m)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +299,19 @@ def test_ncg_flags_records_with_the_driver_tolerance(ncg_reports):
 
 
 def test_ncg_leaves_the_record_statistics_alone(ncg_reports):
-    default = ms.GlobalState()
+    default = ms.RunReport("ncg")
     for _, _, report in ncg_reports:
-        state = report.state
-        assert (state.zeta_w, state.p_fail) == (default.zeta_w, default.p_fail)
+        assert (report.zeta_w, report.p_fail) == (default.zeta_w, default.p_fail)
         records = sum(r.is_record for r in report.history)
-        assert state.run_stats == [special.RunStats(records, len(report.history))]
+        assert report.run_stats == [special.RunStats(records, len(report.history))]
 
 
 def test_check_success_exact_hit_and_miss():
     spec = objectives.make("zakharov", 5)
     rows = [
-        ms.HistoryRow(1, 4.2, True, 1),
-        ms.HistoryRow(2, 0.0, True, 1),
-        ms.HistoryRow(3, 1.0, False, 1),
+        ms.HistoryRow(4.2, True, 1),
+        ms.HistoryRow(0.0, True, 1),
+        ms.HistoryRow(1.0, False, 1),
     ]
     ok, idx = ms.check_success(rows, spec, 1e-10)
     assert ok and idx == 2
@@ -320,3 +328,6 @@ def test_params_validation():
         ms.AlgoParams(delta=0.0)
     with pytest.raises(ValueError):
         ms.AlgoParams(ptilde_scale=-1.0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="max_total_evals"):
+            ms.AlgoParams(max_total_evals=budget)
