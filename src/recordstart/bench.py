@@ -67,6 +67,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if not 0.0 < self.eps_base < 1.0:
             raise ValueError("eps_base must be in (0, 1)")
+        self.algo_params()  # rejects what AlgoParams rejects, epsilon underflow included
 
     @property
     def epsilon(self) -> float:

@@ -3,7 +3,9 @@
 One engine step = one outer Newton iteration: solve ``H p = -g``
 approximately with conjugate gradients (at most ``dim`` iterations, which
 solves strictly convex quadratics exactly), backtrack an Armijo line
-search along ``p``, clip the accepted point to the box.  The engine is
+search along ``p``, clip the accepted point to the box.  The step builds
+one Hessian operator at its point (``Oracle.hvp_at``) and applies it in
+every CG iteration; each application is one counted HVP.  The engine is
 exposed step-by-step so a surrounding loop can interleave its own
 termination rules between iterations.
 
@@ -76,6 +78,7 @@ def _direction(state: NcgState):
     gm_norm = np.linalg.norm(gm)
     if gm_norm == 0.0:
         return None
+    hvp = state.oracle.hvp_at(x)
     p = np.zeros(d)
     r = gm.copy()
     pd = -r
@@ -83,7 +86,7 @@ def _direction(state: NcgState):
     for i in range(d):
         if math.sqrt(rr) <= 1e-12 * max(1.0, gm_norm):
             break
-        ap = np.where(free, state.oracle.hvp(x, pd), 0.0)
+        ap = np.where(free, hvp(pd), 0.0)
         curv = float(pd @ ap)
         if curv <= 0.0:
             if i == 0:

@@ -2,16 +2,19 @@
 minima.
 
 All six functions are smooth on their boxes and expose the exact gradient
-and Hessian-vector product needed by the Newton-CG inner search.  The two
-sinusoidal products interpret their arguments in degrees; that is the
-convention under which the stated minimizers (all coordinates 30, resp. 0)
-attain the stated minimum -3.5.
+and, per point, the exact Hessian as an operator ``v -> Hv``: the Newton-CG
+inner search builds one per Newton step (the sinusoids build their dense
+Hessian then) and applies it in every CG iteration.  The two sinusoidal
+products interpret their arguments in degrees; that is the convention under
+which the stated minimizers (all coordinates 30, resp. 0) attain the stated
+minimum -3.5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +39,7 @@ class ObjectiveSpec:
     x_star: np.ndarray
     _f: callable
     _grad: callable
-    _hvp: callable
+    _hvp_at: callable
 
 
 def _check_dim(spec: ObjectiveSpec, x, what: str = "point") -> np.ndarray:
@@ -66,11 +69,20 @@ class Oracle:
         self.grad_evals += 1
         return self.spec._grad(x)
 
-    def hvp(self, x, v) -> np.ndarray:
-        x = _check_dim(self.spec, x)
+    def hvp_at(self, x):
+        """The Hessian at ``x`` as ``v -> Hv``; :meth:`hvp` counts each use."""
+        return partial(self.hvp, self.spec._hvp_at(_check_dim(self.spec, x)))
+
+    def hvp(self, op, v) -> np.ndarray:
+        """One counted application of an operator from :meth:`hvp_at`."""
         v = _check_dim(self.spec, v, "vector")
         self.hvp_evals += 1
-        return self.spec._hvp(x, v)
+        return op(v)
+
+
+def _at(hvp):
+    """Per-point operator of an analytic Hessian-vector product."""
+    return lambda x: partial(hvp, x)
 
 
 def sample_uniform(spec: ObjectiveSpec, rng) -> np.ndarray:
@@ -98,7 +110,7 @@ def _zakharov(d: int) -> ObjectiveSpec:
         q = float(w @ x)
         return 2.0 * v + (2.0 + 12.0 * q * q) * float(w @ v) * w
 
-    return ObjectiveSpec("zakharov", d, -5.0, 10.0, 0.0, np.zeros(d), f, grad, hvp)
+    return ObjectiveSpec("zakharov", d, -5.0, 10.0, 0.0, np.zeros(d), f, grad, _at(hvp))
 
 
 def _rosenbrock(d: int) -> ObjectiveSpec:
@@ -119,7 +131,7 @@ def _rosenbrock(d: int) -> ObjectiveSpec:
         out[1:] += -400.0 * x[:-1] * v[:-1] + 200.0 * v[1:]
         return out
 
-    return ObjectiveSpec("rosenbrock", d, -2.048, 2.048, 0.0, np.ones(d), f, grad, hvp)
+    return ObjectiveSpec("rosenbrock", d, -2.048, 2.048, 0.0, np.ones(d), f, grad, _at(hvp))
 
 
 def _rhe(d: int) -> ObjectiveSpec:
@@ -135,7 +147,7 @@ def _rhe(d: int) -> ObjectiveSpec:
     def hvp(x, v):
         return 2.0 * w * v
 
-    return ObjectiveSpec("rhe", d, -65.536, 65.536, 0.0, np.zeros(d), f, grad, hvp)
+    return ObjectiveSpec("rhe", d, -65.536, 65.536, 0.0, np.zeros(d), f, grad, _at(hvp))
 
 
 def _st_minimum() -> tuple[float, float]:
@@ -161,35 +173,33 @@ def _styblinski_tang(d: int) -> ObjectiveSpec:
         return (6.0 * x**2 - 16.0) * v
 
     return ObjectiveSpec(
-        "styblinski_tang", d, -5.0, 5.0, _ST_FMIN * d, np.full(d, _ST_XMIN), f, grad, hvp
+        "styblinski_tang", d, -5.0, 5.0, _ST_FMIN * d, np.full(d, _ST_XMIN), f, grad, _at(hvp)
     )
 
 
 def _excl_one(t: np.ndarray) -> np.ndarray:
-    """prod_{i != k} t_i for every k, division-free (zero-safe)."""
-    d = len(t)
-    pre = np.ones(d)
-    suf = np.ones(d)
-    for i in range(1, d):
-        pre[i] = pre[i - 1] * t[i - 1]
-        suf[d - 1 - i] = suf[d - i] * t[d - i]
+    """prod_{i != k} t_i for every k along the last axis, division-free
+    (zero-safe): prefix times suffix products, each accumulated one factor
+    at a time."""
+    pre = np.ones(t.shape)
+    suf = np.ones(t.shape)
+    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
+    np.cumprod(t[..., :0:-1], axis=-1, out=suf[..., -2::-1])
     return pre * suf
 
 
-def _excl_two(t: np.ndarray) -> np.ndarray:
-    """Matrix of prod_{i not in {k, l}} t_i, division-free."""
+def _excl_two(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Matrix of prod_{i not in {k, l}} t_i, division-free, zero on the
+    diagonal; ``off`` is the mask ``~np.eye(d, dtype=bool)``."""
     d = len(t)
     out = np.zeros((d, d))
-    for k in range(d):
-        reduced = np.delete(t, k)
-        e = _excl_one(reduced)
-        out[k, :k] = e[:k]
-        out[k, k + 1 :] = e[k:]
+    out[off] = _excl_one(np.broadcast_to(t, (d, d))[off].reshape(d, d - 1)).ravel()
     return out
 
 
 def _sinusoidal(name: str, d: int, shift: float, x_star_coord: float) -> ObjectiveSpec:
     A, B = 2.5, 5.0
+    off = ~np.eye(d, dtype=bool)
 
     def parts(x):
         u = _DEG * (x + shift)
@@ -203,16 +213,16 @@ def _sinusoidal(name: str, d: int, shift: float, x_star_coord: float) -> Objecti
         s, c, s5, c5 = parts(x)
         return -A * _DEG * c * _excl_one(s) - B * _DEG * c5 * _excl_one(s5)
 
-    def hvp(x, v):
+    def hvp_at(x):
         s, c, s5, c5 = parts(x)
-        e2 = _excl_two(s)
-        e2_5 = _excl_two(s5)
+        e2 = _excl_two(s, off)
+        e2_5 = _excl_two(s5, off)
         h = -A * _DEG**2 * np.outer(c, c) * e2 - B**2 * _DEG**2 * np.outer(c5, c5) * e2_5
         diag = A * _DEG**2 * s * _excl_one(s) + B**2 * _DEG**2 * s5 * _excl_one(s5)
         np.fill_diagonal(h, diag)
-        return h @ v
+        return lambda v: h @ v
 
-    return ObjectiveSpec(name, d, -90.0, 90.0, -3.5, np.full(d, x_star_coord), f, grad, hvp)
+    return ObjectiveSpec(name, d, -90.0, 90.0, -3.5, np.full(d, x_star_coord), f, grad, hvp_at)
 
 
 _BUILDERS = {

@@ -10,12 +10,17 @@ name.
   brute-force counterpart of the event-driven kernel
   :func:`recordstart.hasplid.record_chain`, and :func:`extract_records`
   flags the records of its trajectories.
+* :func:`excl_one` and :func:`excl_two` are the loop forms of the
+  exclusion products that the sinusoid derivatives vectorize, and
+  :func:`sinusoid_hessian` is the dense sinusoid Hessian built from them.
 
 :func:`tally_of` and the ``run_histories`` strategy build the run
 statistics that the record-statistics tests share.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -111,3 +116,38 @@ def extract_records(values: np.ndarray) -> np.ndarray:
     flags = np.ones(values.shape, dtype=bool)
     flags[1:] = values[1:] < np.minimum.accumulate(values, axis=0)[:-1]
     return flags
+
+
+def excl_one(t: np.ndarray) -> np.ndarray:
+    """prod_{i != k} t_i for every k: prefix times suffix products,
+    accumulated one coordinate at a time."""
+    d = len(t)
+    pre = np.ones(d)
+    suf = np.ones(d)
+    for i in range(1, d):
+        pre[i] = pre[i - 1] * t[i - 1]
+        suf[d - 1 - i] = suf[d - i] * t[d - i]
+    return pre * suf
+
+
+def excl_two(t: np.ndarray) -> np.ndarray:
+    """Matrix of prod_{i not in {k, l}} t_i, zero on the diagonal: row k
+    holds :func:`excl_one` of ``t`` without ``t_k``."""
+    d = len(t)
+    out = np.zeros((d, d))
+    for k in range(d):
+        e = excl_one(np.delete(t, k))
+        out[k, :k] = e[:k]
+        out[k, k + 1 :] = e[k:]
+    return out
+
+
+def sinusoid_hessian(x: np.ndarray, shift: float) -> np.ndarray:
+    """Hessian of ``-2.5 prod sin(u) - prod sin(5u)``, ``u`` = ``x + shift``
+    in degrees, from the loop exclusion products."""
+    a, b, deg = 2.5, 5.0, math.pi / 180.0
+    u = deg * (x + shift)
+    s, c, s5, c5 = np.sin(u), np.cos(u), np.sin(b * u), np.cos(b * u)
+    h = -a * deg**2 * np.outer(c, c) * excl_two(s) - b**2 * deg**2 * np.outer(c5, c5) * excl_two(s5)
+    np.fill_diagonal(h, a * deg**2 * s * excl_one(s) + b**2 * deg**2 * s5 * excl_one(s5))
+    return h

@@ -184,7 +184,7 @@ def test_criterion_06_derivatives_match_finite_differences():
                     fd[i] = (oracle.f(xp) - oracle.f(xm)) / (2 * h)
                 worst_g = max(worst_g, np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)))
                 v = rng.standard_normal(dim)
-                hv = oracle.hvp(x, v)
+                hv = oracle.hvp_at(x)(v)
                 hfd = (
                     oracle.grad(x + 1e-6 * v) - oracle.grad(x - 1e-6 * v)
                 ) / 2e-6

@@ -206,6 +206,14 @@ def test_config_validation():
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="sgd")
     with pytest.raises(ValueError):
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", runs=0)
+    # algorithm parameters fail when the config is built, not in a run
+    for bad, message in (
+        ({"alpha": 2.0}, "alpha"),
+        ({"max_total_evals": 0}, "max_total_evals"),
+        ({"eps_base": 0.01, "dim": 200}, "epsilon"),  # 0.01**200 underflows to 0
+    ):
+        with pytest.raises(ValueError, match=message):
+            bench.ExperimentConfig(**{"objective": "zakharov", "dim": 5, "algorithm": "dmss", **bad})
     with pytest.raises(KeyError):
         bench.run_experiment(
             bench.ExperimentConfig(objective="nope", dim=5, algorithm="dmss", runs=1)

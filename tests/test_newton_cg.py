@@ -43,7 +43,7 @@ def test_init_counts_one_eval_and_one_gradient():
 def test_init_rejects_non_finite_value():
     bad = ob.ObjectiveSpec(
         "bad", 2, -1.0, 1.0, 0.0, np.zeros(2),
-        lambda x: float("nan"), lambda x: np.zeros(2), lambda x, v: np.zeros(2),
+        lambda x: float("nan"), lambda x: np.zeros(2), lambda x: lambda v: np.zeros(2),
     )
     with pytest.raises(ValueError):
         ncg.init(bad, np.zeros(2))
@@ -129,3 +129,38 @@ def test_oracle_accounting_covers_all_calls():
             assert probes in (0, ncg.MAX_BACKTRACKS)
     # one gradient per accepted iterate, the start point included
     assert oracle.grad_evals == iterates
+
+
+def test_one_hessian_operator_per_step_and_every_application_counted():
+    spec = ob.make("shifted_sinusoidal", 5)
+    oracle = ob.Oracle(spec)
+    builds, applications = [], [0]
+    hvp_at = oracle.hvp_at
+
+    def counted_hvp_at(x):
+        builds.append(x.copy())
+        hvp = hvp_at(x)
+
+        def counted(v):
+            hv = hvp(v)
+            applications[0] += 1
+            return hv
+
+        return counted
+
+    oracle.hvp_at = counted_hvp_at
+    state = ncg.init(spec, ob.sample_uniform(spec, np.random.default_rng(4)), oracle)
+    steps = 0
+    while not state.converged and steps < 200:
+        before = len(builds)
+        ncg.step(state)
+        steps += 1
+        assert len(builds) - before <= 1
+    assert steps > 1 and len(builds) > 1
+    assert oracle.hvp_evals == applications[0] > len(builds)
+
+    hvp = oracle.hvp_at(state.x)
+    counts = (len(builds), applications[0], oracle.f_evals, oracle.grad_evals, oracle.hvp_evals)
+    with pytest.raises(ValueError, match="vector"):
+        hvp(np.zeros(4))
+    assert (len(builds), applications[0], oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == counts

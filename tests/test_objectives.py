@@ -1,8 +1,10 @@
 """Objective tests: known minima, finite-difference oracles for the
-analytic derivatives, sampling bounds, registry behavior."""
+analytic derivatives, the vectorized sinusoid products against their
+loop reference, sampling bounds, registry behavior."""
 
 import numpy as np
 import pytest
+from reference import excl_one, excl_two, sinusoid_hessian
 
 from recordstart import objectives as ob
 
@@ -103,7 +105,7 @@ def test_hvp_matches_gradient_differences(dim):
         for _ in range(5):
             x = ob.sample_uniform(spec, rng)
             v = rng.standard_normal(dim)
-            assert rel_err(ob.Oracle(spec).hvp(x, v), fd_hvp(spec, x, v)) <= 1e-4, name
+            assert rel_err(ob.Oracle(spec).hvp_at(x)(v), fd_hvp(spec, x, v)) <= 1e-4, name
 
 
 def test_zakharov_gradient_zero_at_origin():
@@ -122,8 +124,8 @@ def test_rhe_gradient_closed_form():
 def test_rhe_hvp_independent_of_point():
     spec = ob.make("rhe", 4)
     v = np.array([1.0, -2.0, 0.5, 3.0])
-    a = ob.Oracle(spec).hvp(np.zeros(4), v)
-    b = ob.Oracle(spec).hvp(np.full(4, 17.3), v)
+    a = ob.Oracle(spec).hvp_at(np.zeros(4))(v)
+    b = ob.Oracle(spec).hvp_at(np.full(4, 17.3))(v)
     assert np.array_equal(a, b)
 
 
@@ -131,11 +133,49 @@ def test_hvp_linear_in_v_and_zero_at_zero(every_spec):
     spec = every_spec
     rng = np.random.default_rng(5)
     x = ob.sample_uniform(spec, rng)
-    assert np.all(ob.Oracle(spec).hvp(x, np.zeros(5)) == 0.0)
+    assert np.all(ob.Oracle(spec).hvp_at(x)(np.zeros(5)) == 0.0)
     v = rng.standard_normal(5)
-    two = ob.Oracle(spec).hvp(x, 2.0 * v)
-    one = ob.Oracle(spec).hvp(x, v)
+    two = ob.Oracle(spec).hvp_at(x)(2.0 * v)
+    one = ob.Oracle(spec).hvp_at(x)(v)
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
+
+
+def with_signed_zeros(rng, d, count):
+    """Normal draws with ``count`` entries, and about one in twenty more,
+    replaced by an exact 0.0 or -0.0 of random sign."""
+    t = rng.standard_normal(d)
+    zeros = rng.random(d) < 0.05
+    zeros[rng.choice(d, size=count, replace=False)] = True
+    t[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return t
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 15, 50])
+def test_exclusion_products_match_the_loop_reference_bitwise(d):
+    rng = np.random.default_rng(d)
+    off = ~np.eye(d, dtype=bool)
+    for trial in range(60):
+        t = with_signed_zeros(rng, d, trial % 3)
+        for got, ref in ((ob._excl_one(t), excl_one(t)), (ob._excl_two(t, off), excl_two(t))):
+            # equal values and equal signs of zero
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("name, shift", [("shifted_sinusoidal", 60.0), ("centered_sinusoidal", 90.0)])
+@pytest.mark.parametrize("d", [2, 5, 15])
+def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d):
+    spec = ob.make(name, d)
+    rng = np.random.default_rng(d)
+    for trial in range(20):
+        x = ob.sample_uniform(spec, rng)
+        if trial % 2:
+            # sin(u) is an exact zero at x = -shift
+            x[rng.random(d) < 0.3] = -shift
+        hvp = ob.Oracle(spec).hvp_at(x)
+        h_ref = sinusoid_hessian(x, shift)
+        for _ in range(3):
+            v = rng.standard_normal(d)
+            assert np.array_equal(hvp(v), h_ref @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +207,7 @@ def test_oracle_counts_calls():
     oracle.f(x)
     oracle.f(x)
     oracle.grad(x)
-    oracle.hvp(x, np.ones(5))
+    oracle.hvp_at(x)(np.ones(5))
     assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (2, 1, 1)
 
 
@@ -178,9 +218,9 @@ def test_dimension_mismatch_raises(every_spec):
     with pytest.raises(ValueError, match="point"):
         oracle.grad(np.zeros(6))
     with pytest.raises(ValueError, match="point"):
-        oracle.hvp(np.zeros(4), np.zeros(5))
+        oracle.hvp_at(np.zeros(4))
     with pytest.raises(ValueError, match="vector"):
-        oracle.hvp(np.zeros(5), np.zeros(4))
+        oracle.hvp_at(np.zeros(5))(np.zeros(4))
     # a rejected call is not counted
     assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (0, 0, 0)
 
