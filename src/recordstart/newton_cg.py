@@ -9,6 +9,10 @@ every CG iteration; each application is one counted HVP.  The engine is
 exposed step-by-step so a surrounding loop can interleave its own
 termination rules between iterations.
 
+The CG loop updates its conjugate direction in place and takes norms as
+``sqrt(v @ v)``: the bits of ``-r + beta * pd`` and ``np.linalg.norm`` in
+fewer numpy calls, whose fixed cost dominates the step at small d.
+
 Native termination is either a gradient norm at most ``G_TOL`` or a line
 search that cannot produce a strict decrease (the floating-point floor at
 a stationary value); both set ``converged``.
@@ -61,7 +65,7 @@ def init(spec: ObjectiveSpec, x0, oracle: Oracle | None = None) -> NcgState:
         x=x,
         fx=fx,
         gx=gx,
-        converged=bool(np.linalg.norm(gx) <= G_TOL),
+        converged=math.sqrt(float(gx @ gx)) <= G_TOL,
     )
 
 
@@ -75,7 +79,7 @@ def _direction(state: NcgState):
     pin_tol = 1e-12 * span
     free = ~(((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0)))
     gm = np.where(free, g, 0.0)
-    gm_norm = np.linalg.norm(gm)
+    gm_norm = math.sqrt(float(gm @ gm))
     if gm_norm == 0.0:
         return None
     hvp = state.oracle.hvp_at(x)
@@ -96,7 +100,8 @@ def _direction(state: NcgState):
         p += a * pd
         r += a * ap
         rr_new = float(r @ r)
-        pd = -r + (rr_new / rr) * pd
+        pd *= rr_new / rr
+        pd -= r
         rr = rr_new
     if float(p @ gm) >= 0.0:
         p = -gm
@@ -117,13 +122,13 @@ def step(state: NcgState) -> float | None:
     slope = float(gm @ p)
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
-        xn = np.clip(state.x + t * p, spec.lower, spec.upper)
+        xn = np.minimum(np.maximum(state.x + t * p, spec.lower), spec.upper)
         fn = state.oracle.f(xn)
         if fn < state.fx and fn <= state.fx + ARMIJO_C * t * slope:
             state.x = xn
             state.fx = fn
             state.gx = state.oracle.grad(xn)
-            state.converged = bool(np.linalg.norm(state.gx) <= G_TOL)
+            state.converged = math.sqrt(float(state.gx @ state.gx)) <= G_TOL
             return fn
         t *= 0.5
     state.converged = True  # no strict decrease available: native stop

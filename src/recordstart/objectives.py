@@ -3,8 +3,10 @@ minima.
 
 All six functions are smooth on their boxes and expose the exact gradient
 and, per point, the exact Hessian as an operator ``v -> Hv``: the Newton-CG
-inner search builds one per Newton step (the sinusoids build their dense
-Hessian then) and applies it in every CG iteration.  The two sinusoidal
+inner search builds one per Newton step and applies it in every CG
+iteration.  The build does the work that depends on the point alone, so an
+application costs only the products with ``v``, with the bits of a closed
+form ``hvp(x, v)`` evaluated from scratch.  The two sinusoidal
 products interpret their arguments in degrees; that is the convention under
 which the stated minimizers (all coordinates 30, resp. 0) attain the stated
 minimum -3.5.
@@ -80,11 +82,6 @@ class Oracle:
         return op(v)
 
 
-def _at(hvp):
-    """Per-point operator of an analytic Hessian-vector product."""
-    return lambda x: partial(hvp, x)
-
-
 def sample_uniform(spec: ObjectiveSpec, rng) -> np.ndarray:
     """Uniform draw over the box; deterministic given the generator state."""
     return spec.lower + (spec.upper - spec.lower) * rng.random(spec.dim)
@@ -106,11 +103,12 @@ def _zakharov(d: int) -> ObjectiveSpec:
         q = float(w @ x)
         return 2.0 * x + (2.0 * q + 4.0 * q**3) * w
 
-    def hvp(x, v):
+    def hvp_at(x):
         q = float(w @ x)
-        return 2.0 * v + (2.0 + 12.0 * q * q) * float(w @ v) * w
+        curv = 2.0 + 12.0 * q * q
+        return lambda v: 2.0 * v + curv * float(w @ v) * w
 
-    return ObjectiveSpec("zakharov", d, -5.0, 10.0, 0.0, np.zeros(d), f, grad, _at(hvp))
+    return ObjectiveSpec("zakharov", d, -5.0, 10.0, 0.0, np.zeros(d), f, grad, hvp_at)
 
 
 def _rosenbrock(d: int) -> ObjectiveSpec:
@@ -124,19 +122,25 @@ def _rosenbrock(d: int) -> ObjectiveSpec:
         g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
         return g
 
-    def hvp(x, v):
-        out = np.zeros_like(x)
+    def hvp_at(x):
         diag_lead = -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0
-        out[:-1] += diag_lead * v[:-1] - 400.0 * x[:-1] * v[1:]
-        out[1:] += -400.0 * x[:-1] * v[:-1] + 200.0 * v[1:]
-        return out
+        up, down = 400.0 * x[:-1], -400.0 * x[:-1]
 
-    return ObjectiveSpec("rosenbrock", d, -2.048, 2.048, 0.0, np.ones(d), f, grad, _at(hvp))
+        def hvp(v):
+            out = np.zeros(d)  # zeros plus the terms: an entry of -0.0 comes out +0.0
+            out[:-1] += diag_lead * v[:-1] - up * v[1:]
+            out[1:] += down * v[:-1] + 200.0 * v[1:]
+            return out
+
+        return hvp
+
+    return ObjectiveSpec("rosenbrock", d, -2.048, 2.048, 0.0, np.ones(d), f, grad, hvp_at)
 
 
 def _rhe(d: int) -> ObjectiveSpec:
     # sum_{i} sum_{j<=i} x_j^2  ==  sum_j (d-j+1) x_j^2
     w = np.arange(d, 0, -1, dtype=float)
+    w2 = 2.0 * w
 
     def f(x):
         return float(np.sum(w * x * x))
@@ -144,10 +148,10 @@ def _rhe(d: int) -> ObjectiveSpec:
     def grad(x):
         return 2.0 * w * x
 
-    def hvp(x, v):
-        return 2.0 * w * v
+    def hvp_at(x):
+        return lambda v: w2 * v
 
-    return ObjectiveSpec("rhe", d, -65.536, 65.536, 0.0, np.zeros(d), f, grad, _at(hvp))
+    return ObjectiveSpec("rhe", d, -65.536, 65.536, 0.0, np.zeros(d), f, grad, hvp_at)
 
 
 def _st_minimum() -> tuple[float, float]:
@@ -169,11 +173,12 @@ def _styblinski_tang(d: int) -> ObjectiveSpec:
     def grad(x):
         return 2.0 * x**3 - 16.0 * x + 2.5
 
-    def hvp(x, v):
-        return (6.0 * x**2 - 16.0) * v
+    def hvp_at(x):
+        curv = 6.0 * x**2 - 16.0
+        return lambda v: curv * v
 
     return ObjectiveSpec(
-        "styblinski_tang", d, -5.0, 5.0, _ST_FMIN * d, np.full(d, _ST_XMIN), f, grad, _at(hvp)
+        "styblinski_tang", d, -5.0, 5.0, _ST_FMIN * d, np.full(d, _ST_XMIN), f, grad, hvp_at
     )
 
 
@@ -181,25 +186,27 @@ def _excl_one(t: np.ndarray) -> np.ndarray:
     """prod_{i != k} t_i for every k along the last axis, division-free
     (zero-safe): prefix times suffix products, each accumulated one factor
     at a time."""
-    pre = np.ones(t.shape)
-    suf = np.ones(t.shape)
-    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
-    np.cumprod(t[..., :0:-1], axis=-1, out=suf[..., -2::-1])
-    return pre * suf
+    pre, suf = np.empty(t.shape), np.empty(t.shape)
+    pre[..., 0] = suf[..., -1] = 1.0
+    t[..., :-1].cumprod(-1, out=pre[..., 1:])
+    t[..., :0:-1].cumprod(-1, out=suf[..., -2::-1])
+    pre *= suf
+    return pre
 
 
-def _excl_two(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _excl_two(t: np.ndarray, off: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Matrix of prod_{i not in {k, l}} t_i, division-free, zero on the
-    diagonal; ``off`` is the mask ``~np.eye(d, dtype=bool)``."""
+    diagonal; ``off`` holds the row and column indices of the off-diagonal
+    entries, each of shape (d, d-1), so that row k gathers the t_l, l != k."""
     d = len(t)
     out = np.zeros((d, d))
-    out[off] = _excl_one(np.broadcast_to(t, (d, d))[off].reshape(d, d - 1)).ravel()
+    out[off] = _excl_one(t[off[1]])
     return out
 
 
 def _sinusoidal(name: str, d: int, shift: float, x_star_coord: float) -> ObjectiveSpec:
     A, B = 2.5, 5.0
-    off = ~np.eye(d, dtype=bool)
+    off = tuple(i.reshape(d, d - 1) for i in np.nonzero(~np.eye(d, dtype=bool)))
 
     def parts(x):
         u = _DEG * (x + shift)

@@ -139,8 +139,10 @@ def incomplete_gamma_g(n: int, x: float) -> float:
     m = max(log_terms)
     if m == -math.inf:
         return 1.0
-    tail = math.exp(m) * sum(math.exp(t - m) for t in log_terms)
-    return min(1.0, max(0.0, 1.0 - tail))
+    acc = 0.0  # left to right on every Python version, as p_fail_histogram sums
+    for t in log_terms:
+        acc += math.exp(t - m)
+    return min(1.0, max(0.0, 1.0 - math.exp(m) * acc))
 
 
 def stirling1_abs(n: int, k: int) -> int:
@@ -242,17 +244,29 @@ def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) ->
     ``prod_r G(k_r, -lam * log(epsilon))``, over the record-count histogram
     ``{k: c_k}``: ``prod_k G(k, -lam * log(epsilon))**c_k``.  An empty
     histogram gives 1.0.
+
+    Every factor has the bits of :func:`incomplete_gamma_g`, from one pass
+    over its Poisson log terms: the sum of ``exp(term - m)`` runs on from one
+    k to the next and restarts only when a new term raises the maximum ``m``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     x = -lam * math.log(epsilon)
-    out = 1.0
-    for k in sorted(record_hist):
-        if k < 1:
-            raise ValueError("record counts must be >= 1")
-        out *= incomplete_gamma_g(k, x) ** record_hist[k]
+    if not 0.0 < x < math.inf:
+        raise ValueError("lam must be positive, with a finite tail depth -lam*log(epsilon)")
+    ks = sorted(record_hist)
+    if ks and ks[0] < 1:
+        raise ValueError("record counts must be >= 1")
+    terms = [-x + s * math.log(x) - math.lgamma(s + 1) for s in range(ks[-1] if ks else 0)]
+    out, m, acc, done = 1.0, -math.inf, 0.0, 0
+    for k in ks:
+        new = terms[done:k]
+        if max(new) > m:
+            m, acc, new = max(new), 0.0, terms[:k]
+        for t in new:
+            acc += math.exp(t - m)
+        done = k
+        out *= min(1.0, max(0.0, 1.0 - math.exp(m) * acc)) ** record_hist[k]
     return out
 
 

@@ -12,7 +12,15 @@ name.
   flags the records of its trajectories.
 * :func:`excl_one` and :func:`excl_two` are the loop forms of the
   exclusion products that the sinusoid derivatives vectorize, and
-  :func:`sinusoid_hessian` is the dense sinusoid Hessian built from them.
+  :func:`sinusoid_hessian` is the dense sinusoid Hessian built from them;
+* :data:`ANALYTIC_HVP` holds the per-call Hessian-vector products
+  ``hvp(x, v)`` of the four analytic objectives, each evaluated from
+  scratch, which the per-point operators of
+  :mod:`recordstart.objectives` reproduce bit for bit;
+* :func:`direction` is the Newton-CG search direction with
+  ``np.linalg.norm`` and an out-of-place conjugate-direction update,
+  the form :func:`recordstart.newton_cg._direction` reproduces bit for
+  bit.
 
 :func:`tally_of` and the ``run_histories`` strategy build the run
 statistics that the record-statistics tests share.
@@ -25,6 +33,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from recordstart.newton_cg import SADDLE_STEP_FRACTION
 from recordstart.special import RunStats, RunTally, digamma, expected_records
 
 # completed-run histories: 1 to 40 runs of 1 to 80 iterates each
@@ -151,3 +160,72 @@ def sinusoid_hessian(x: np.ndarray, shift: float) -> np.ndarray:
     h = -a * deg**2 * np.outer(c, c) * excl_two(s) - b**2 * deg**2 * np.outer(c5, c5) * excl_two(s5)
     np.fill_diagonal(h, a * deg**2 * s * excl_one(s) + b**2 * deg**2 * s5 * excl_one(s5))
     return h
+
+
+def zakharov_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    w = 0.5 * np.arange(1, len(x) + 1, dtype=float)
+    q = float(w @ x)
+    return 2.0 * v + (2.0 + 12.0 * q * q) * float(w @ v) * w
+
+
+def rosenbrock_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    diag_lead = -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0
+    out[:-1] += diag_lead * v[:-1] - 400.0 * x[:-1] * v[1:]
+    out[1:] += -400.0 * x[:-1] * v[:-1] + 200.0 * v[1:]
+    return out
+
+
+def rhe_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    w = np.arange(len(x), 0, -1, dtype=float)
+    return 2.0 * w * v
+
+
+def styblinski_tang_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (6.0 * x**2 - 16.0) * v
+
+
+ANALYTIC_HVP = {
+    "zakharov": zakharov_hvp,
+    "rosenbrock": rosenbrock_hvp,
+    "rhe": rhe_hvp,
+    "styblinski_tang": styblinski_tang_hvp,
+}
+
+
+def direction(state):
+    """Search direction and the box-masked gradient of a Newton-CG
+    state, or None at a fully pinned point."""
+    spec = state.oracle.spec
+    x, g = state.x, state.gx
+    d = spec.dim
+    span = spec.upper - spec.lower
+    pin_tol = 1e-12 * span
+    free = ~(((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0)))
+    gm = np.where(free, g, 0.0)
+    gm_norm = np.linalg.norm(gm)
+    if gm_norm == 0.0:
+        return None
+    hvp = state.oracle.hvp_at(x)
+    p = np.zeros(d)
+    r = gm.copy()
+    pd = -r
+    rr = float(r @ r)
+    for i in range(d):
+        if math.sqrt(rr) <= 1e-12 * max(1.0, gm_norm):
+            break
+        ap = np.where(free, hvp(pd), 0.0)
+        curv = float(pd @ ap)
+        if curv <= 0.0:
+            if i == 0:
+                p = -gm * (SADDLE_STEP_FRACTION * span * math.sqrt(d) / gm_norm)
+            break
+        a = rr / curv
+        p += a * pd
+        r += a * ap
+        rr_new = float(r @ r)
+        pd = -r + (rr_new / rr) * pd
+        rr = rr_new
+    if float(p @ gm) >= 0.0:
+        p = -gm
+    return p, gm

@@ -3,6 +3,7 @@ native termination semantics, oracle accounting."""
 
 import numpy as np
 import pytest
+from reference import direction
 
 from recordstart import newton_cg as ncg
 from recordstart import objectives as ob
@@ -164,3 +165,54 @@ def test_one_hessian_operator_per_step_and_every_application_counted():
     with pytest.raises(ValueError, match="vector"):
         hvp(np.zeros(4))
     assert (len(builds), applications[0], oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == counts
+
+
+def face_point(spec, rng):
+    """A uniform point with some coordinates moved onto a box face where
+    the gradient pulls outward, so that the direction pins them."""
+    x = ob.sample_uniform(spec, rng)
+    grad = ob.Oracle(spec).grad
+    for i in rng.permutation(spec.dim)[: max(1, spec.dim // 2)]:
+        for bound, outward in ((spec.lower, 1.0), (spec.upper, -1.0)):
+            y = x.copy()
+            y[i] = bound
+            if outward * grad(y)[i] > 0:
+                x = y
+                break
+    return x
+
+
+def assert_same_direction(state):
+    """Compare the direction with the reference; True when the box masks
+    pinned a coordinate (or all of them)."""
+    got, ref = ncg._direction(state), direction(state)
+    if ref is None:
+        assert got is None
+        return True
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return not np.array_equal(ref[1], state.gx)
+
+
+@pytest.mark.parametrize("name", ob.OBJECTIVE_IDS)
+def test_direction_matches_the_reference_bitwise(name):
+    spec = ob.make(name, 5)
+    rng = np.random.default_rng(23)
+    pinned = 0
+    for trial in range(40):
+        x = face_point(spec, rng) if trial % 2 else ob.sample_uniform(spec, rng)
+        pinned += assert_same_direction(ncg.init(spec, x))
+    # separable, with each coordinate's minimum inside the box: every face
+    # gradient points inward, so nothing is ever pinned
+    assert pinned > 0 or name in ("rhe", "styblinski_tang")
+
+
+def test_direction_is_none_at_a_fully_pinned_point():
+    # a plane that falls toward the lower corner of its box
+    slope = ob.ObjectiveSpec(
+        "slope", 3, -1.0, 1.0, -3.0, np.full(3, -1.0),
+        lambda x: float(x.sum()), lambda x: np.ones(3), lambda x: lambda v: np.zeros(3),
+    )
+    state = ncg.init(slope, np.full(3, -1.0))
+    assert direction(state) is None
+    assert_same_direction(state)

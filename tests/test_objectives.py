@@ -4,7 +4,7 @@ loop reference, sampling bounds, registry behavior."""
 
 import numpy as np
 import pytest
-from reference import excl_one, excl_two, sinusoid_hessian
+from reference import ANALYTIC_HVP, excl_one, excl_two, sinusoid_hessian
 
 from recordstart import objectives as ob
 
@@ -153,11 +153,29 @@ def with_signed_zeros(rng, d, count):
 @pytest.mark.parametrize("d", [2, 3, 5, 15, 50])
 def test_exclusion_products_match_the_loop_reference_bitwise(d):
     rng = np.random.default_rng(d)
-    off = ~np.eye(d, dtype=bool)
+    off = tuple(i.reshape(d, d - 1) for i in np.nonzero(~np.eye(d, dtype=bool)))
     for trial in range(60):
         t = with_signed_zeros(rng, d, trial % 3)
         for got, ref in ((ob._excl_one(t), excl_one(t)), (ob._excl_two(t, off), excl_two(t))):
             # equal values and equal signs of zero
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_HVP))
+@pytest.mark.parametrize("d", [2, 5, 15])
+def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d):
+    spec = ob.make(name, d)
+    reference = ANALYTIC_HVP[name]
+    rng = np.random.default_rng(d)
+    for trial in range(20):
+        x = ob.sample_uniform(spec, rng)
+        if trial % 2:
+            # exact zeros in the point, +0.0 or -0.0 by trial
+            x[rng.random(d) < 0.3] = rng.choice([0.0, -0.0])
+        hvp = ob.Oracle(spec).hvp_at(x)
+        for count in range(3):
+            v = with_signed_zeros(rng, d, count)
+            got, ref = hvp(v), reference(x, v)
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 

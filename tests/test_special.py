@@ -341,6 +341,30 @@ def test_p_fail_histogram_equals_p_fail_of_the_counts():
     )
 
 
+@pytest.mark.parametrize(
+    "hist",
+    [
+        {1: 3, 4: 2, 9: 1},  # below the Poisson mode 18
+        {18: 4},  # at it
+        {19: 1, 25: 2, 40: 3},  # above it
+        {2: 1, 18: 2, 30: 5, 61: 1},  # across it
+    ],
+)
+def test_p_fail_histogram_is_the_product_of_the_gamma_values_exactly(hist):
+    lam, eps = 0.8, 1e-10
+    x = -lam * math.log(eps)
+    assert math.floor(x) == 18
+    assert sp.p_fail_histogram(hist, lam, eps) == math.prod(
+        sp.incomplete_gamma_g(k, x) ** c for k, c in sorted(hist.items())
+    )
+
+
+def test_p_fail_rejects_a_tail_depth_that_is_not_positive_and_finite():
+    for lam in (math.nan, math.inf, 5e-324):
+        with pytest.raises(ValueError, match="lam"):
+            sp.p_fail_histogram({2: 1}, lam, 0.999)
+
+
 def test_p_fail_domain_errors():
     with pytest.raises(ValueError):
         sp.p_fail_histogram({2: 1}, 1.0, 1.5)
