@@ -23,6 +23,13 @@ the very first CG iteration meets non-positive curvature the step falls
 back to the gradient direction rescaled to a fixed fraction of the box
 diagonal (plain ``-g`` is metrically meaningless on landscapes whose
 curvature scale differs wildly from unity, and crawls).
+
+A coordinate can be pinned only within ``pin_tol`` (1e-12 of the box
+span) of a face.  Most steps start farther than that from every face,
+which two reductions (``x.min()``, ``x.max()``) establish; such a step
+takes the gradient as it is and applies the Hessian unmasked, because
+the mask would be all true and ``np.where`` would return its input's
+bits.  Only a step near a face builds the mask.
 """
 
 from __future__ import annotations
@@ -77,8 +84,13 @@ def _direction(state: NcgState):
     d = spec.dim
     span = spec.upper - spec.lower
     pin_tol = 1e-12 * span
-    free = ~(((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0)))
-    gm = np.where(free, g, 0.0)
+    lo, hi = spec.lower + pin_tol, spec.upper - pin_tol
+    if lo < x.min() and x.max() < hi:
+        free = None  # strictly inside: nothing can be pinned
+        gm = g
+    else:
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        gm = np.where(free, g, 0.0)
     gm_norm = math.sqrt(float(gm @ gm))
     if gm_norm == 0.0:
         return None
@@ -87,10 +99,11 @@ def _direction(state: NcgState):
     r = gm.copy()
     pd = -r
     rr = float(r @ r)
+    tol = 1e-12 * max(1.0, gm_norm)
     for i in range(d):
-        if math.sqrt(rr) <= 1e-12 * max(1.0, gm_norm):
+        if math.sqrt(rr) <= tol:
             break
-        ap = np.where(free, hvp(pd), 0.0)
+        ap = hvp(pd) if free is None else np.where(free, hvp(pd), 0.0)
         curv = float(pd @ ap)
         if curv <= 0.0:
             if i == 0:

@@ -10,6 +10,12 @@ form ``hvp(x, v)`` evaluated from scratch.  The two sinusoidal
 products interpret their arguments in degrees; that is the convention under
 which the stated minimizers (all coordinates 30, resp. 0) attain the stated
 minimum -3.5.
+
+Each sinusoid sums a ``sin u`` and a ``sin 5u`` product.  Its kernels stack
+the two families as the rows of one (2, d) angle array, so that every
+numpy call serves both, and combine the rows only at the end; each row
+multiplies in the order of its family written out alone, so the values
+keep those bits.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ def _zakharov(d: int) -> ObjectiveSpec:
 def _rosenbrock(d: int) -> ObjectiveSpec:
     # terms run over consecutive coordinate pairs (d-1 terms)
     def f(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
 
     def grad(x):
         g = np.zeros_like(x)
@@ -143,7 +149,7 @@ def _rhe(d: int) -> ObjectiveSpec:
     w2 = 2.0 * w
 
     def f(x):
-        return float(np.sum(w * x * x))
+        return float((w * x * x).sum())
 
     def grad(x):
         return 2.0 * w * x
@@ -168,7 +174,7 @@ _ST_XMIN, _ST_FMIN = _st_minimum()
 
 def _styblinski_tang(d: int) -> ObjectiveSpec:
     def f(x):
-        return float(0.5 * np.sum(x**4 - 16.0 * x**2 + 5.0 * x))
+        return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
 
     def grad(x):
         return 2.0 * x**3 - 16.0 * x + 2.5
@@ -194,39 +200,42 @@ def _excl_one(t: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _excl_two(t: np.ndarray, off: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Matrix of prod_{i not in {k, l}} t_i, division-free, zero on the
-    diagonal; ``off`` holds the row and column indices of the off-diagonal
-    entries, each of shape (d, d-1), so that row k gathers the t_l, l != k."""
-    d = len(t)
-    out = np.zeros((d, d))
-    out[off] = _excl_one(t[off[1]])
-    return out
-
-
 def _sinusoidal(name: str, d: int, shift: float, x_star_coord: float) -> ObjectiveSpec:
+    # row 0 holds the sin(u) family, row 1 the sin(5u) family
     A, B = 2.5, 5.0
+    rate = np.array([[1.0], [B]])
+    g_coef = np.array([[-A * _DEG], [B * _DEG]])
+    h_coef = np.array([-A * _DEG**2, B**2 * _DEG**2]).reshape(2, 1, 1)
+    d_coef = np.array([[A * _DEG**2], [B**2 * _DEG**2]])
     off = tuple(i.reshape(d, d - 1) for i in np.nonzero(~np.eye(d, dtype=bool)))
+    diag = np.diag_indices(d)
 
-    def parts(x):
-        u = _DEG * (x + shift)
-        return np.sin(u), np.cos(u), np.sin(B * u), np.cos(B * u)
+    def angles(x):
+        return _DEG * (x + shift) * rate
 
     def f(x):
-        s, _, s5, _ = parts(x)
-        return float(-A * np.prod(s) - np.prod(s5))
+        p = np.sin(angles(x)).prod(-1)
+        return float(-A * p[0] - p[1])
 
     def grad(x):
-        s, c, s5, c5 = parts(x)
-        return -A * _DEG * c * _excl_one(s) - B * _DEG * c5 * _excl_one(s5)
+        u = angles(x)
+        t = g_coef * np.cos(u)
+        t *= _excl_one(np.sin(u))
+        return t[0] - t[1]
 
     def hvp_at(x):
-        s, c, s5, c5 = parts(x)
-        e2 = _excl_two(s, off)
-        e2_5 = _excl_two(s5, off)
-        h = -A * _DEG**2 * np.outer(c, c) * e2 - B**2 * _DEG**2 * np.outer(c5, c5) * e2_5
-        diag = A * _DEG**2 * s * _excl_one(s) + B**2 * _DEG**2 * s5 * _excl_one(s5)
-        np.fill_diagonal(h, diag)
+        u = angles(x)
+        s, c = np.sin(u), np.cos(u)
+        # off-diagonal entries (k, l) in rows of d - 1: c_k c_l times the
+        # product of s_i over i not in {k, l}
+        t = c[:, :, None] * c[:, off[1]]
+        t *= h_coef
+        t *= _excl_one(s[:, off[1]])
+        dg = d_coef * s
+        dg *= _excl_one(s)
+        h = np.empty((d, d))
+        h[off] = t[0] - t[1]
+        h[diag] = dg[0] + dg[1]
         return lambda v: h @ v
 
     return ObjectiveSpec(name, d, -90.0, 90.0, -3.5, np.full(d, x_star_coord), f, grad, hvp_at)

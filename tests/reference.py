@@ -12,7 +12,10 @@ name.
   flags the records of its trajectories.
 * :func:`excl_one` and :func:`excl_two` are the loop forms of the
   exclusion products that the sinusoid derivatives vectorize, and
-  :func:`sinusoid_hessian` is the dense sinusoid Hessian built from them;
+  :func:`sinusoid_value`, :func:`sinusoid_gradient` and
+  :func:`sinusoid_hessian` evaluate a sinusoid one sine family at a time
+  from them, the forms that the stacked kernels of
+  :mod:`recordstart.objectives` reproduce bit for bit;
 * :data:`ANALYTIC_HVP` holds the per-call Hessian-vector products
   ``hvp(x, v)`` of the four analytic objectives, each evaluated from
   scratch, which the per-point operators of
@@ -151,12 +154,32 @@ def excl_two(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def sinusoid_hessian(x: np.ndarray, shift: float) -> np.ndarray:
-    """Hessian of ``-2.5 prod sin(u) - prod sin(5u)``, ``u`` = ``x + shift``
-    in degrees, from the loop exclusion products."""
+def sinusoid_trig(x: np.ndarray, shift: float):
+    """``sin u, cos u, sin 5u, cos 5u`` with ``u`` = ``x + shift`` in
+    degrees, the terms of ``-2.5 prod sin(u) - prod sin(5u)``."""
+    u = math.pi / 180.0 * (x + shift)
+    return np.sin(u), np.cos(u), np.sin(5.0 * u), np.cos(5.0 * u)
+
+
+def sinusoid_value(x: np.ndarray, shift: float) -> float:
+    """``-2.5 prod sin(u) - prod sin(5u)``, one family at a time."""
+    s, _, s5, _ = sinusoid_trig(x, shift)
+    return float(-2.5 * np.prod(s) - np.prod(s5))
+
+
+def sinusoid_gradient(x: np.ndarray, shift: float) -> np.ndarray:
+    """Gradient of :func:`sinusoid_value`, one family at a time, from the
+    loop exclusion products."""
     a, b, deg = 2.5, 5.0, math.pi / 180.0
-    u = deg * (x + shift)
-    s, c, s5, c5 = np.sin(u), np.cos(u), np.sin(b * u), np.cos(b * u)
+    s, c, s5, c5 = sinusoid_trig(x, shift)
+    return -a * deg * c * excl_one(s) - b * deg * c5 * excl_one(s5)
+
+
+def sinusoid_hessian(x: np.ndarray, shift: float) -> np.ndarray:
+    """Hessian of :func:`sinusoid_value`, one family at a time, from the
+    loop exclusion products."""
+    a, b, deg = 2.5, 5.0, math.pi / 180.0
+    s, c, s5, c5 = sinusoid_trig(x, shift)
     h = -a * deg**2 * np.outer(c, c) * excl_two(s) - b**2 * deg**2 * np.outer(c5, c5) * excl_two(s5)
     np.fill_diagonal(h, a * deg**2 * s * excl_one(s) + b**2 * deg**2 * s5 * excl_one(s5))
     return h

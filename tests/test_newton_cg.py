@@ -206,6 +206,25 @@ def test_direction_matches_the_reference_bitwise(name):
     # gradient points inward, so nothing is ever pinned
     assert pinned > 0 or name in ("rhe", "styblinski_tang")
 
+    # one coordinate at the pin tolerance from a face, or one float either
+    # side of it, under a gradient that pulls it outward or inward; the
+    # points on or beyond the tolerance take the masked branch, the others
+    # the interior one
+    pin_tol = 1e-12 * (spec.upper - spec.lower)
+    middle = 0.5 * (spec.lower + spec.upper)
+    pinned = 0
+    for face, edge, outward in ((spec.lower, spec.lower + pin_tol, 1.0), (spec.upper, spec.upper - pin_tol, -1.0)):
+        for at in (np.nextafter(edge, face), edge, np.nextafter(edge, middle)):
+            for pull in (outward, -outward):
+                x = ob.sample_uniform(spec, rng)
+                i = rng.integers(spec.dim)
+                x[i] = at
+                state = ncg.init(spec, x)
+                state.gx[i] = pull * (abs(state.gx[i]) or 1.0)
+                pinned += assert_same_direction(state)
+    # pinned exactly when on or beyond the tolerance and pulled outward
+    assert pinned == 4
+
 
 def test_direction_is_none_at_a_fully_pinned_point():
     # a plane that falls toward the lower corner of its box

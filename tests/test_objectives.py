@@ -4,7 +4,14 @@ loop reference, sampling bounds, registry behavior."""
 
 import numpy as np
 import pytest
-from reference import ANALYTIC_HVP, excl_one, excl_two, sinusoid_hessian
+from reference import (
+    ANALYTIC_HVP,
+    excl_one,
+    excl_two,
+    sinusoid_gradient,
+    sinusoid_hessian,
+    sinusoid_value,
+)
 
 from recordstart import objectives as ob
 
@@ -156,9 +163,14 @@ def test_exclusion_products_match_the_loop_reference_bitwise(d):
     off = tuple(i.reshape(d, d - 1) for i in np.nonzero(~np.eye(d, dtype=bool)))
     for trial in range(60):
         t = with_signed_zeros(rng, d, trial % 3)
-        for got, ref in ((ob._excl_one(t), excl_one(t)), (ob._excl_two(t, off), excl_two(t))):
-            # equal values and equal signs of zero
-            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        # two stacked rows, as in the sinusoid kernels; the exclusion-two
+        # entries are the exclusion-one products of the off-diagonal gather
+        rows = np.stack([t, t[::-1]])
+        one, two = ob._excl_one(rows), ob._excl_one(rows[:, off[1]])
+        for k, u in enumerate(rows):
+            for got, ref in ((one[k], excl_one(u)), (two[k], excl_two(u)[off])):
+                # equal values and equal signs of zero
+                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC_HVP))
@@ -194,6 +206,27 @@ def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d)
         for _ in range(3):
             v = rng.standard_normal(d)
             assert np.array_equal(hvp(v), h_ref @ v)
+
+
+@pytest.mark.parametrize("name, shift", [("shifted_sinusoidal", 60.0), ("centered_sinusoidal", 90.0)])
+@pytest.mark.parametrize("d", [2, 3, 5, 15, 50])
+def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name, shift, d):
+    spec = ob.make(name, d)
+    oracle = ob.Oracle(spec)
+    rng = np.random.default_rng(d)
+    # sin(u) vanishes exactly at x = -shift; sin(5u) at x = 36k - shift,
+    # exactly at k = 0 and to rounding at the other k inside the box
+    five_zeros = [z for z in 36.0 * np.arange(-5, 6) - shift if spec.lower <= z <= spec.upper]
+    specials = [(-shift,), five_zeros, (0.0, -0.0)]
+    for trial in range(30):
+        x = ob.sample_uniform(spec, rng)
+        if trial % 4:
+            hit = rng.random(d) < 0.3
+            x[hit] = rng.choice(specials[trial % 4 - 1], size=hit.sum())
+        got, ref = oracle.f(x), sinusoid_value(x, shift)
+        assert got == ref and np.signbit(got) == np.signbit(ref)
+        got, ref = oracle.grad(x), sinusoid_gradient(x, shift)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------
