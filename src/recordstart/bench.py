@@ -2,10 +2,12 @@
 
 ``run_experiment`` executes N independent global runs of one algorithm on
 one objective, writes ``history.csv`` (one row per counted oracle call)
-and ``summary.json``, and returns the aggregate.  Run ``i`` is seeded by a
-stable hash of ``(master_seed, i)``, so results are byte-identical across
-invocations and worker counts, and adding runs never perturbs earlier
-ones.
+and ``summary.json``, and returns the aggregate.  Each worker takes a
+contiguous share of the runs and steps them together as one block on one
+Newton-CG engine (``multistart.run_block``).  Run ``i`` is seeded by a
+stable hash of ``(master_seed, i)``, and a run's rows on the engine do not
+depend on the block, so results are byte-identical across invocations and
+worker counts, and adding runs never perturbs earlier ones.
 
 CLI::
 
@@ -27,7 +29,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .hasplid import LabConfig, validate_statistics
-from .multistart import AlgoParams, RunReport, run_dmss, run_ncg, run_rdmss
+from .multistart import AlgoParams, RunReport, run_block
 from .objectives import OBJECTIVE_IDS, make
 
 __all__ = [
@@ -102,25 +104,25 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-_DRIVERS = {"dmss": run_dmss, "rdmss": run_rdmss, "ncg": run_ncg}
-
-
-def _run_single(job) -> RunReport:
-    config, index = job
-    spec = make(config.objective, config.dim)
-    seed = derive_seed(config.seed, index)
-    return _DRIVERS[config.algorithm](spec, config.algo_params(), seed)
+def _run_share(job) -> list[RunReport]:
+    """Runs ``start .. stop - 1`` of an experiment, as one block."""
+    config, start, stop = job
+    seeds = [derive_seed(config.seed, i) for i in range(start, stop)]
+    return run_block(make(config.objective, config.dim), config.algo_params(), seeds, config.algorithm)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Execute all runs, write artifacts when ``out_dir`` is given, and
-    return ``(AggregateReport, list[RunReport])``."""
-    jobs = [(config, i) for i in range(config.runs)]
-    if config.workers <= 1:
-        reports = [_run_single(j) for j in jobs]
+    return ``(AggregateReport, list[RunReport])``.  Each worker steps a
+    contiguous share of the runs as one block."""
+    workers = max(1, min(config.workers, config.runs))
+    cuts = [config.runs * k // workers for k in range(workers + 1)]
+    jobs = [(config, start, stop) for start, stop in zip(cuts, cuts[1:])]
+    if workers == 1:
+        reports = _run_share(jobs[0])
     else:
-        with Pool(config.workers) as pool:
-            reports = pool.map(_run_single, jobs)
+        with Pool(workers) as pool:
+            reports = [report for share in pool.map(_run_share, jobs) for report in share]
     aggregate = _aggregate(reports)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

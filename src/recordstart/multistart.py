@@ -12,13 +12,25 @@ expectation ``ptilde(prev_record)**alpha / zeta``.  The baseline (``ncg``)
 descends from one start point to native termination: no overdue rule, no
 restart, no ``zeta``/``p_fail`` update.
 
+A global run is a generator (``_drive``, with ``inner_loop`` for each
+restart): it yields a start point when it begins a restart and ``None``
+when it wants an engine step, and is sent the engine's answer.  So the
+runs of an experiment can share one engine: ``run_block`` holds one
+engine row per run and, round by round, starts every run that asks for a
+restart as one block and steps every run that asks for a step as one
+block.  The engine's rows do not mix, so a run's report does not depend
+on the block it ran in; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are
+blocks of one run.
+
 A global run is written down once, in its ``RunReport``: the driver
-creates it at the start and appends every evaluation to ``history`` and
-every restart's ``RunStats`` to ``run_stats``.  The restart count, the
-evaluation count, the mean inner-loop length and the success flag are
-read off those two lists.  ``inner_loop`` gets the evaluations left in
-the budget and returns the ones it made, so the evaluation count cannot
-overshoot ``max_total_evals``.
+appends every evaluation to ``history`` and every restart's ``RunStats``
+to ``run_stats``, and the block puts each restart's oracle counts and
+engine steps (``RestartCost``, read off its engine row) in ``costs`` as
+the restart ends.  The restart count, the evaluation count, the mean
+inner-loop length and the success flag are read off these lists.
+``inner_loop`` gets the evaluations left in the budget and returns the
+ones it made, so the evaluation count cannot overshoot
+``max_total_evals``.
 
 Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
@@ -44,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import newton_cg
-from .objectives import ObjectiveSpec, Oracle, sample_uniform
+from .objectives import ObjectiveSpec, sample_uniform
 from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
 
 __all__ = [
@@ -52,8 +64,10 @@ __all__ = [
     "RECORD_TOL",
     "AlgoParams",
     "HistoryRow",
+    "RestartCost",
     "RunReport",
     "inner_loop",
+    "run_block",
     "run_dmss",
     "run_rdmss",
     "run_ncg",
@@ -98,16 +112,34 @@ class HistoryRow:
     restart_index: int
 
 
+@dataclass(frozen=True)
+class RestartCost:
+    """What one restart cost: its f, gradient and Hessian-vector
+    evaluations and its engine steps, accepted or not."""
+
+    f_evals: int
+    grad_evals: int
+    hvp_evals: int
+    steps: int
+
+    @property
+    def rejected_probes(self) -> int:
+        """Line-search probes not accepted: every f evaluation but the
+        start point's and the accepted steps' (one gradient each)."""
+        return self.f_evals - self.grad_evals
+
+
 @dataclass
 class RunReport:
     """The one record of a global run, filled in as the run goes: every
-    evaluation in order, the completed restarts, and the working zeta and
-    failure probability after the last restart.  The counts and the
-    success flag are derived from these."""
+    evaluation in order, the completed restarts and what each cost, and
+    the working zeta and failure probability after the last restart.  The
+    counts and the success flag are derived from these."""
 
     algorithm: str
     history: list = field(default_factory=list)
     run_stats: list = field(default_factory=list)
+    costs: list = field(default_factory=list)
     zeta_w: float = 1.0
     p_fail: float = 1.0
     budget_exhausted: bool = False
@@ -131,19 +163,24 @@ class RunReport:
 
 
 def inner_loop(
-    engine, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
-) -> tuple[RunStats, list]:
-    """Drive an initialized engine until it terminates natively, a record
-    is overdue (``dmss``, ``rdmss``), the slope criterion fires
-    (``rdmss``) or ``budget`` evaluations are held.
+    fx: float, converged: bool, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
+):
+    """Generator that drives a started engine row, from its value ``fx``
+    and ``converged`` flag, until it terminates natively, a record is
+    overdue (``dmss``, ``rdmss``), the slope criterion fires (``rdmss``) or
+    ``budget`` evaluations are held.
 
-    The engine's current point counts as iterate 1 and record 1.  The next
-    record is overdue once the expected record count of the iterates so
-    far, ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the
-    records held; the check is skipped until two iterates exist.  The slope
-    check needs at least two records and is evaluated at the previous
-    record's value.  Returns the run's ``RunStats`` and its evaluations
-    ``[(f, is_record), ...]``, the start point first.
+    It yields ``None`` for every engine step it wants and is sent back
+    ``(fn, converged)``: the new value, or ``None`` on a native stop, and
+    the row's flag after the step.
+
+    The start point counts as iterate 1 and record 1.  The next record is
+    overdue once the expected record count of the iterates so far,
+    ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the records
+    held; the check is skipped until two iterates exist.  The slope check
+    needs at least two records and is evaluated at the previous record's
+    value.  Returns the run's ``RunStats`` and its evaluations ``[(f,
+    is_record), ...]``, the start point first.
     """
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
@@ -151,15 +188,15 @@ def inner_loop(
     # expected records among the first j iterates, one term per iterate:
     # zeta*(psi(j+zeta) - psi(zeta)) = 1 + sum_{i<j} zeta/(i+zeta)
     expected = 1.0
-    best = engine.fx
+    best = fx
     best_t = 1
     evals = [(best, True)]
     while True:
-        if engine.converged or j >= budget:
+        if converged or j >= budget:
             break
         if overdue and j >= 2 and expected >= k:
             break
-        fn = newton_cg.step(engine)
+        fn, converged = yield
         if fn is None:
             break
         expected += zeta / (j + zeta)
@@ -195,17 +232,19 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
     return min(alpha * zeta_w, depth_cap)
 
 
-def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> RunReport:
+def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, report: RunReport):
+    """One global run as a generator: it yields a start point for every
+    restart and is sent ``(fx, converged)`` at it, then yields ``None``
+    for every engine step of the restart (see :func:`inner_loop`)."""
+    algorithm = report.algorithm
     rng = np.random.default_rng(seed)
-    report = RunReport(algorithm)
     # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
 
     while report.p_fail >= params.delta and not report.budget_exhausted:
-        x0 = sample_uniform(spec, rng)
-        engine = newton_cg.init(spec, x0, Oracle(spec))
+        fx, converged = yield sample_uniform(spec, rng)
         budget = params.max_total_evals - report.total_evals
-        stats, evals = inner_loop(engine, params, report.zeta_w, algorithm, budget)
+        stats, evals = yield from inner_loop(fx, converged, params, report.zeta_w, algorithm, budget)
         restart_index = report.restarts + 1
         report.history.extend(HistoryRow(f, is_record, restart_index) for f, is_record in evals)
         report.run_stats.append(stats)
@@ -218,22 +257,63 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, algorithm: str) -> Run
         report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
 
     _, report.evals_to_target = check_success(report.history, spec, params.epsilon)
-    return report
+
+
+def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
+    """One global run per seed, all on one engine: each round starts every
+    run that asks for a restart as one block, then steps every run that
+    asks for a step as one block.  A row's bits do not depend on the
+    block, so each report equals its run alone."""
+    reports = [RunReport(algorithm) for _ in seeds]
+    runs = [_drive(spec, params, seed, report) for seed, report in zip(seeds, reports)]
+    waiting = {i: next(run) for i, run in enumerate(runs)}  # slot -> its request
+    engine = newton_cg.init(spec, list(waiting.values()))  # slot i is row i
+    oracle = engine.oracle
+
+    def send(slot, reply):
+        """Hand ``slot`` its reply and keep its next request.  A restart
+        ends when its run asks for the next one or returns; its counts then
+        go next to its ``RunStats``."""
+        try:
+            request = runs[slot].send(reply)
+        except StopIteration:
+            del waiting[slot]
+        else:
+            waiting[slot] = request
+            if request is None:
+                return
+        counts = (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, engine.steps)
+        reports[slot].costs.append(RestartCost(*(int(c[slot]) for c in counts)))
+
+    started = list(waiting)
+    while waiting:
+        for slot, fx, converged in zip(started, engine.fx[started].tolist(), engine.converged[started].tolist()):
+            send(slot, (fx, converged))
+        stepping = [slot for slot, request in waiting.items() if request is None]
+        if stepping:
+            accepted = newton_cg.step(engine, stepping).tolist()
+            fns, flags = engine.fx[stepping].tolist(), engine.converged[stepping].tolist()
+            for slot, ok, fn, converged in zip(stepping, accepted, fns, flags):
+                send(slot, (fn if ok else None, converged))
+        started = [slot for slot, request in waiting.items() if request is not None]
+        if started:
+            newton_cg.start(engine, started, [waiting[slot] for slot in started])
+    return reports
 
 
 def run_dmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     """Record-overdue inner termination only."""
-    return _drive(spec, params, seed, "dmss")
+    return run_block(spec, params, [seed], "dmss")[0]
 
 
 def run_rdmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     """Record-overdue plus slope-criterion inner termination."""
-    return _drive(spec, params, seed, "rdmss")
+    return run_block(spec, params, [seed], "rdmss")[0]
 
 
 def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     """Baseline: one descent to native termination, no restarts."""
-    return _drive(spec, params, seed, "ncg")
+    return run_block(spec, params, [seed], "ncg")[0]
 
 
 def check_success(history, spec: ObjectiveSpec, epsilon: float):

@@ -1,35 +1,37 @@
-"""Deterministic Newton conjugate-gradient descent on a box.
+"""Deterministic Newton conjugate-gradient descent on a box, stepping a
+block of independent rows in lockstep.
 
-One engine step = one outer Newton iteration: solve ``H p = -g``
-approximately with conjugate gradients (at most ``dim`` iterations, which
-solves strictly convex quadratics exactly), backtrack an Armijo line
-search along ``p``, clip the accepted point to the box.  The step builds
-one Hessian operator at its point (``Oracle.hvp_at``) and applies it in
-every CG iteration; each application is one counted HVP.  The engine is
-exposed step-by-step so a surrounding loop can interleave its own
-termination rules between iterations.
+The engine holds R rows, one restart each, as ``(R, d)`` arrays.  One
+engine step = one outer Newton iteration on each row asked for: solve
+``H p = -g`` approximately with conjugate gradients (at most ``dim``
+iterations, which solves strictly convex quadratics exactly), backtrack an
+Armijo line search along ``p``, clip the accepted point to the box.  The
+step builds one Hessian operator for its rows (``Oracle.hvp_at``) and
+applies it in every CG iteration; each application is one counted HVP for
+every row still iterating.  The engine is exposed step by step so a
+surrounding loop can interleave its own termination rules between
+iterations, and rows can be started afresh (``start``) while others run.
 
-The CG loop updates its conjugate direction in place and takes norms as
-``sqrt(v @ v)``: the bits of ``-r + beta * pd`` and ``np.linalg.norm`` in
-fewer numpy calls, whose fixed cost dominates the step at small d.
+Every row takes the bits it would take alone, whatever the block holds:
+rows never mix, every dot product is a stacked matmul (``objectives.dot``),
+and a row that has left the CG solve or the line search is masked out of
+every update.  A row leaves the CG solve on its residual test or at
+non-positive curvature, and the line search when it accepts a probe or
+runs out of backtracks; the others go on.  The oracle counts per row, so
+the counts of a row are those of the same restart run alone.
 
 Native termination is either a gradient norm at most ``G_TOL`` or a line
 search that cannot produce a strict decrease (the floating-point floor at
-a stationary value); both set ``converged``.
+a stationary value); both set the row's ``converged`` flag.
 
 Direction handling away from the convex regime: coordinates pinned to the
-box with an outward gradient pull are frozen for the subproblem, and when
-the very first CG iteration meets non-positive curvature the step falls
-back to the gradient direction rescaled to a fixed fraction of the box
-diagonal (plain ``-g`` is metrically meaningless on landscapes whose
-curvature scale differs wildly from unity, and crawls).
-
-A coordinate can be pinned only within ``pin_tol`` (1e-12 of the box
-span) of a face.  Most steps start farther than that from every face,
-which two reductions (``x.min()``, ``x.max()``) establish; such a step
-takes the gradient as it is and applies the Hessian unmasked, because
-the mask would be all true and ``np.where`` would return its input's
-bits.  Only a step near a face builds the mask.
+box (within ``pin_tol``, 1e-12 of the box span, of a face) with an
+outward gradient pull are frozen for the subproblem, and when the very
+first CG iteration meets non-positive curvature the step falls back to the
+gradient direction rescaled to a fixed fraction of the box diagonal (plain
+``-g`` is metrically meaningless on landscapes whose curvature scale
+differs wildly from unity, and crawls).  A row with nothing pinned has an
+all-true mask, and ``np.where`` returns its input's bits there.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, Oracle
+from .objectives import ObjectiveSpec, Oracle, dot
 
-__all__ = ["G_TOL", "NcgState", "init", "step"]
+__all__ = ["G_TOL", "NcgState", "init", "start", "step"]
 
 G_TOL = 1e-8
 ARMIJO_C = 1e-4
@@ -51,99 +53,141 @@ SADDLE_STEP_FRACTION = 0.25
 
 @dataclass
 class NcgState:
+    """R engine rows: points, values, gradients, native-stop flags and the
+    engine steps (accepted or not) of each row's current restart.  The
+    oracle holds the row's evaluation counts."""
+
     oracle: Oracle
     x: np.ndarray
-    fx: float
+    fx: np.ndarray
     gx: np.ndarray
-    converged: bool
+    converged: np.ndarray
+    steps: np.ndarray
 
 
-def init(spec: ObjectiveSpec, x0, oracle: Oracle | None = None) -> NcgState:
-    """Start an engine at ``x0`` (clipped to the box): one f and one
-    gradient evaluation."""
-    oracle = oracle if oracle is not None else Oracle(spec)
-    x = np.clip(np.asarray(x0, dtype=float), spec.lower, spec.upper)
-    fx = oracle.f(x)
-    if not math.isfinite(fx):
-        raise ValueError(f"{spec.name}: non-finite value at the start point")
-    gx = oracle.grad(x)
-    return NcgState(
-        oracle=oracle,
-        x=x,
-        fx=fx,
-        gx=gx,
-        converged=math.sqrt(float(gx @ gx)) <= G_TOL,
+def init(spec: ObjectiveSpec, x0) -> NcgState:
+    """An engine with one row per row of ``x0`` (shape ``(R, d)``), each
+    started there."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2:
+        raise ValueError(f"start points have shape {x0.shape}, expected (rows, {spec.dim})")
+    n = len(x0)
+    state = NcgState(
+        Oracle(spec, n), np.empty(x0.shape), np.empty(n), np.empty(x0.shape), np.empty(n, bool), np.empty(n, int)
     )
+    start(state, np.arange(n), x0)
+    return state
 
 
-def _direction(state: NcgState):
-    """Search direction and the box-masked gradient, or None at a
-    fully pinned point."""
-    spec = state.oracle.spec
-    x, g = state.x, state.gx
-    d = spec.dim
+def start(state: NcgState, rows, x0) -> None:
+    """Start ``rows`` afresh at ``x0`` (clipped to the box), zeroing their
+    counts: one f and one gradient evaluation each."""
+    oracle = state.oracle
+    spec = oracle.spec
+    for counts in (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, state.steps):
+        counts[rows] = 0
+    x = np.clip(np.asarray(x0, dtype=float), spec.lower, spec.upper)
+    fx = oracle.f(x, rows)
+    if not np.isfinite(fx).all():
+        raise ValueError(f"{spec.name}: non-finite value at a start point")
+    gx = oracle.grad(x, rows)
+    state.x[rows] = x
+    state.fx[rows] = fx
+    state.gx[rows] = gx
+    state.converged[rows] = np.sqrt(dot(gx, gx)) <= G_TOL
+
+
+def _direction(oracle: Oracle, rows, x, g):
+    """Search directions and box-masked gradients of the rows ``x``, ``g``
+    (engine slots ``rows``), and which rows have one: a fully pinned row
+    (zero masked gradient) has none."""
+    spec = oracle.spec
+    n, d = x.shape
     span = spec.upper - spec.lower
     pin_tol = 1e-12 * span
-    lo, hi = spec.lower + pin_tol, spec.upper - pin_tol
-    if lo < x.min() and x.max() < hi:
-        free = None  # strictly inside: nothing can be pinned
-        gm = g
-    else:
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        gm = np.where(free, g, 0.0)
-    gm_norm = math.sqrt(float(gm @ gm))
-    if gm_norm == 0.0:
-        return None
-    hvp = state.oracle.hvp_at(x)
-    p = np.zeros(d)
+    free = ~(((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0)))
+    gm = np.where(free, g, 0.0)
+    rr = dot(gm, gm)
+    gm_norm = np.sqrt(rr)
+    found = gm_norm != 0.0
+    hvp = oracle.hvp_at(x)
+    p = np.zeros((n, d))
     r = gm.copy()
     pd = -r
-    rr = float(r @ r)
-    tol = 1e-12 * max(1.0, gm_norm)
+    tol = 1e-12 * np.fmax(1.0, gm_norm)
+    act = found.copy()  # rows still in the CG solve
+    a, term = np.zeros(n), np.empty((n, d))
     for i in range(d):
-        if math.sqrt(rr) <= tol:
+        act &= ~(np.sqrt(rr) <= tol)
+        if not act.any():
             break
-        ap = hvp(pd) if free is None else np.where(free, hvp(pd), 0.0)
-        curv = float(pd @ ap)
-        if curv <= 0.0:
+        ap = np.where(free, hvp(pd, rows[act]), 0.0)
+        curv = dot(pd, ap)
+        flat = act & (curv <= 0.0)
+        if flat.any():
             if i == 0:
-                p = -gm * (SADDLE_STEP_FRACTION * span * math.sqrt(d) / gm_norm)
-            break
-        a = rr / curv
-        p += a * pd
-        r += a * ap
-        rr_new = float(r @ r)
-        pd *= rr_new / rr
-        pd -= r
-        rr = rr_new
-    if float(p @ gm) >= 0.0:
-        p = -gm
-    return p, gm
+                scale = SADDLE_STEP_FRACTION * span * math.sqrt(d) / gm_norm[flat]
+                p[flat] = -gm[flat] * scale[:, None]
+            act &= ~flat
+        on = act[:, None]
+        np.divide(rr, curv, out=a, where=act)
+        np.multiply(a[:, None], pd, out=term, where=on)
+        np.add(p, term, out=p, where=on)
+        np.multiply(a[:, None], ap, out=term, where=on)
+        np.add(r, term, out=r, where=on)
+        rr_new = dot(r, r)
+        np.divide(rr_new, rr, out=a, where=act)
+        np.multiply(pd, a[:, None], out=pd, where=on)
+        np.subtract(pd, r, out=pd, where=on)
+        np.copyto(rr, rr_new, where=act)
+    uphill = dot(p, gm) >= 0.0
+    if uphill.any():
+        p[uphill] = -gm[uphill]
+    return p, gm, found
 
 
-def step(state: NcgState) -> float | None:
-    """One outer iteration.  Returns the new value on an accepted move,
-    or None when the engine terminates natively instead."""
-    if state.converged:
-        raise RuntimeError("step() on a converged engine")
-    spec = state.oracle.spec
-    found = _direction(state)
-    if found is None:
-        state.converged = True
-        return None
-    p, gm = found
-    slope = float(gm @ p)
+def step(state: NcgState, rows=None) -> np.ndarray:
+    """One outer iteration on each of ``rows`` (engine slots, default
+    every row not converged).  Returns which rows accepted a move; the
+    others have terminated natively."""
+    if rows is None:
+        rows = np.flatnonzero(~state.converged)
+    rows = np.asarray(rows, dtype=int)
+    if state.converged[rows].any():
+        raise RuntimeError("step() on a converged engine row")
+    oracle = state.oracle
+    spec = oracle.spec
+    state.steps[rows] += 1
+    x, fx = state.x[rows], state.fx[rows]
+    p, gm, found = _direction(oracle, rows, x, state.gx[rows])
+    slope = dot(gm, p)
+    accepted = np.zeros(len(rows), bool)
+    x_new, f_new = np.empty(x.shape), np.empty(len(rows))
+    # the rows still searching, and their points, directions, values, slopes
+    live = np.flatnonzero(found)
+    xs, ps, fs, ss = x[live], p[live], fx[live], slope[live]
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
-        xn = np.minimum(np.maximum(state.x + t * p, spec.lower), spec.upper)
-        fn = state.oracle.f(xn)
-        if fn < state.fx and fn <= state.fx + ARMIJO_C * t * slope:
-            state.x = xn
-            state.fx = fn
-            state.gx = state.oracle.grad(xn)
-            state.converged = math.sqrt(float(state.gx @ state.gx)) <= G_TOL
-            return fn
+        if not live.size:
+            break
+        xn = np.minimum(np.maximum(xs + t * ps, spec.lower), spec.upper)
+        fn = oracle.f(xn, rows[live])
+        ok = (fn < fs) & (fn <= fs + ARMIJO_C * t * ss)
+        if ok.any():
+            hit = live[ok]
+            accepted[hit] = True
+            x_new[hit], f_new[hit] = xn[ok], fn[ok]
+            keep = ~ok
+            live, xs, ps, fs, ss = live[keep], xs[keep], ps[keep], fs[keep], ss[keep]
         t *= 0.5
-    state.converged = True  # no strict decrease available: native stop
-    return None
-
+    # no strict decrease available (or nothing free to move): native stop
+    state.converged[rows[~accepted]] = True
+    moved = rows[accepted]
+    if moved.size:
+        x_new = x_new[accepted]
+        g_new = oracle.grad(x_new, moved)
+        state.x[moved] = x_new
+        state.fx[moved] = f_new[accepted]
+        state.gx[moved] = g_new
+        state.converged[moved] = np.sqrt(dot(g_new, g_new)) <= G_TOL
+    return accepted

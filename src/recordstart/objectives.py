@@ -11,11 +11,25 @@ products interpret their arguments in degrees; that is the convention under
 which the stated minimizers (all coordinates 30, resp. 0) attain the stated
 minimum -3.5.
 
+Every kernel works over the last axis, so one code path serves a point
+``(d,)`` and a block of engine rows ``(R, d)``, and each row of a block
+takes the bits of its point alone.  That holds because rows never mix and
+because of two rules: every dot product and matrix-vector product is a
+stacked matmul (:func:`dot`, ``H @ v[..., None]``), whose rows round as the
+1-d products do where ``einsum`` or ``(a * b).sum(-1)`` may not; and a power
+of a per-row scalar (Zakharov's ``q**3``, ``q**4``) is taken with the C
+library's ``pow`` (:func:`_pow`), as Python floats take it, because numpy's
+vectorized ``power`` may differ in the last bit.
+
 Each sinusoid sums a ``sin u`` and a ``sin 5u`` product.  Its kernels stack
-the two families as the rows of one (2, d) angle array, so that every
+the two families as the rows of one (..., 2, d) angle array, so that every
 numpy call serves both, and combine the rows only at the end; each row
 multiplies in the order of its family written out alone, so the values
 keep those bits.
+
+:class:`Oracle` is the one counted path to an objective.  It keeps its
+counts per engine row, so a block of restarts is counted as each restart
+alone.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ __all__ = [
     "ObjectiveSpec",
     "Oracle",
     "OBJECTIVE_IDS",
+    "dot",
     "make",
     "sample_uniform",
 ]
@@ -50,41 +65,71 @@ class ObjectiveSpec:
     _hvp_at: callable
 
 
+def dot(a: np.ndarray, b: np.ndarray):
+    """``a_r @ b_r`` for every row ``r`` of the leading axes, as a stacked
+    matmul: each row takes the bits of the 1-d product, where ``einsum``
+    and ``(a * b).sum(-1)`` may round differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pow(q, e: int):
+    """``q**e`` elementwise with the C library's ``pow``, as Python floats
+    take it; numpy's vectorized ``power`` may differ in the last bit."""
+    return np.reshape([v**e for v in np.ravel(q).tolist()], np.shape(q))
+
+
 def _check_dim(spec: ObjectiveSpec, x, what: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"{spec.name}: {what} has shape {x.shape}, expected ({spec.dim},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim:
+        raise ValueError(f"{spec.name}: {what} has shape {x.shape}, expected ({spec.dim},) or (rows, {spec.dim})")
     return x
 
 
-@dataclass
 class Oracle:
     """Counted, shape-checked view of one objective: the only way to
-    evaluate it.  The counts are monotone non-decreasing within a run."""
+    evaluate it.
 
-    spec: ObjectiveSpec
-    f_evals: int = 0
-    grad_evals: int = 0
-    hvp_evals: int = 0
+    It takes a point of shape ``(d,)`` or a block of rows ``(R, d)`` and
+    keeps one count of each kind per slot, ``slots`` of them.  A call
+    charges the slots in ``rows``: for ``f`` and ``grad`` one per row of
+    the block (a scalar for a single point, slot 0 by default).  A rejected
+    call is not counted."""
 
-    def f(self, x) -> float:
+    def __init__(self, spec: ObjectiveSpec, slots: int = 1):
+        self.spec = spec
+        self.f_evals = np.zeros(slots, dtype=int)
+        self.grad_evals = np.zeros(slots, dtype=int)
+        self.hvp_evals = np.zeros(slots, dtype=int)
+
+    def _charge(self, counts, x, rows) -> np.ndarray:
         x = _check_dim(self.spec, x)
-        self.f_evals += 1
-        return self.spec._f(x)
+        if np.shape(rows) != x.shape[:-1]:
+            raise ValueError(f"{self.spec.name}: rows {np.shape(rows)} for a block of shape {x.shape}")
+        counts[rows] += 1
+        return x
 
-    def grad(self, x) -> np.ndarray:
-        x = _check_dim(self.spec, x)
-        self.grad_evals += 1
+    def f(self, x, rows=0):
+        """Values: a float at a point, shape ``(R,)`` on a block."""
+        x = self._charge(self.f_evals, x, rows)
+        fx = self.spec._f(x)
+        return float(fx) if x.ndim == 1 else fx
+
+    def grad(self, x, rows=0) -> np.ndarray:
+        x = self._charge(self.grad_evals, x, rows)
         return self.spec._grad(x)
 
     def hvp_at(self, x):
-        """The Hessian at ``x`` as ``v -> Hv``; :meth:`hvp` counts each use."""
+        """The Hessian at each row of ``x`` as ``(v, rows) -> Hv``;
+        :meth:`hvp` counts each use."""
         return partial(self.hvp, self.spec._hvp_at(_check_dim(self.spec, x)))
 
-    def hvp(self, op, v) -> np.ndarray:
-        """One counted application of an operator from :meth:`hvp_at`."""
+    def hvp(self, op, v, rows=0) -> np.ndarray:
+        """Applications of an operator from :meth:`hvp_at`, one counted for
+        each slot in ``rows``.  ``v`` has the operator's rows; rows that are
+        not charged (a CG solve that has stopped on them) are computed and
+        ignored by the caller."""
         v = _check_dim(self.spec, v, "vector")
-        self.hvp_evals += 1
+        self.hvp_evals[rows] += 1
         return op(v)
 
 
@@ -94,7 +139,8 @@ def sample_uniform(spec: ObjectiveSpec, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# function definitions
+# function definitions: every kernel works over the last axis, so a point
+# (d,) and a block (R, d) run the same code
 # ---------------------------------------------------------------------------
 
 
@@ -102,17 +148,17 @@ def _zakharov(d: int) -> ObjectiveSpec:
     w = 0.5 * np.arange(1, d + 1, dtype=float)
 
     def f(x):
-        q = float(w @ x)
-        return float(x @ x) + q * q + q**4
+        q = dot(x, w)
+        return dot(x, x) + q * q + _pow(q, 4)
 
     def grad(x):
-        q = float(w @ x)
-        return 2.0 * x + (2.0 * q + 4.0 * q**3) * w
+        q = dot(x, w)
+        return 2.0 * x + (2.0 * q + 4.0 * _pow(q, 3))[..., None] * w
 
     def hvp_at(x):
-        q = float(w @ x)
+        q = dot(x, w)
         curv = 2.0 + 12.0 * q * q
-        return lambda v: 2.0 * v + curv * float(w @ v) * w
+        return lambda v: 2.0 * v + (curv * dot(v, w))[..., None] * w
 
     return ObjectiveSpec("zakharov", d, -5.0, 10.0, 0.0, np.zeros(d), f, grad, hvp_at)
 
@@ -120,22 +166,25 @@ def _zakharov(d: int) -> ObjectiveSpec:
 def _rosenbrock(d: int) -> ObjectiveSpec:
     # terms run over consecutive coordinate pairs (d-1 terms)
     def f(x):
-        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
+        head, tail = x[..., :-1], x[..., 1:]
+        return (100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2).sum(-1)
 
     def grad(x):
+        head, tail = x[..., :-1], x[..., 1:]
         g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) + 2.0 * (x[:-1] - 1.0)
-        g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+        g[..., :-1] = -400.0 * head * (tail - head**2) + 2.0 * (head - 1.0)
+        g[..., 1:] += 200.0 * (tail - head**2)
         return g
 
     def hvp_at(x):
-        diag_lead = -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0
-        up, down = 400.0 * x[:-1], -400.0 * x[:-1]
+        head, tail = x[..., :-1], x[..., 1:]
+        diag_lead = -400.0 * (tail - head**2) + 800.0 * head**2 + 2.0
+        up, down = 400.0 * head, -400.0 * head
 
         def hvp(v):
-            out = np.zeros(d)  # zeros plus the terms: an entry of -0.0 comes out +0.0
-            out[:-1] += diag_lead * v[:-1] - up * v[1:]
-            out[1:] += down * v[:-1] + 200.0 * v[1:]
+            out = np.zeros(v.shape)  # zeros plus the terms: an entry of -0.0 comes out +0.0
+            out[..., :-1] += diag_lead * v[..., :-1] - up * v[..., 1:]
+            out[..., 1:] += down * v[..., :-1] + 200.0 * v[..., 1:]
             return out
 
         return hvp
@@ -149,7 +198,7 @@ def _rhe(d: int) -> ObjectiveSpec:
     w2 = 2.0 * w
 
     def f(x):
-        return float((w * x * x).sum())
+        return (w * x * x).sum(-1)
 
     def grad(x):
         return 2.0 * w * x
@@ -174,7 +223,7 @@ _ST_XMIN, _ST_FMIN = _st_minimum()
 
 def _styblinski_tang(d: int) -> ObjectiveSpec:
     def f(x):
-        return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
+        return 0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum(-1)
 
     def grad(x):
         return 2.0 * x**3 - 16.0 * x + 2.5
@@ -211,32 +260,32 @@ def _sinusoidal(name: str, d: int, shift: float, x_star_coord: float) -> Objecti
     diag = np.diag_indices(d)
 
     def angles(x):
-        return _DEG * (x + shift) * rate
+        return (_DEG * (x + shift))[..., None, :] * rate
 
     def f(x):
         p = np.sin(angles(x)).prod(-1)
-        return float(-A * p[0] - p[1])
+        return -A * p[..., 0] - p[..., 1]
 
     def grad(x):
         u = angles(x)
         t = g_coef * np.cos(u)
         t *= _excl_one(np.sin(u))
-        return t[0] - t[1]
+        return t[..., 0, :] - t[..., 1, :]
 
     def hvp_at(x):
         u = angles(x)
         s, c = np.sin(u), np.cos(u)
         # off-diagonal entries (k, l) in rows of d - 1: c_k c_l times the
         # product of s_i over i not in {k, l}
-        t = c[:, :, None] * c[:, off[1]]
+        t = c[..., :, None] * c[..., off[1]]
         t *= h_coef
-        t *= _excl_one(s[:, off[1]])
+        t *= _excl_one(s[..., off[1]])
         dg = d_coef * s
         dg *= _excl_one(s)
-        h = np.empty((d, d))
-        h[off] = t[0] - t[1]
-        h[diag] = dg[0] + dg[1]
-        return lambda v: h @ v
+        h = np.empty(x.shape + (d,))
+        h[..., off[0], off[1]] = t[..., 0, :, :] - t[..., 1, :, :]
+        h[..., diag[0], diag[1]] = dg[..., 0, :] + dg[..., 1, :]
+        return lambda v: (h @ v[..., None])[..., 0]
 
     return ObjectiveSpec(name, d, -90.0, 90.0, -3.5, np.full(d, x_star_coord), f, grad, hvp_at)
 

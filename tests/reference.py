@@ -16,14 +16,17 @@ name.
   :func:`sinusoid_hessian` evaluate a sinusoid one sine family at a time
   from them, the forms that the stacked kernels of
   :mod:`recordstart.objectives` reproduce bit for bit;
-* :data:`ANALYTIC_HVP` holds the per-call Hessian-vector products
-  ``hvp(x, v)`` of the four analytic objectives, each evaluated from
-  scratch, which the per-point operators of
-  :mod:`recordstart.objectives` reproduce bit for bit;
-* :func:`direction` is the Newton-CG search direction with
-  ``np.linalg.norm`` and an out-of-place conjugate-direction update,
-  the form :func:`recordstart.newton_cg._direction` reproduces bit for
-  bit.
+* :data:`ANALYTIC_VALUE_GRADIENT` holds the one-point values and
+  gradients of the four analytic objectives, Zakharov's with Python-float
+  powers, and :data:`ANALYTIC_HVP` their per-call Hessian-vector products
+  ``hvp(x, v)``, each evaluated from scratch; the kernels of
+  :mod:`recordstart.objectives` reproduce them bit for bit, on every row
+  of a block;
+* :func:`init`, :func:`step` and :func:`direction` are the Newton-CG
+  engine one point at a time, with ``np.linalg.norm``, 1-d dot products
+  and an out-of-place conjugate-direction update: every row of the block
+  engine :mod:`recordstart.newton_cg` reproduces them bit for bit, its
+  counts included.
 
 :func:`tally_of` and the ``run_histories`` strategy build the run
 statistics that the record-statistics tests share.
@@ -32,11 +35,13 @@ statistics that the record-statistics tests share.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from recordstart.newton_cg import SADDLE_STEP_FRACTION
+from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
+from recordstart.objectives import Oracle
 from recordstart.special import RunStats, RunTally, digamma, expected_records
 
 # completed-run histories: 1 to 40 runs of 1 to 80 iterates each
@@ -185,6 +190,46 @@ def sinusoid_hessian(x: np.ndarray, shift: float) -> np.ndarray:
     return h
 
 
+def zakharov_value(x: np.ndarray) -> float:
+    w = 0.5 * np.arange(1, len(x) + 1, dtype=float)
+    q = float(w @ x)
+    return float(x @ x) + q * q + q**4
+
+
+def zakharov_gradient(x: np.ndarray) -> np.ndarray:
+    w = 0.5 * np.arange(1, len(x) + 1, dtype=float)
+    q = float(w @ x)
+    return 2.0 * x + (2.0 * q + 4.0 * q**3) * w
+
+
+def rosenbrock_value(x: np.ndarray) -> float:
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
+
+
+def rosenbrock_gradient(x: np.ndarray) -> np.ndarray:
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) + 2.0 * (x[:-1] - 1.0)
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return g
+
+
+def rhe_value(x: np.ndarray) -> float:
+    w = np.arange(len(x), 0, -1, dtype=float)
+    return float((w * x * x).sum())
+
+
+def rhe_gradient(x: np.ndarray) -> np.ndarray:
+    return 2.0 * np.arange(len(x), 0, -1, dtype=float) * x
+
+
+def styblinski_tang_value(x: np.ndarray) -> float:
+    return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
+
+
+def styblinski_tang_gradient(x: np.ndarray) -> np.ndarray:
+    return 2.0 * x**3 - 16.0 * x + 2.5
+
+
 def zakharov_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = 0.5 * np.arange(1, len(x) + 1, dtype=float)
     q = float(w @ x)
@@ -207,6 +252,13 @@ def rhe_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def styblinski_tang_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (6.0 * x**2 - 16.0) * v
 
+
+ANALYTIC_VALUE_GRADIENT = {
+    "zakharov": (zakharov_value, zakharov_gradient),
+    "rosenbrock": (rosenbrock_value, rosenbrock_gradient),
+    "rhe": (rhe_value, rhe_gradient),
+    "styblinski_tang": (styblinski_tang_value, styblinski_tang_gradient),
+}
 
 ANALYTIC_HVP = {
     "zakharov": zakharov_hvp,
@@ -252,3 +304,56 @@ def direction(state):
     if float(p @ gm) >= 0.0:
         p = -gm
     return p, gm
+
+
+@dataclass
+class ScalarState:
+    """One engine row: its oracle (counts in slot 0), point, value,
+    gradient, native-stop flag and engine steps."""
+
+    oracle: Oracle
+    x: np.ndarray
+    fx: float
+    gx: np.ndarray
+    converged: bool
+    steps: int = 0
+
+
+def init(spec, x0) -> ScalarState:
+    """Start one engine row at ``x0`` (clipped to the box): one f and one
+    gradient evaluation."""
+    oracle = Oracle(spec)
+    x = np.clip(np.asarray(x0, dtype=float), spec.lower, spec.upper)
+    fx = oracle.f(x)
+    if not math.isfinite(fx):
+        raise ValueError(f"{spec.name}: non-finite value at the start point")
+    gx = oracle.grad(x)
+    return ScalarState(oracle, x, fx, gx, math.sqrt(float(gx @ gx)) <= G_TOL)
+
+
+def step(state: ScalarState) -> float | None:
+    """One outer iteration: the new value on an accepted move, or None when
+    the row terminates natively instead."""
+    if state.converged:
+        raise RuntimeError("step() on a converged engine")
+    spec = state.oracle.spec
+    state.steps += 1
+    found = direction(state)
+    if found is None:
+        state.converged = True
+        return None
+    p, gm = found
+    slope = float(gm @ p)
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        xn = np.minimum(np.maximum(state.x + t * p, spec.lower), spec.upper)
+        fn = state.oracle.f(xn)
+        if fn < state.fx and fn <= state.fx + ARMIJO_C * t * slope:
+            state.x = xn
+            state.fx = fn
+            state.gx = state.oracle.grad(xn)
+            state.converged = math.sqrt(float(state.gx @ state.gx)) <= G_TOL
+            return fn
+        t *= 0.5
+    state.converged = True  # no strict decrease available: native stop
+    return None

@@ -198,10 +198,9 @@ def test_criterion_07_one_step_newton_on_quadratic():
     for dim in (5, 25):
         spec = objectives.make("rhe", dim)
         rng = np.random.default_rng(dim)
-        for _ in range(10):
-            state = newton_cg.init(spec, objectives.sample_uniform(spec, rng))
-            newton_cg.step(state)
-            worst = max(worst, float(np.linalg.norm(state.gx)))
+        state = newton_cg.init(spec, [objectives.sample_uniform(spec, rng) for _ in range(10)])
+        newton_cg.step(state)
+        worst = max(worst, float(np.linalg.norm(state.gx, axis=1).max()))
     report(7, worst <= 1e-8, f"max gradient norm after one step {worst:.2e} (<=1e-8)")
 
 

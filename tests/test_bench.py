@@ -135,6 +135,44 @@ def test_ncg_experiment_runs_the_shared_driver():
         assert report.history == direct.history
 
 
+# f, grad and hvp evaluations, engine steps and rejected line-search probes
+# of the first 5 runs of each canonical configuration (d=5, master seed 52),
+# summed over runs and restarts; counted by wrapping the oracle methods and
+# the engine step of the one-point engine that the block engine replaced
+COST_TOTALS = {
+    ("centered_sinusoidal", "dmss"): (602, 373, 884, 329, 229),
+    ("centered_sinusoidal", "rdmss"): (593, 366, 865, 322, 227),
+    ("centered_sinusoidal", "ncg"): (59, 38, 89, 33, 21),
+    ("rhe", "dmss"): (140, 140, 350, 70, 0),
+    ("rhe", "rdmss"): (140, 140, 350, 70, 0),
+    ("rhe", "ncg"): (10, 10, 25, 5, 0),
+    ("rosenbrock", "dmss"): (990, 820, 3739, 782, 170),
+    ("rosenbrock", "rdmss"): (524, 433, 1915, 403, 91),
+    ("rosenbrock", "ncg"): (139, 115, 486, 110, 24),
+    ("shifted_sinusoidal", "dmss"): (731, 413, 969, 369, 318),
+    ("shifted_sinusoidal", "rdmss"): (568, 397, 930, 350, 171),
+    ("shifted_sinusoidal", "ncg"): (93, 40, 92, 36, 53),
+    ("styblinski_tang", "dmss"): (1433, 450, 1410, 420, 983),
+    ("styblinski_tang", "rdmss"): (1103, 450, 1394, 409, 653),
+    ("styblinski_tang", "ncg"): (87, 42, 127, 38, 45),
+    ("zakharov", "dmss"): (620, 620, 676, 571, 0),
+    ("zakharov", "rdmss"): (574, 574, 629, 524, 0),
+    ("zakharov", "ncg"): (66, 66, 73, 61, 0),
+}
+
+
+@pytest.mark.parametrize("objective, algorithm", sorted(COST_TOTALS))
+def test_restart_costs_sum_to_the_one_point_engine_counts(objective, algorithm):
+    cfg = bench.ExperimentConfig(objective=objective, dim=5, algorithm=algorithm, runs=5, seed=bench.DEFAULT_SEED)
+    _, reports = bench.run_experiment(cfg)
+    costs = [cost for report in reports for cost in report.costs]
+    totals = tuple(
+        sum(getattr(cost, name) for cost in costs)
+        for name in ("f_evals", "grad_evals", "hvp_evals", "steps", "rejected_probes")
+    )
+    assert totals == COST_TOTALS[(objective, algorithm)]
+
+
 def test_compare_identical_and_mismatched(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     bench.run_experiment(small_config(), out_dir=str(a))

@@ -9,36 +9,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recordstart import bench, newton_cg, objectives, special
+import reference
+from recordstart import bench, objectives, special
 from recordstart import multistart as ms
 from reference import n_record_threshold, run_histories, tally_of
 
 
-class ScriptedEngine:
-    """Stand-in engine: replays a fixed value sequence through a patched
-    step function."""
-
-    def __init__(self, f0, script):
-        self.fx = f0
-        self.script = list(script)
-        self.converged = False
-        self.x = np.zeros(2)
-
-    def advance(self):
-        if not self.script:
-            self.converged = True
-            return None
-        self.fx = self.script.pop(0)
-        return self.fx
-
-
-@pytest.fixture
-def scripted(monkeypatch):
-    def patch(engine):
-        monkeypatch.setattr(newton_cg, "step", lambda state: state.advance())
-        return engine
-
-    return patch
+def run_inner(f0, script, converged=False, **kw):
+    """Drive :func:`ms.inner_loop` from ``f0`` with a scripted engine row:
+    each step it asks for takes the next value of ``script``, and a step
+    past the end is a native stop.  Returns what the loop returns."""
+    script = list(script)
+    kw.setdefault("zeta", 1.0)
+    loop = ms.inner_loop(f0, converged, params(), **kw)
+    try:
+        request = next(loop)
+        while True:
+            assert request is None  # a step request
+            request = loop.send((script.pop(0), False) if script else (None, True))
+    except StopIteration as stop:
+        return stop.value
 
 
 def params(**kw):
@@ -52,60 +42,52 @@ def params(**kw):
 # ---------------------------------------------------------------------------
 
 
-def test_inner_loop_converged_at_init(scripted):
-    engine = scripted(ScriptedEngine(4.0, []))
-    engine.converged = True
-    log, evals = ms.inner_loop(engine, params(), zeta=1.0)
+def test_inner_loop_converged_at_init():
+    log, evals = run_inner(4.0, [5.0], converged=True)
     assert log.records == 1 and log.iterates == 1
     assert evals == [(4.0, True)]
 
 
-def test_inner_loop_stuck_after_second_record_stops_at_four(scripted):
+def test_inner_loop_stuck_after_second_record_stops_at_four():
     # one improvement then a plateau; at unit zeta the second record is
     # overdue once the iterate count passes ~3.64, so the run ends at 4
-    engine = scripted(ScriptedEngine(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0]))
-    log, evals = ms.inner_loop(engine, params(), zeta=1.0)
+    log, evals = run_inner(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
     assert log.records == 2
     assert log.iterates == 4
     assert evals == [(10.0, True), (9.0, True), (9.0, False), (9.0, False)]
 
 
-def test_inner_loop_descending_run_records_every_iterate(scripted):
-    engine = scripted(ScriptedEngine(10.0, [8.0, 6.0, 4.0, 2.0]))
-    log, _ = ms.inner_loop(engine, params(), zeta=1.0)
+def test_inner_loop_descending_run_records_every_iterate():
+    log, _ = run_inner(10.0, [8.0, 6.0, 4.0, 2.0])
     assert log.records == log.iterates == 5
 
 
-def test_inner_loop_slope_criterion_breaks_after_the_record(scripted):
+def test_inner_loop_slope_criterion_breaks_after_the_record():
     # second record improves by 1e-9 in one step: slope far below the
     # expectation at the previous record's level, so the loop breaks
     # right after evaluating it
-    engine = scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0]))
-    log_plain, _ = ms.inner_loop(scripted(ScriptedEngine(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])), params(), zeta=1.0)
-    log_slope, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
+    log_plain, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])
+    log_slope, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0], algorithm="rdmss")
     assert log_slope.records == 3
     assert log_slope.iterates == 3
     assert log_plain.iterates > log_slope.iterates
 
 
-def test_inner_loop_slope_needs_two_records(scripted):
+def test_inner_loop_slope_needs_two_records():
     # a tiny first improvement alone must not trigger the slope break
-    engine = scripted(ScriptedEngine(10.0, [10.0 - 1e-9]))
-    log, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="rdmss")
+    log, _ = run_inner(10.0, [10.0 - 1e-9], algorithm="rdmss")
     assert log.records == 2
 
 
-def test_inner_loop_ncg_ignores_overdue_records(scripted):
+def test_inner_loop_ncg_ignores_overdue_records():
     # the plateau that ends a dmss restart at iterate 4 runs on to native
     # termination under the baseline
-    engine = scripted(ScriptedEngine(10.0, [9.0] * 6))
-    log, _ = ms.inner_loop(engine, params(), zeta=1.0, algorithm="ncg")
+    log, _ = run_inner(10.0, [9.0] * 6, algorithm="ncg")
     assert (log.records, log.iterates) == (2, 7)
 
 
-def test_inner_loop_stops_at_its_budget(scripted):
-    engine = scripted(ScriptedEngine(10.0, [9.0, 8.0, 7.0, 6.0]))
-    log, evals = ms.inner_loop(engine, params(), zeta=1.0, budget=3)
+def test_inner_loop_stops_at_its_budget():
+    log, evals = run_inner(10.0, [9.0, 8.0, 7.0, 6.0], budget=3)
     assert evals == [(10.0, True), (9.0, True), (8.0, True)]
     assert log.iterates == 3  # init + the two evaluated steps
 
@@ -131,9 +113,7 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
         if j >= thresholds[held - 1]:
             stop = j
             break
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(newton_cg, "step", lambda state: state.advance())
-        log, _ = ms.inner_loop(ScriptedEngine(10.0, script), params(), zeta=zeta)
+    log, _ = run_inner(10.0, script, zeta=zeta)
     assert (log.iterates, log.records) == (stop, min(stop, k))
 
 
@@ -249,6 +229,34 @@ def test_budgeted_run_is_a_prefix_of_the_unbudgeted_run(algorithm):
         assert cut.budget_exhausted == (length >= m)
 
 
+@pytest.mark.parametrize("algorithm", ["dmss", "rdmss"])
+@pytest.mark.parametrize("name, budget", [("styblinski_tang", 7), ("rosenbrock", 12)])
+def test_a_block_runs_out_of_budget_row_by_row(name, budget, algorithm):
+    # the rows of one block spend a small budget at different restarts;
+    # each still stops at it and equals its run alone
+    spec = objectives.make(name, 5)
+    p = params(max_total_evals=budget)
+    seeds = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(8)]
+    block = ms.run_block(spec, p, seeds, algorithm)
+    assert len({report.restarts for report in block}) > 1
+    for seed, report in zip(seeds, block):
+        assert report.total_evals <= budget and report.budget_exhausted
+        assert report == ms.run_block(spec, p, [seed], algorithm)[0]
+
+
+def test_every_restart_records_its_costs(zakharov_reports):
+    for report in zakharov_reports:
+        assert len(report.costs) == len(report.run_stats)
+        for stats, cost in zip(report.run_stats, report.costs):
+            # one gradient per iterate; a step either moves (one iterate) or
+            # stops the restart natively
+            assert cost.grad_evals == stats.iterates
+            assert stats.iterates - 1 <= cost.steps <= stats.iterates
+            assert cost.rejected_probes == cost.f_evals - 1 - (stats.iterates - 1) >= 0
+            # at most one HVP per coordinate and step
+            assert cost.hvp_evals <= 5 * cost.steps
+
+
 # ---------------------------------------------------------------------------
 # bare Newton-CG baseline
 # ---------------------------------------------------------------------------
@@ -272,14 +280,17 @@ def ncg_reports():
 def test_ncg_is_one_plain_descent(ncg_reports):
     for name, seed, report in ncg_reports:
         spec = objectives.make(name, 5)
-        engine = newton_cg.init(spec, objectives.sample_uniform(spec, np.random.default_rng(seed)))
+        engine = reference.init(spec, objectives.sample_uniform(spec, np.random.default_rng(seed)))
         values = [engine.fx]
         while not engine.converged:
-            fn = newton_cg.step(engine)
+            fn = reference.step(engine)
             if fn is None:
                 break
             values.append(fn)
         assert [r.f_value for r in report.history] == values
+        oracle = engine.oracle
+        cost = ms.RestartCost(oracle.f_evals[0], oracle.grad_evals[0], oracle.hvp_evals[0], engine.steps)
+        assert report.costs == [cost]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert [r.restart_index for r in report.history] == [1] * len(values)
         assert report.restarts == 1 and not report.budget_exhausted

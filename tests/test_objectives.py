@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference import (
     ANALYTIC_HVP,
+    ANALYTIC_VALUE_GRADIENT,
     excl_one,
     excl_two,
     sinusoid_gradient,
@@ -157,20 +158,39 @@ def with_signed_zeros(rng, d, count):
     return t
 
 
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 15, 50])
 def test_exclusion_products_match_the_loop_reference_bitwise(d):
     rng = np.random.default_rng(d)
     off = tuple(i.reshape(d, d - 1) for i in np.nonzero(~np.eye(d, dtype=bool)))
+    # two stacked rows per trial, as in the sinusoid kernels at a point,
+    # and every trial's rows in one (R, 2, d) block, as on an engine block
+    trials = []
     for trial in range(60):
         t = with_signed_zeros(rng, d, trial % 3)
-        # two stacked rows, as in the sinusoid kernels; the exclusion-two
-        # entries are the exclusion-one products of the off-diagonal gather
-        rows = np.stack([t, t[::-1]])
+        trials.append(np.stack([t, t[::-1]]))
+    block = np.stack(trials)
+    block_one, block_two = ob._excl_one(block), ob._excl_one(block[..., off[1]])
+    for rows, b_one, b_two in zip(trials, block_one, block_two):
+        # the exclusion-two entries are the exclusion-one products of the
+        # off-diagonal gather
         one, two = ob._excl_one(rows), ob._excl_one(rows[:, off[1]])
         for k, u in enumerate(rows):
-            for got, ref in ((one[k], excl_one(u)), (two[k], excl_two(u)[off])):
-                # equal values and equal signs of zero
-                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+            for got in (one[k], b_one[k]):
+                assert same_bits(got, excl_one(u))
+            for got in (two[k], b_two[k]):
+                assert same_bits(got, excl_two(u)[off])
+
+
+def block_hvp(spec, xs, vs):
+    """The operators at the rows of ``xs`` applied to the rows of ``vs``,
+    as one block."""
+    rows = np.arange(len(xs))
+    return ob.Oracle(spec, len(xs)).hvp_at(xs)(vs, rows)
 
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC_HVP))
@@ -179,6 +199,7 @@ def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d
     spec = ob.make(name, d)
     reference = ANALYTIC_HVP[name]
     rng = np.random.default_rng(d)
+    xs, vs = [], []
     for trial in range(20):
         x = ob.sample_uniform(spec, rng)
         if trial % 2:
@@ -187,8 +208,34 @@ def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d
         hvp = ob.Oracle(spec).hvp_at(x)
         for count in range(3):
             v = with_signed_zeros(rng, d, count)
-            got, ref = hvp(v), reference(x, v)
-            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+            assert same_bits(hvp(v), reference(x, v))
+            xs.append(x)
+            vs.append(v)
+    # the same points and vectors as the rows of one block
+    for x, v, got in zip(xs, vs, block_hvp(spec, np.array(xs), np.array(vs))):
+        assert same_bits(got, reference(x, v))
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_VALUE_GRADIENT))
+@pytest.mark.parametrize("d", [2, 5, 15, 50])
+def test_analytic_values_and_gradients_match_the_one_point_reference_bitwise(name, d):
+    spec = ob.make(name, d)
+    value, gradient = ANALYTIC_VALUE_GRADIENT[name]
+    rng = np.random.default_rng(d)
+    # uniform points, points closing in on the minimum (where a descent
+    # spends its last steps), and points with signed zeros or coordinates
+    # on a face
+    xs = np.array([ob.sample_uniform(spec, rng) for _ in range(60)])
+    xs[20:40] = spec.x_star + (xs[20:40] - spec.x_star) * 10.0 ** rng.uniform(-9, 0, (20, 1))
+    xs[40:, rng.integers(d)] = rng.choice([0.0, -0.0, spec.lower, spec.upper], size=20)
+    oracle = ob.Oracle(spec)
+    for x in xs:
+        assert same_bits(oracle.f(x), value(x)) and same_bits(oracle.grad(x), gradient(x))
+    # the same points as the rows of one block
+    block = ob.Oracle(spec, len(xs))
+    rows = np.arange(len(xs))
+    for x, got_value, got_grad in zip(xs, block.f(xs, rows), block.grad(xs, rows)):
+        assert same_bits(got_value, value(x)) and same_bits(got_grad, gradient(x))
 
 
 @pytest.mark.parametrize("name, shift", [("shifted_sinusoidal", 60.0), ("centered_sinusoidal", 90.0)])
@@ -196,6 +243,7 @@ def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d
 def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d):
     spec = ob.make(name, d)
     rng = np.random.default_rng(d)
+    xs, vs = [], []
     for trial in range(20):
         x = ob.sample_uniform(spec, rng)
         if trial % 2:
@@ -206,6 +254,11 @@ def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d)
         for _ in range(3):
             v = rng.standard_normal(d)
             assert np.array_equal(hvp(v), h_ref @ v)
+            xs.append(x)
+            vs.append(v)
+    # the same points and vectors as the rows of one block
+    for x, v, got in zip(xs, vs, block_hvp(spec, np.array(xs), np.array(vs))):
+        assert np.array_equal(got, sinusoid_hessian(x, shift) @ v)
 
 
 @pytest.mark.parametrize("name, shift", [("shifted_sinusoidal", 60.0), ("centered_sinusoidal", 90.0)])
@@ -218,6 +271,7 @@ def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name
     # exactly at k = 0 and to rounding at the other k inside the box
     five_zeros = [z for z in 36.0 * np.arange(-5, 6) - shift if spec.lower <= z <= spec.upper]
     specials = [(-shift,), five_zeros, (0.0, -0.0)]
+    xs = []
     for trial in range(30):
         x = ob.sample_uniform(spec, rng)
         if trial % 4:
@@ -225,8 +279,15 @@ def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name
             x[hit] = rng.choice(specials[trial % 4 - 1], size=hit.sum())
         got, ref = oracle.f(x), sinusoid_value(x, shift)
         assert got == ref and np.signbit(got) == np.signbit(ref)
-        got, ref = oracle.grad(x), sinusoid_gradient(x, shift)
-        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        assert same_bits(oracle.grad(x), sinusoid_gradient(x, shift))
+        xs.append(x)
+    # the same points as the rows of one block
+    block = ob.Oracle(spec, len(xs))
+    rows = np.arange(len(xs))
+    values, grads = block.f(np.array(xs), rows), block.grad(np.array(xs), rows)
+    for x, value, grad in zip(xs, values, grads):
+        assert same_bits(value, sinusoid_value(x, shift))
+        assert same_bits(grad, sinusoid_gradient(x, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +316,31 @@ def test_oracle_counts_calls():
     spec = ob.make("zakharov", 5)
     oracle = ob.Oracle(spec)
     x = np.zeros(5)
-    oracle.f(x)
+    assert isinstance(oracle.f(x), float)
     oracle.f(x)
     oracle.grad(x)
     oracle.hvp_at(x)(np.ones(5))
-    assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (2, 1, 1)
+    assert (oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()) == ([2], [1], [1])
+
+
+def test_oracle_counts_per_row_of_a_block():
+    spec = ob.make("rosenbrock", 4)
+    oracle = ob.Oracle(spec, 3)
+    xs = np.zeros((2, 4))
+    values = oracle.f(xs, np.array([0, 2]))
+    assert values.shape == (2,)
+    oracle.grad(xs[:1], np.array([1]))
+    # an operator over two rows, applied to both, charged to one
+    oracle.hvp_at(xs)(np.ones((2, 4)), np.array([2]))
+    assert oracle.f_evals.tolist() == [1, 0, 1]
+    assert oracle.grad_evals.tolist() == [0, 1, 0]
+    assert oracle.hvp_evals.tolist() == [0, 0, 1]
+    # rows that do not match the block are rejected, and not counted
+    with pytest.raises(ValueError, match="rows"):
+        oracle.f(xs, np.array([0]))
+    with pytest.raises(ValueError, match="rows"):
+        oracle.grad(xs, 0)
+    assert oracle.f_evals.tolist() == [1, 0, 1] and oracle.grad_evals.tolist() == [0, 1, 0]
 
 
 def test_dimension_mismatch_raises(every_spec):
@@ -272,8 +353,12 @@ def test_dimension_mismatch_raises(every_spec):
         oracle.hvp_at(np.zeros(4))
     with pytest.raises(ValueError, match="vector"):
         oracle.hvp_at(np.zeros(5))(np.zeros(4))
+    with pytest.raises(ValueError, match="point"):
+        oracle.f(np.zeros((2, 4)), np.arange(2))
+    with pytest.raises(ValueError, match="point"):
+        oracle.f(np.zeros((1, 2, 5)), np.zeros((1, 2), dtype=int))
     # a rejected call is not counted
-    assert (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals) == (0, 0, 0)
+    assert (oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()) == ([0], [0], [0])
 
 
 def test_registry_contents():
