@@ -1,27 +1,14 @@
 #!/usr/bin/env python3
 """Monte-Carlo validation of the record-value closed forms at full
-trajectory count; equivalent to `bench validate-theory`.
+trajectory count; equivalent to `bench validate-theory`, whose options it
+takes.
 
     python scripts/validate_theory.py --trajectories 100000 --out theory.json
 """
 
-import argparse
 import sys
 
 from recordstart.bench import main as bench_main
 
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trajectories", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args()
-    argv = ["validate-theory", "--trajectories", str(args.trajectories), "--seed", str(args.seed)]
-    if args.out:
-        argv += ["--out", args.out]
-    return bench_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(["validate-theory", *sys.argv[1:]]))

@@ -53,16 +53,17 @@ class ExperimentConfig:
     objective: str
     dim: int
     algorithm: str
-    alpha: float = 0.5
-    delta: float = 1e-3
+    alpha: float = AlgoParams.alpha
+    delta: float = AlgoParams.delta
     eps_base: float = 0.01
-    ptilde_scale: float = 1.0
+    ptilde_scale: float = AlgoParams.ptilde_scale
     runs: int = 50
     seed: int = DEFAULT_SEED
     workers: int = 1
-    max_total_evals: int = 100_000
+    max_total_evals: int = AlgoParams.max_total_evals
 
     def __post_init__(self):
+        make(self.objective, self.dim)  # rejects an unknown objective or a dim below 2
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
@@ -249,19 +250,8 @@ def compare(summary_a_path: str, summary_b_path: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        objective=args.objective,
-        dim=args.dim,
-        algorithm=args.algo,
-        alpha=args.alpha,
-        delta=args.delta,
-        eps_base=args.eps_base,
-        ptilde_scale=args.ptilde_scale,
-        runs=args.runs,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    aggregate, _ = run_experiment(config, out_dir=args.out)
+    fields = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}
+    aggregate, _ = run_experiment(ExperimentConfig(**fields), out_dir=args.out)
     print(json.dumps(aggregate.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -297,16 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bench", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one seeded experiment and write artifacts")
+    # unset flags stay out of the namespace, so ExperimentConfig's defaults
+    # apply; only --workers defaults to the CPU count instead of 1
+    run_p = sub.add_parser(
+        "run", help="run one seeded experiment and write artifacts", argument_default=argparse.SUPPRESS
+    )
     run_p.add_argument("--objective", required=True, choices=OBJECTIVE_IDS)
     run_p.add_argument("--dim", type=int, default=5)
-    run_p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    run_p.add_argument("--alpha", type=float, default=0.5)
-    run_p.add_argument("--delta", type=float, default=1e-3)
-    run_p.add_argument("--eps-base", type=float, default=0.01)
-    run_p.add_argument("--ptilde-scale", type=float, default=1.0)
-    run_p.add_argument("--runs", type=int, default=50)
-    run_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run_p.add_argument("--algo", dest="algorithm", required=True, choices=ALGORITHMS)
+    run_p.add_argument("--alpha", type=float)
+    run_p.add_argument("--delta", type=float)
+    run_p.add_argument("--eps-base", type=float)
+    run_p.add_argument("--ptilde-scale", type=float)
+    run_p.add_argument("--runs", type=int)
+    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=_cmd_run)

@@ -15,9 +15,12 @@ record, independently of the record values.  :func:`record_chain`
 simulates only the records: it draws each wait and each next record for a
 whole batch of trajectories at once, from one random stream, and
 :func:`validate_statistics` builds every check of the closed forms from
-:mod:`recordstart.special` out of one pass over it.  The test suite checks
-the kernel in distribution against a brute-force sampler that draws every
-iterate.
+:mod:`recordstart.special` out of one pass over it.  The checks look at one
+fixed design, the module constants below: the uniform range model, target
+level 0.1, slope window 0.5 +- 0.02 and horizons 3 and 100; a
+:class:`LabConfig` sets only ``alpha``, ``lam``, the trajectory count and
+the seed.  The test suite checks the kernel in distribution against a
+brute-force sampler that draws every iterate.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .special import _STIRLING_MAX_N, expected_records, incomplete_gamma_g, mean_reciprocal_wait, record_count_pmf
+from .special import expected_records, mean_reciprocal_wait, p_fail_histogram, record_count_pmf
 
 __all__ = [
     "RangeModel",
@@ -49,20 +52,18 @@ class RangeModel:
     """Range distribution given by its CDF and quantile function, both
     numpy expressions that take scalars and arrays alike."""
 
-    name: str
     cdf: callable
     inverse_cdf: callable
 
 
 def uniform_model() -> RangeModel:
     """Uniform range distribution on [0, 1]: p(y) = y."""
-    return RangeModel("uniform", lambda y: np.clip(y, 0.0, 1.0), lambda u: u)
+    return RangeModel(lambda y: np.clip(y, 0.0, 1.0), lambda u: u)
 
 
 def exponential_model() -> RangeModel:
     """Unit-rate exponential range distribution: p(y) = 1 - exp(-y)."""
     return RangeModel(
-        "exponential",
         lambda y: -np.expm1(-np.maximum(y, 0.0)),
         lambda u: -np.log1p(-u),
     )
@@ -133,12 +134,19 @@ def record_chain(alpha: float, lam: float, model: RangeModel, n: int, rng):
         p = p * rng.random(n) ** inv_lam
 
 
-_MODELS = {"uniform": uniform_model, "exponential": exponential_model}
-
-
 # ---------------------------------------------------------------------------
 # statistical validation
 # ---------------------------------------------------------------------------
+
+
+# the fixed design every check looks at: records above the target level,
+# records in the slope window, record counts at the two horizons
+MODEL_NAME = "uniform"
+TARGET_LEVEL = 0.1
+WINDOW_CENTER = 0.5
+WINDOW_HALFWIDTH = 0.02
+PMF_LENGTH = 3
+CURVE_LENGTH = 100
 
 
 @dataclass(frozen=True)
@@ -147,13 +155,7 @@ class LabConfig:
 
     alpha: float = 0.5
     lam: float = 1.0
-    model_name: str = "uniform"
     trajectories: int = 100_000
-    target_level: float = 0.1
-    window_center: float = 0.5
-    window_halfwidth: float = 0.02
-    pmf_length: int = 3
-    curve_length: int = 100
     seed: int = 0
 
 
@@ -189,9 +191,13 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        cfg = {k: getattr(self.config, k) for k in self.config.__dataclass_fields__}
+        # the report states where its checks look, next to what the caller set
+        design = dict(
+            model_name=MODEL_NAME, target_level=TARGET_LEVEL, window_center=WINDOW_CENTER,
+            window_halfwidth=WINDOW_HALFWIDTH, pmf_length=PMF_LENGTH, curve_length=CURVE_LENGTH,
+        )
         return {
-            "config": cfg,
+            "config": {**asdict(self.config), **design},
             "checks": [
                 {
                     "name": c.name,
@@ -244,57 +250,40 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     below the target level and the slope window, and lies past both
     horizons.
 
-    Raises ``ValueError`` on a ``lam`` that is not positive and finite, on
-    a ``target_level`` outside the range (``p(target)`` not in (0, 1)
-    leaves no Poisson mean to check), on a slope window that reaches the bottom of the range (the pass would
-    never leave it), on a ``pmf_length`` outside 1..20 (the exact
-    Stirling numbers stop at 20) or a ``curve_length`` below 1, all
-    before the pass, and when no record falls in the slope window, which
-    leaves the window checks without a sample.
+    Raises ``ValueError`` on fewer than 1000 trajectories, on an ``alpha``
+    outside (0, 1] or a ``lam`` that is not positive and finite, all before
+    the pass, and when no record falls in the slope window, which leaves
+    the window checks without a sample.
     """
     if config.trajectories < 1000:
         raise ValueError("insufficient samples: need at least 1000 trajectories")
-    if config.model_name not in _MODELS:
-        raise KeyError(f"unknown range model {config.model_name!r}")
-    model = _MODELS[config.model_name]()
     alpha, lam = config.alpha, config.lam
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1] for validation")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
+    model = uniform_model()
     zeta = lam / alpha
     n = config.trajectories
-    y_t = config.target_level
-    lo = config.window_center - config.window_halfwidth
-    hi = config.window_center + config.window_halfwidth
-    if model.cdf(lo) <= 0.0:
-        raise ValueError(f"slope window [{lo}, {hi}] reaches the bottom of the range")
-    p_t = model.cdf(y_t)
-    if not 0.0 < p_t < 1.0:
-        raise ValueError(f"target_level {y_t} must lie inside the range, where 0 < p(target_level) < 1")
-    q_mid = model.cdf(config.window_center)
+    lo = WINDOW_CENTER - WINDOW_HALFWIDTH
+    hi = WINDOW_CENTER + WINDOW_HALFWIDTH
+    p_t = model.cdf(TARGET_LEVEL)
+    q_mid = model.cdf(WINDOW_CENTER)
     poi = -lam * math.log(p_t)
-    pmf_j = config.pmf_length
-    if not 1 <= pmf_j <= _STIRLING_MAX_N:
-        raise ValueError(f"pmf_length must be in 1..{_STIRLING_MAX_N}, got {pmf_j}")
-    curve_j = config.curve_length
-    if curve_j < 1:
-        raise ValueError(f"curve_length must be >= 1, got {curve_j}")
-    horizon = max(pmf_j, curve_j)
 
     # per trajectory: records above the target level, and records among
-    # the first pmf_j and the first curve_j iterates
+    # the first PMF_LENGTH and the first CURVE_LENGTH iterates
     counts, pmf_recs, curve_counts = (np.zeros(n, dtype=np.int32) for _ in range(3))
     gaps, slopes = [], []
     chain = record_chain(alpha, lam, model, n, np.random.default_rng(config.seed))
     y, t = next(chain)
     for rec in itertools.count(1):
-        counts += y > y_t
-        pmf_recs += t < pmf_j
-        curve_counts += t < curve_j
+        counts += y > TARGET_LEVEL
+        pmf_recs += t < PMF_LENGTH
+        curve_counts += t < CURVE_LENGTH
         if rec == 3:
-            third_above = y > y_t
-        if rec >= 3 and not np.any((y > y_t) | (y >= lo) | (t < horizon)):
+            third_above = y > TARGET_LEVEL
+        if rec >= 3 and not np.any((y > TARGET_LEVEL) | (y >= lo) | (t < max(PMF_LENGTH, CURVE_LENGTH))):
             break
         next_y, next_t = next(chain)
         # wait and slope from each record in the window to the next one
@@ -306,7 +295,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     slopes = np.concatenate(slopes)
     if not gaps.size:
         raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
-    pmf_counts = np.bincount(pmf_recs, minlength=pmf_j + 1)
+    pmf_counts = np.bincount(pmf_recs, minlength=PMF_LENGTH + 1)
 
     report = ValidationReport(config=config)
     report.checks.append(_result("poisson_mean_records", float(np.mean(counts)), poi, 0.02))
@@ -315,7 +304,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
         _result(
             "third_record_survival",
             float(np.mean(third_above)),
-            incomplete_gamma_g(3, poi),
+            p_fail_histogram({3: 1}, lam, p_t),  # G(3, poi): one factor, k = 3
             0.01,
             relative=False,
         )
@@ -323,13 +312,13 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     report.checks.append(
         _result("inter_record_time_mean", float(np.mean(gaps)), q_mid ** (-alpha), 0.03)
     )
-    pmf_dev = max(abs(pmf_counts[k] / n - record_count_pmf(pmf_j, k, zeta)) for k in range(1, pmf_j + 1))
+    pmf_dev = max(abs(pmf_counts[k] / n - record_count_pmf(PMF_LENGTH, k, zeta)) for k in range(1, PMF_LENGTH + 1))
     report.checks.append(_result("record_count_pmf_short_horizon", pmf_dev, 0.0, 0.01, relative=False))
     report.checks.append(
         _result(
             "expected_records_long_horizon",
             float(np.mean(curve_counts)),
-            expected_records(curve_j, zeta),
+            expected_records(CURVE_LENGTH, zeta),
             0.02,
         )
     )
@@ -341,7 +330,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
         _result(
             "conditional_slope_mean_exact",
             slope_mean,
-            mean_improvement(model, config.window_center, lam) * mean_reciprocal_wait(q_mid**alpha),
+            mean_improvement(model, WINDOW_CENTER, lam) * mean_reciprocal_wait(q_mid**alpha),
             0.05,
         )
     )

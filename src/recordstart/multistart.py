@@ -256,7 +256,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, report: RunReport):
         lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
         report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
 
-    _, report.evals_to_target = check_success(report.history, spec, params.epsilon)
+    report.evals_to_target = check_success(report.history, spec, params.epsilon)
 
 
 def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
@@ -316,10 +316,10 @@ def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     return run_block(spec, params, [seed], "ncg")[0]
 
 
-def check_success(history, spec: ObjectiveSpec, epsilon: float):
-    """First oracle evaluation whose value is within epsilon of the known
-    minimum; returns (success, 1-based eval index or None)."""
+def check_success(history, spec: ObjectiveSpec, epsilon: float) -> int | None:
+    """1-based index of the first oracle evaluation whose value is within
+    epsilon of the known minimum, or None if no evaluation is."""
     for index, row in enumerate(history, start=1):
         if abs(row.f_value - spec.f_star) <= epsilon:
-            return True, index
-    return False, None
+            return index
+    return None

