@@ -257,12 +257,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate_theory(args) -> int:
-    power_law = validate_statistics(
-        LabConfig(alpha=0.5, lam=1.0, trajectories=args.trajectories, seed=args.seed)
-    )
-    classical = validate_statistics(
-        LabConfig(alpha=1.0, lam=1.0, trajectories=args.trajectories, seed=args.seed)
-    )
+    fields = {k: v for k, v in vars(args).items() if k in LabConfig.__dataclass_fields__}
+    power_law = validate_statistics(LabConfig(alpha=0.5, lam=1.0, **fields))
+    classical = validate_statistics(LabConfig(alpha=1.0, lam=1.0, **fields))
     report = {"power_law": power_law.to_dict(), "classical": classical.to_dict()}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -305,9 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=_cmd_run)
 
-    th_p = sub.add_parser("validate-theory", help="Monte-Carlo checks of the record-value closed forms")
-    th_p.add_argument("--trajectories", type=int, default=100_000)
-    th_p.add_argument("--seed", type=int, default=0)
+    # unset flags take LabConfig's defaults
+    th_p = sub.add_parser(
+        "validate-theory",
+        help="Monte-Carlo checks of the record-value closed forms",
+        argument_default=argparse.SUPPRESS,
+    )
+    th_p.add_argument("--trajectories", type=int)
+    th_p.add_argument("--seed", type=int)
     th_p.add_argument("--out", default=None)
     th_p.set_defaults(func=_cmd_validate_theory)
 

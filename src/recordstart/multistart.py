@@ -13,24 +13,29 @@ descends from one start point to native termination: no overdue rule, no
 restart, no ``zeta``/``p_fail`` update.
 
 A global run is a generator (``_drive``, with ``inner_loop`` for each
-restart): it yields a start point when it begins a restart and ``None``
-when it wants an engine step, and is sent the engine's answer.  So the
-runs of an experiment can share one engine: ``run_block`` holds one
-engine row per run and, round by round, starts every run that asks for a
-restart as one block and steps every run that asks for a step as one
-block.  The engine's rows do not mix, so a run's report does not depend
-on the block it ran in; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are
+restart): it yields the index of a restart when it begins one and
+``None`` when it wants an engine step, and is sent the engine's answer.
+So the runs of an experiment can share one engine: ``run_block`` steps
+the rows of every run as one block, round by round.  The record
+statistics decide only when a restart stops and whether another follows,
+not where it starts (the run's own uniform draws, in restart order) or
+how it descends (deterministic Newton-CG).  So each DMSS/RDMSS run holds
+``LOOKAHEAD`` more rows that descend its next restarts ahead of its
+driver, and the driver replays their logged steps once it gets there;
+the steps it never reads are dropped.  The engine's rows do not mix, so
+a run's report does not depend on the block it ran in or on how far
+ahead its restarts ran; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are
 blocks of one run.
 
 A global run is written down once, in its ``RunReport``: the driver
 appends every evaluation to ``history`` and every restart's ``RunStats``
 to ``run_stats``, and the block puts each restart's oracle counts and
-engine steps (``RestartCost``, read off its engine row) in ``costs`` as
-the restart ends.  The restart count, the evaluation count, the mean
-inner-loop length and the success flag are read off these lists.
-``inner_loop`` gets the evaluations left in the budget and returns the
-ones it made, so the evaluation count cannot overshoot
-``max_total_evals``.
+engine steps (``RestartCost``, as its engine row logged them at the last
+step the driver read) in ``costs`` as the restart ends.  The restart
+count, the evaluation count, the mean inner-loop length and the success
+flag are read off these lists.  ``inner_loop`` gets the evaluations left
+in the budget and returns the ones it made, so the evaluation count
+cannot overshoot ``max_total_evals``.
 
 Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
@@ -62,6 +67,7 @@ from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve
 __all__ = [
     "ZETA_GUARD",
     "RECORD_TOL",
+    "LOOKAHEAD",
     "AlgoParams",
     "HistoryRow",
     "RestartCost",
@@ -76,6 +82,8 @@ __all__ = [
 
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
+# restarts each DMSS/RDMSS run descends ahead of its driver (run_block)
+LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -232,17 +240,17 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
     return min(alpha * zeta_w, depth_cap)
 
 
-def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, report: RunReport):
-    """One global run as a generator: it yields a start point for every
-    restart and is sent ``(fx, converged)`` at it, then yields ``None``
-    for every engine step of the restart (see :func:`inner_loop`)."""
+def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
+    """One global run as a generator: it yields the 0-based index of every
+    restart it begins and is sent ``(fx, converged)`` at that restart's
+    start point, then yields ``None`` for every engine step of the restart
+    (see :func:`inner_loop`).  Where a restart starts is up to the caller."""
     algorithm = report.algorithm
-    rng = np.random.default_rng(seed)
     # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
 
     while report.p_fail >= params.delta and not report.budget_exhausted:
-        fx, converged = yield sample_uniform(spec, rng)
+        fx, converged = yield report.restarts
         budget = params.max_total_evals - report.total_evals
         stats, evals = yield from inner_loop(fx, converged, params, report.zeta_w, algorithm, budget)
         restart_index = report.restarts + 1
@@ -260,44 +268,72 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, seed, report: RunReport):
 
 
 def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
-    """One global run per seed, all on one engine: each round starts every
-    run that asks for a restart as one block, then steps every run that
-    asks for a step as one block.  A row's bits do not depend on the
-    block, so each report equals its run alone."""
+    """One global run per seed, all on one engine, each run on ``lanes =
+    LOOKAHEAD + 1`` rows (one for ncg, which has one restart: lookahead 0).
+
+    Restart r of run i lives on row ``i * lanes + r % lanes`` and starts at
+    the r-th draw of ``default_rng(seed)``.  The row of the restart the
+    driver is on is its lane; the others descend the next restarts ahead.
+    Every start and step appends the row's reply and a snapshot of its
+    counts to the restart's log.  Each round feeds every driver what its
+    restarts have logged, starts the next restart on each row a driver has
+    left, and steps every row of a running run that has not converged as
+    one block.  A round steps a run's lane unless the driver waits on a
+    start, so the rows ahead take at most ``LOOKAHEAD`` steps per step or
+    start the driver needs.  A driver reads only its own restarts' logs, in
+    order, so it decides as it would alone: a restart's ``RestartCost`` is
+    the snapshot at the last entry its driver read, and the steps past it
+    and the restarts never reached are dropped.  A row's bits do not depend
+    on the block, so each report equals its run alone."""
+    lanes = 1 if algorithm == "ncg" else LOOKAHEAD + 1
     reports = [RunReport(algorithm) for _ in seeds]
-    runs = [_drive(spec, params, seed, report) for seed, report in zip(seeds, reports)]
-    waiting = {i: next(run) for i, run in enumerate(runs)}  # slot -> its request
-    engine = newton_cg.init(spec, list(waiting.values()))  # slot i is row i
+    runs = [_drive(spec, params, report) for report in reports]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    engine = newton_cg.init(spec, [sample_uniform(spec, rng) for rng in rngs for _ in range(lanes)])
     oracle = engine.oracle
+    logs = [[] for _ in range(len(engine.fx))]  # row -> [(reply, counts), ...]
 
-    def send(slot, reply):
-        """Hand ``slot`` its reply and keep its next request.  A restart
-        ends when its run asks for the next one or returns; its counts then
-        go next to its ``RunStats``."""
-        try:
-            request = runs[slot].send(reply)
-        except StopIteration:
-            del waiting[slot]
-        else:
-            waiting[slot] = request
-            if request is None:
-                return
-        counts = (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, engine.steps)
-        reports[slot].costs.append(RestartCost(*(int(c[slot]) for c in counts)))
+    def log(rows, replies):
+        counts = np.stack([c[rows] for c in (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, engine.steps)], 1)
+        for row, reply, flag, row_counts in zip(rows, replies, engine.converged[rows].tolist(), counts.tolist()):
+            logs[row].append(((reply, flag), row_counts))
 
-    started = list(waiting)
-    while waiting:
-        for slot, fx, converged in zip(started, engine.fx[started].tolist(), engine.converged[started].tolist()):
-            send(slot, (fx, converged))
-        stepping = [slot for slot, request in waiting.items() if request is None]
+    for run in runs:
+        next(run)  # each run asks for its restart 0, on its first row
+    lane = [i * lanes for i in range(len(runs))]  # the row each driver is on
+    read = [0] * len(runs)  # and the entries it has read there
+    freed = []
+
+    def feed(i) -> bool:
+        """Send run ``i`` what its restarts have logged; False once it ends."""
+        while read[i] < len(logs[lane[i]]):
+            reply, counts = logs[lane[i]][read[i]]
+            read[i] += 1
+            try:
+                request = runs[i].send(reply)
+            except StopIteration:
+                reports[i].costs.append(RestartCost(*counts))
+                return False
+            if request is not None:  # restart `request` begins, the last one ends
+                reports[i].costs.append(RestartCost(*counts))
+                logs[lane[i]] = []
+                freed.append(lane[i])
+                lane[i], read[i] = i * lanes + request % lanes, 0
+        return True
+
+    log(range(len(logs)), engine.fx.tolist())
+    active = range(len(runs))
+    while active := [i for i in active if feed(i)]:
+        starting = [row for row in freed if row // lanes in active]  # rows of ended runs stay idle
+        freed.clear()
+        if starting:
+            newton_cg.start(engine, starting, [sample_uniform(spec, rngs[row // lanes]) for row in starting])
+            log(starting, engine.fx[starting].tolist())
+        converged = engine.converged.tolist()
+        stepping = [row for i in active for row in range(i * lanes, i * lanes + lanes) if not converged[row]]
         if stepping:
             accepted = newton_cg.step(engine, stepping).tolist()
-            fns, flags = engine.fx[stepping].tolist(), engine.converged[stepping].tolist()
-            for slot, ok, fn, converged in zip(stepping, accepted, fns, flags):
-                send(slot, (fn if ok else None, converged))
-        started = [slot for slot, request in waiting.items() if request is not None]
-        if started:
-            newton_cg.start(engine, started, [waiting[slot] for slot in started])
+            log(stepping, [fn if ok else None for ok, fn in zip(accepted, engine.fx[stepping].tolist())])
     return reports
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from recordstart import bench
+from recordstart import bench, hasplid
 from recordstart.multistart import run_ncg
 from recordstart.objectives import make
 
@@ -251,6 +251,20 @@ def test_cli_validate_theory_smoke(tmp_path, capsys):
     all_ok = all(c["pass"] for sec in payload.values() for c in sec["checks"])
     assert code == (0 if all_ok else 1)
     capsys.readouterr()
+
+
+def test_cli_validate_theory_defaults_are_the_lab_defaults(monkeypatch, capsys):
+    # every flag left out takes LabConfig's default
+    configs = []
+
+    def validate(config):
+        configs.append(config)
+        return hasplid.validate_statistics(config)
+
+    monkeypatch.setattr(bench, "validate_statistics", validate)
+    bench.main(["validate-theory"])
+    capsys.readouterr()
+    assert configs == [hasplid.LabConfig(alpha=alpha, lam=1.0) for alpha in (0.5, 1.0)]
 
 
 def test_config_validation():

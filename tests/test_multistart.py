@@ -244,6 +244,70 @@ def test_a_block_runs_out_of_budget_row_by_row(name, budget, algorithm):
         assert report == ms.run_block(spec, p, [seed], algorithm)[0]
 
 
+# ---------------------------------------------------------------------------
+# restarts descended ahead of their driver
+# ---------------------------------------------------------------------------
+
+# the first five runs of the canonical table (master seed 52)
+CANONICAL_SEEDS = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(5)]
+# the block of test_a_block_runs_out_of_budget_row_by_row
+BUDGET_SEEDS = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(8)]
+
+AHEAD_BLOCKS = (
+    # the golden 5-run prefix of every canonical DMSS/RDMSS configuration
+    [
+        (name, params(), CANONICAL_SEEDS, algorithm)
+        for name in objectives.OBJECTIVE_IDS
+        for algorithm in ("dmss", "rdmss")
+    ]
+    # budgets spent at different restarts
+    + [
+        (name, params(max_total_evals=budget), BUDGET_SEEDS, algorithm)
+        for name, budget in (("styblinski_tang", 7), ("rosenbrock", 12))
+        for algorithm in ("dmss", "rdmss")
+    ]
+    # ~100 restarts per run
+    + [
+        (name, params(delta=1e-30), CANONICAL_SEEDS[:3], algorithm)
+        for name, algorithm in (("zakharov", "dmss"), ("styblinski_tang", "rdmss"))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "name, p, seeds, algorithm",
+    AHEAD_BLOCKS,
+    ids=[f"{name}-{algorithm}-{p.max_total_evals}-{p.delta}" for name, p, _, algorithm in AHEAD_BLOCKS],
+)
+def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algorithm):
+    # a driver reads its restarts' logged steps in order and is charged up
+    # to the last one it read, however far ahead the restarts ran
+    spec = objectives.make(name, 5)
+    assert ms.LOOKAHEAD > 0
+    ahead = ms.run_block(spec, p, seeds, algorithm)
+    monkeypatch.setattr(ms, "LOOKAHEAD", 0)
+    assert ahead == ms.run_block(spec, p, seeds, algorithm)
+
+
+@pytest.mark.parametrize(
+    "name, algorithm", [("zakharov", "dmss"), ("styblinski_tang", "rdmss"), ("centered_sinusoidal", "rdmss")]
+)
+def test_restart_i_starts_at_the_runs_ith_draw(name, algorithm):
+    # restarts run ahead still take the run's own draws in restart order
+    spec = objectives.make(name, 5)
+    seeds = CANONICAL_SEEDS[:3]
+    for seed, report in zip(seeds, ms.run_block(spec, params(), seeds, algorithm)):
+        firsts = {}
+        for row in report.history:
+            firsts.setdefault(row.restart_index, row.f_value)
+        assert list(firsts) == list(range(1, report.restarts + 1))
+        assert report.restarts > ms.LOOKAHEAD + 1
+        rng = np.random.default_rng(seed)
+        draws = np.array([objectives.sample_uniform(spec, rng) for _ in firsts])
+        values = objectives.Oracle(spec, len(draws)).f(draws, np.arange(len(draws)))
+        assert list(firsts.values()) == values.tolist()
+
+
 def test_every_restart_records_its_costs(zakharov_reports):
     for report in zakharov_reports:
         assert len(report.costs) == len(report.run_stats)
@@ -261,10 +325,8 @@ def test_every_restart_records_its_costs(zakharov_reports):
 # bare Newton-CG baseline
 # ---------------------------------------------------------------------------
 
-# the first five runs of the canonical table (master seed 52); their
-# rosenbrock, shifted_sinusoidal and zakharov descents hold improvements
-# smaller than RECORD_TOL
-CANONICAL_SEEDS = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(5)]
+# the rosenbrock, shifted_sinusoidal and zakharov descents of the first
+# five canonical runs hold improvements smaller than RECORD_TOL
 
 
 @pytest.fixture(scope="module")
