@@ -12,6 +12,18 @@ every row still iterating.  The engine is exposed step by step so a
 surrounding loop can interleave its own termination rules between
 iterations, and rows can be started afresh (``start``) while others run.
 
+The line search tries the step sizes ``t = 1, 1/2, ..., 2**-29``
+(``MAX_BACKTRACKS`` of them) and takes the first whose probe passes the
+Armijo test with a strict decrease.  It evaluates them in the chunks of
+``PROBE_CHUNKS``: every searching row tries ``t = 1``, then the rows
+still searching evaluate all their other probes as one ``(L, 29, d)``
+block (``Oracle.f`` with a ``stop`` test).  Each row takes its first
+pass and is charged the probes up to and including it, or all 30, as a
+search one probe at a time would be; the probes past it are computed and
+not charged.  A restart that stops at the float floor ends with a
+search that rejects all 30, and a block step with such a row takes two
+line-search oracle calls, not 30.
+
 Every row takes the bits it would take alone, whatever the block holds:
 rows never mix, every dot product is a stacked matmul (``objectives.dot``),
 and a row that has left the CG solve or the line search is masked out of
@@ -49,6 +61,10 @@ G_TOL = 1e-8
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 30
 SADDLE_STEP_FRACTION = 0.25
+# the line search's probes per oracle round: t = 1 alone, then every
+# backtrack left, t = 2**-1 ... 2**-29, as one block
+PROBE_CHUNKS = (1, MAX_BACKTRACKS - 1)
+_STEP_SIZES = np.ldexp(1.0, -np.arange(MAX_BACKTRACKS))
 
 
 @dataclass
@@ -163,23 +179,29 @@ def step(state: NcgState, rows=None) -> np.ndarray:
     slope = dot(gm, p)
     accepted = np.zeros(len(rows), bool)
     x_new, f_new = np.empty(x.shape), np.empty(len(rows))
-    # the rows still searching, and their points, directions, values, slopes
+    # the rows still searching, and their points, directions, values and
+    # slopes, each with a probe axis
     live = np.flatnonzero(found)
-    xs, ps, fs, ss = x[live], p[live], fx[live], slope[live]
-    t = 1.0
-    for _ in range(MAX_BACKTRACKS):
+    xs, ps, fs, ss = x[live, None], p[live, None], fx[live, None], slope[live, None]
+    done = 0
+    for k in PROBE_CHUNKS:
         if not live.size:
             break
-        xn = np.minimum(np.maximum(xs + t * ps, spec.lower), spec.upper)
-        fn = oracle.f(xn, rows[live])
-        ok = (fn < fs) & (fn <= fs + ARMIJO_C * t * ss)
+        t = _STEP_SIZES[done : done + k]
+        done += k
+        # (live rows, k probes, d), and the Armijo test of each probe
+        xn = np.minimum(np.maximum(xs + t[:, None] * ps, spec.lower), spec.upper)
+        bound = fs + (ARMIJO_C * t) * ss
+        fn, first = oracle.f(xn, rows[live], lambda fn: (fn < fs) & (fn <= bound))
+        ok = first < k
         if ok.any():
-            hit = live[ok]
+            hit, at = live[ok], first[ok]
             accepted[hit] = True
-            x_new[hit], f_new[hit] = xn[ok], fn[ok]
+            x_new[hit], f_new[hit] = xn[ok, at], fn[ok, at]
+            if ok.all():
+                break
             keep = ~ok
             live, xs, ps, fs, ss = live[keep], xs[keep], ps[keep], fs[keep], ss[keep]
-        t *= 0.5
     # no strict decrease available (or nothing free to move): native stop
     state.converged[rows[~accepted]] = True
     moved = rows[accepted]

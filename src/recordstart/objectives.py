@@ -92,8 +92,11 @@ class Oracle:
     It takes a point of shape ``(d,)`` or a block of rows ``(R, d)`` and
     keeps one count of each kind per slot, ``slots`` of them.  A call
     charges the slots in ``rows``: for ``f`` and ``grad`` one per row of
-    the block (a scalar for a single point, slot 0 by default).  A rejected
-    call is not counted."""
+    the block (a scalar for a single point, slot 0 by default).  A probe
+    block (``f`` with ``stop``) holds K points per slot, is evaluated
+    whole, and then charges each slot the points a scan in order would
+    evaluate: up to and including the first that passes ``stop``, or all
+    K.  A rejected call is not counted."""
 
     def __init__(self, spec: ObjectiveSpec, slots: int = 1):
         self.spec = spec
@@ -108,11 +111,29 @@ class Oracle:
         counts[rows] += 1
         return x
 
-    def f(self, x, rows=0):
-        """Values: a float at a point, shape ``(R,)`` on a block."""
-        x = self._charge(self.f_evals, x, rows)
-        fx = self.spec._f(x)
-        return float(fx) if x.ndim == 1 else fx
+    def f(self, x, rows=0, stop=None):
+        """Values: a float at a point, shape ``(R,)`` on a block.
+
+        With ``stop``, ``x`` is a probe block of shape ``(L, K, d)``, K
+        points for each of the L slots ``rows``.  Returns the ``(L, K)``
+        values and the index of each row's first value that passes ``stop``
+        (a map from the values to a boolean mask of their shape; K where
+        none passes).  Each slot is charged what a scan of its points in
+        order evaluates: up to and including its first pass, or all K.  The
+        values past that are computed and not charged."""
+        if stop is None:
+            x = self._charge(self.f_evals, x, rows)
+            fx = self.spec._f(x)
+            return float(fx) if x.ndim == 1 else fx
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 3 or np.shape(rows) != x.shape[:1]:
+            raise ValueError(f"{self.spec.name}: rows {np.shape(rows)} for a probe block of shape {x.shape}")
+        n = x.shape[1]
+        fx = self.spec._f(_check_dim(self.spec, x.reshape(-1, x.shape[-1]))).reshape(x.shape[:2])
+        passed = stop(fx)
+        first = np.where(passed.any(1), passed.argmax(1), n)
+        self.f_evals[rows] += np.minimum(first + 1, n)
+        return fx, first
 
     def grad(self, x, rows=0) -> np.ndarray:
         x = self._charge(self.grad_evals, x, rows)

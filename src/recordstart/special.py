@@ -233,12 +233,14 @@ def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) ->
     ks = sorted(record_hist)
     if ks and ks[0] < 1:
         raise ValueError("record counts must be >= 1")
-    terms = [-x + s * math.log(x) - math.lgamma(s + 1) for s in range(ks[-1] if ks else 0)]
+    log_x = math.log(x)
+    terms = [-x + s * log_x - math.lgamma(s + 1) for s in range(ks[-1] if ks else 0)]
     out, m, acc, done = 1.0, -math.inf, 0.0, 0
     for k in ks:
         new = terms[done:k]
-        if max(new) > m:
-            m, acc, new = max(new), 0.0, terms[:k]
+        top = max(new)
+        if top > m:
+            m, acc, new = top, 0.0, terms[:k]
         for t in new:
             acc += math.exp(t - m)
         done = k

@@ -377,3 +377,43 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
         assert same_bits(block.x[i], ref.x) and same_bits(block.gx[i], ref.gx) and block.fx[i] == ref.fx
         counts = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
         assert counts == (ref.oracle.f_evals[0], ref.oracle.grad_evals[0], ref.oracle.hvp_evals[0], ref.steps)
+
+
+def visited_points(spec, rng, draws):
+    """Every point the one-point reference steps from while descending
+    natively from ``draws`` uniform starts, the last of each descent (where
+    the line search fails) included."""
+    points = []
+    for _ in range(draws):
+        state = reference.init(spec, ob.sample_uniform(spec, rng))
+        while not state.converged:
+            points.append(state.x.copy())
+            reference.step(state)
+    return points
+
+
+def test_each_row_probes_as_the_sequential_line_search_bitwise():
+    # the probes after t = 1 are evaluated as one block; each row must
+    # take its first Armijo pass and be charged the probes up to it, or
+    # all MAX_BACKTRACKS, as the one-point search that stops there
+    cases = set()
+    for name, d, draws in (("styblinski_tang", 2, 12), ("shifted_sinusoidal", 2, 4), ("rosenbrock", 5, 2)):
+        spec = ob.make(name, d)
+        xs = visited_points(spec, np.random.default_rng(0), draws)
+        if name == "shifted_sinusoidal":
+            xs.append(np.full(d, spec.upper))  # a corner with every coordinate pinned
+        block = ncg.init(spec, xs)
+        accepted = ncg.step(block)
+        for i, x in enumerate(xs):
+            ref = reference.init(spec, x)
+            assert accepted[i] == (reference.step(ref) is not None), (name, i)
+            for field in ("x", "fx", "gx", "converged", "steps"):
+                assert same_bits(getattr(block, field)[i], getattr(ref, field)), (name, i, field)
+            for count in ("f_evals", "grad_evals", "hvp_evals"):
+                assert getattr(block.oracle, count)[i] == getattr(ref.oracle, count)[0], (name, i, count)
+            probes = ref.oracle.f_evals[0] - 1
+            if not accepted[i]:
+                cases.add("pinned" if probes == 0 else f"rejected {probes}")
+            else:
+                cases.add(f"probe {probes}" if probes < 10 else "probe >= 10")
+    assert {"probe 1", "probe 2", "probe >= 10", f"rejected {ncg.MAX_BACKTRACKS}", "pinned"} <= cases, cases

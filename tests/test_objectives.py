@@ -341,6 +341,25 @@ def test_oracle_counts_per_row_of_a_block():
     with pytest.raises(ValueError, match="rows"):
         oracle.grad(xs, 0)
     assert oracle.f_evals.tolist() == [1, 0, 1] and oracle.grad_evals.tolist() == [0, 1, 0]
+    # a probe block of K = 3 points for slots 0 and 1, each charged as a
+    # scan in order that stops at its first value below 1: rosenbrock is 3
+    # at zero and 0 at ones, so row 0 passes at its second point and row 1
+    # never does
+    probes = np.zeros((2, 3, 4))
+    probes[0, 1] = 1.0
+    values, first = oracle.f(probes, np.array([0, 1]), lambda fx: fx < 1.0)
+    assert values.tolist() == [[3.0, 0.0, 3.0], [3.0, 3.0, 3.0]] and first.tolist() == [1, 3]
+    assert oracle.f_evals.tolist() == [3, 3, 1]
+    # a pass at the first point charges one evaluation, and only its slot
+    values, first = oracle.f(probes[:1, 1:], np.array([2]), lambda fx: fx < 1.0)
+    assert values.tolist() == [[0.0, 3.0]] and first.tolist() == [0]
+    assert oracle.f_evals.tolist() == [3, 3, 2]
+    # a probe block whose rows do not match is rejected, and not counted
+    with pytest.raises(ValueError, match="rows"):
+        oracle.f(probes, np.array([0]), lambda fx: fx < 1.0)
+    with pytest.raises(ValueError, match="rows"):
+        oracle.f(probes[0], np.array([0, 1, 2]), lambda fx: fx < 1.0)
+    assert oracle.f_evals.tolist() == [3, 3, 2] and oracle.grad_evals.tolist() == [0, 1, 0]
 
 
 def test_dimension_mismatch_raises(every_spec):
@@ -357,6 +376,8 @@ def test_dimension_mismatch_raises(every_spec):
         oracle.f(np.zeros((2, 4)), np.arange(2))
     with pytest.raises(ValueError, match="point"):
         oracle.f(np.zeros((1, 2, 5)), np.zeros((1, 2), dtype=int))
+    with pytest.raises(ValueError, match="point"):
+        oracle.f(np.zeros((1, 2, 4)), np.zeros(1, dtype=int), lambda fx: fx < 0.0)
     # a rejected call is not counted
     assert (oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()) == ([0], [0], [0])
 
