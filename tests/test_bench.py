@@ -139,7 +139,10 @@ def test_ncg_experiment_runs_the_shared_driver():
 # f, grad and hvp evaluations, engine steps and rejected line-search probes
 # of the first 5 runs of each canonical configuration (d=5, master seed 52),
 # summed over runs and restarts; counted by wrapping the oracle methods and
-# the engine step of the one-point engine that the block engine replaced
+# the engine step of the one-point engine that the block engine replaced.
+# The "deep" entries are the first 2 runs of the deep-confidence configs
+# of tests/test_golden.py (delta=1e-30, ~100 restarts per run), recorded
+# from the block engine before restarts were descended in waves
 COST_TOTALS = {
     ("centered_sinusoidal", "dmss"): (602, 373, 884, 329, 229),
     ("centered_sinusoidal", "rdmss"): (593, 366, 865, 322, 227),
@@ -159,19 +162,23 @@ COST_TOTALS = {
     ("zakharov", "dmss"): (620, 620, 676, 571, 0),
     ("zakharov", "rdmss"): (574, 574, 629, 524, 0),
     ("zakharov", "ncg"): (66, 66, 73, 61, 0),
+    ("styblinski_tang", "rdmss", "deep"): (4086, 1684, 5300, 1531, 2402),
+    ("zakharov", "dmss", "deep"): (2443, 2443, 2690, 2251, 0),
 }
 
 
-@pytest.mark.parametrize("objective, algorithm", sorted(COST_TOTALS))
-def test_restart_costs_sum_to_the_one_point_engine_counts(objective, algorithm):
-    cfg = bench.ExperimentConfig(objective=objective, dim=5, algorithm=algorithm, runs=5, seed=bench.DEFAULT_SEED)
+@pytest.mark.parametrize("key", sorted(COST_TOTALS), ids="-".join)
+def test_restart_costs_sum_to_the_one_point_engine_counts(key):
+    objective, algorithm, *deep = key
+    settings = dict(runs=2, delta=1e-30) if deep else dict(runs=5)
+    cfg = bench.ExperimentConfig(objective=objective, dim=5, algorithm=algorithm, seed=bench.DEFAULT_SEED, **settings)
     _, reports = bench.run_experiment(cfg)
     costs = [cost for report in reports for cost in report.costs]
     totals = tuple(
         sum(getattr(cost, name) for cost in costs)
         for name in ("f_evals", "grad_evals", "hvp_evals", "steps", "rejected_probes")
     )
-    assert totals == COST_TOTALS[(objective, algorithm)]
+    assert totals == COST_TOTALS[key]
 
 
 def test_compare_identical_and_mismatched(tmp_path):
