@@ -3,11 +3,12 @@
 ``run_experiment`` executes N independent global runs of one algorithm on
 one objective, writes ``history.csv`` (one row per counted oracle call)
 and ``summary.json``, and returns the aggregate.  Each worker takes a
-contiguous share of the runs and steps them together as one block on one
-Newton-CG engine (``multistart.run_block``).  Run ``i`` is seeded by a
-stable hash of ``(master_seed, i)``, and a run's rows on the engine do not
-depend on the block, so results are byte-identical across invocations and
-worker counts, and adding runs never perturbs earlier ones.
+contiguous share of the runs and descends their restarts together, in
+blocks of Newton-CG engine rows (``multistart.run_block``).  Run ``i``
+is seeded by a stable hash of ``(master_seed, i)``, and a run's rows on
+the engine do not depend on the block, so results are byte-identical
+across invocations and worker counts, and adding runs never perturbs
+earlier ones.
 
 CLI::
 

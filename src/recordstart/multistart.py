@@ -12,29 +12,28 @@ expectation ``ptilde(prev_record)**alpha / zeta``.  The baseline (``ncg``)
 descends from one start point to native termination: no overdue rule, no
 restart, no ``zeta``/``p_fail`` update.
 
-A global run is a generator (``_drive``, with ``inner_loop`` for each
-restart): it yields the index of a restart when it begins one and
-``None`` when it wants an engine step, and is sent the engine's answer.
-So the runs of an experiment can share one engine: ``run_block`` steps
-the rows of every run as one block, round by round.  The record
-statistics decide only when a restart stops and whether another follows,
-not where it starts (the run's own uniform draws, in restart order) or
-how it descends (deterministic Newton-CG).  So each DMSS/RDMSS run holds
-``LOOKAHEAD`` more rows that descend its next restarts ahead of its
-driver, and the driver replays their logged steps once it gets there;
-the steps it never reads are dropped.  The engine's rows do not mix, so
-a run's report does not depend on the block it ran in or on how far
-ahead its restarts ran; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are
-blocks of one run.
+A restart starts at its run's next uniform draw and descends by
+deterministic Newton-CG, so its descent is fixed before the record
+statistics look at it: they only choose where it stops and whether
+another restart follows.  So ``run_block`` descends first and decides
+after.  Each wave draws the next restarts of every run still going and
+descends them all to a native stop as one engine block
+(``newton_cg.descend``); then each run's driver, a generator
+(``_drive``), is sent its descents one restart at a time, and
+``inner_loop`` finds where each stops.  The driver reads a prefix of
+each descent in restart order, so it decides as it would alone; the
+steps past its stops and the restarts it never reaches are dropped.  The
+engine's rows do not mix, so a report depends neither on the block nor
+on the wave size; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are blocks
+of one run.
 
 A global run is written down once, in its ``RunReport``: the driver
-appends every evaluation to ``history`` and every restart's ``RunStats``
-to ``run_stats``, and the block puts each restart's oracle counts and
-engine steps (``RestartCost``, as its engine row logged them at the last
-step the driver read) in ``costs`` as the restart ends.  The restart
-count, the evaluation count, the mean inner-loop length and the success
-flag are read off these lists.  ``inner_loop`` gets the evaluations left
-in the budget and returns the ones it made, so the evaluation count
+appends every evaluation to ``history``, every restart's ``RunStats`` to
+``run_stats`` and its oracle counts and engine steps (``RestartCost``,
+the descent's counts at the last step the driver read) to ``costs``.
+The restart count, the evaluation count, the mean inner-loop length and
+the success flag are read off these lists.  ``inner_loop`` gets the
+evaluations left in the budget and stops there, so the evaluation count
 cannot overshoot ``max_total_evals``.
 
 Two guards keep the conceptual-model statistics usable with a
@@ -67,7 +66,7 @@ from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve
 __all__ = [
     "ZETA_GUARD",
     "RECORD_TOL",
-    "LOOKAHEAD",
+    "WAVE",
     "AlgoParams",
     "HistoryRow",
     "RestartCost",
@@ -82,8 +81,9 @@ __all__ = [
 
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
-# restarts each DMSS/RDMSS run descends ahead of its driver (run_block)
-LOOKAHEAD = 2
+# restarts in a DMSS/RDMSS run's first wave; each later wave draws as
+# many as the run has made (run_block)
+WAVE = 8
 
 
 @dataclass(frozen=True)
@@ -171,24 +171,26 @@ class RunReport:
 
 
 def inner_loop(
-    fx: float, converged: bool, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
+    values, rejected: bool, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
 ):
-    """Generator that drives a started engine row, from its value ``fx``
-    and ``converged`` flag, until it terminates natively, a record is
-    overdue (``dmss``, ``rdmss``), the slope criterion fires (``rdmss``) or
-    ``budget`` evaluations are held.
+    """Where a restart stops on its known descent: at a native stop, once
+    a record is overdue (``dmss``, ``rdmss``), once the slope criterion
+    fires (``rdmss``) or once ``budget`` evaluations are held.
 
-    It yields ``None`` for every engine step it wants and is sent back
-    ``(fn, converged)``: the new value, or ``None`` on a native stop, and
-    the row's flag after the step.
+    ``values`` are the descent's start value and those of its accepted
+    steps, up to a native stop or to at least ``budget`` of them; the
+    descent stops natively after its last value, at a rejected step if
+    ``rejected``.
 
     The start point counts as iterate 1 and record 1.  The next record is
     overdue once the expected record count of the iterates so far,
     ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the records
     held; the check is skipped until two iterates exist.  The slope check
     needs at least two records and is evaluated at the previous record's
-    value.  Returns the run's ``RunStats`` and its evaluations ``[(f,
-    is_record), ...]``, the start point first.
+    value.  Returns the restart's ``RunStats``, its evaluations ``[(f,
+    is_record), ...]`` (the start point first) and the engine steps read
+    to decide them: ``j - 1`` for ``j`` iterates, or ``j`` when the loop
+    asked for the step after the last value and it was rejected.
     """
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
@@ -196,17 +198,13 @@ def inner_loop(
     # expected records among the first j iterates, one term per iterate:
     # zeta*(psi(j+zeta) - psi(zeta)) = 1 + sum_{i<j} zeta/(i+zeta)
     expected = 1.0
-    best = fx
+    best = values[0]
     best_t = 1
     evals = [(best, True)]
-    while True:
-        if converged or j >= budget:
-            break
-        if overdue and j >= 2 and expected >= k:
-            break
-        fn, converged = yield
-        if fn is None:
-            break
+    while j < budget and not (overdue and j >= 2 and expected >= k):
+        if j == len(values):  # converged, or the next step is rejected
+            return RunStats(records=k, iterates=j), evals, j - 1 + rejected
+        fn = values[j]
         expected += zeta / (j + zeta)
         j += 1
         is_record = fn < best - RECORD_TOL
@@ -222,7 +220,7 @@ def inner_loop(
                 and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale)
             ):
                 break
-    return RunStats(records=k, iterates=j), evals
+    return RunStats(records=k, iterates=j), evals, j - 1
 
 
 def _working_zeta(tally: RunTally) -> float:
@@ -241,21 +239,24 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
 
 
 def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
-    """One global run as a generator: it yields the 0-based index of every
-    restart it begins and is sent ``(fx, converged)`` at that restart's
-    start point, then yields ``None`` for every engine step of the restart
-    (see :func:`inner_loop`).  Where a restart starts is up to the caller."""
+    """One global run as a generator: it yields before every restart and
+    is sent that restart's descent, ``(values, rejected, counts)``: the
+    arguments of :func:`inner_loop` and the descent's ``(f, grad, hvp,
+    steps)`` count rows after its start and each step.  The restart is
+    charged the row at the last step it read.  Where a restart starts is
+    up to the caller."""
     algorithm = report.algorithm
     # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
 
     while report.p_fail >= params.delta and not report.budget_exhausted:
-        fx, converged = yield report.restarts
+        values, rejected, counts = yield
         budget = params.max_total_evals - report.total_evals
-        stats, evals = yield from inner_loop(fx, converged, params, report.zeta_w, algorithm, budget)
+        stats, evals, steps = inner_loop(values, rejected, params, report.zeta_w, algorithm, budget)
         restart_index = report.restarts + 1
         report.history.extend(HistoryRow(f, is_record, restart_index) for f, is_record in evals)
         report.run_stats.append(stats)
+        report.costs.append(RestartCost(*counts[steps].tolist()))
         report.budget_exhausted = report.total_evals >= params.max_total_evals
         if algorithm == "ncg":
             break
@@ -268,72 +269,50 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
 
 
 def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
-    """One global run per seed, all on one engine, each run on ``lanes =
-    LOOKAHEAD + 1`` rows (one for ncg, which has one restart: lookahead 0).
+    """One global run per seed, their restarts descended in waves.
 
-    Restart r of run i lives on row ``i * lanes + r % lanes`` and starts at
-    the r-th draw of ``default_rng(seed)``.  The row of the restart the
-    driver is on is its lane; the others descend the next restarts ahead.
-    Every start and step appends the row's reply and a snapshot of its
-    counts to the restart's log.  Each round feeds every driver what its
-    restarts have logged, starts the next restart on each row a driver has
-    left, and steps every row of a running run that has not converged as
-    one block.  A round steps a run's lane unless the driver waits on a
-    start, so the rows ahead take at most ``LOOKAHEAD`` steps per step or
-    start the driver needs.  A driver reads only its own restarts' logs, in
-    order, so it decides as it would alone: a restart's ``RestartCost`` is
-    the snapshot at the last entry its driver read, and the steps past it
-    and the restarts never reached are dropped.  A row's bits do not depend
-    on the block, so each report equals its run alone."""
-    lanes = 1 if algorithm == "ncg" else LOOKAHEAD + 1
+    Restart r of a run starts at the r-th draw of ``default_rng(seed)``.
+    Each wave draws the next restarts of every run still going, in
+    restart order: one for ncg, else ``max(WAVE, restarts so far)``, but
+    no more than the evaluations the run has left.  The restart at
+    position q of its run's wave may take ``left - q - 1`` steps, as the q
+    restarts before it hold an evaluation each.  The wave descends them
+    all as one engine block (:func:`newton_cg.descend`), then sends each
+    driver its descents one at a time, until it ends or the wave's run
+    out.  A driver reads a prefix of each descent, in order, so it decides
+    as it would alone; the steps past it and the restarts it never reaches
+    are dropped.  A row's bits do not depend on the block, so each report
+    equals its run alone."""
     reports = [RunReport(algorithm) for _ in seeds]
     runs = [_drive(spec, params, report) for report in reports]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    engine = newton_cg.init(spec, [sample_uniform(spec, rng) for rng in rngs for _ in range(lanes)])
-    oracle = engine.oracle
-    logs = [[] for _ in range(len(engine.fx))]  # row -> [(reply, counts), ...]
-
-    def log(rows, replies):
-        counts = np.stack([c[rows] for c in (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, engine.steps)], 1)
-        for row, reply, flag, row_counts in zip(rows, replies, engine.converged[rows].tolist(), counts.tolist()):
-            logs[row].append(((reply, flag), row_counts))
-
     for run in runs:
-        next(run)  # each run asks for its restart 0, on its first row
-    lane = [i * lanes for i in range(len(runs))]  # the row each driver is on
-    read = [0] * len(runs)  # and the entries it has read there
-    freed = []
-
-    def feed(i) -> bool:
-        """Send run ``i`` what its restarts have logged; False once it ends."""
-        while read[i] < len(logs[lane[i]]):
-            reply, counts = logs[lane[i]][read[i]]
-            read[i] += 1
-            try:
-                request = runs[i].send(reply)
-            except StopIteration:
-                reports[i].costs.append(RestartCost(*counts))
-                return False
-            if request is not None:  # restart `request` begins, the last one ends
-                reports[i].costs.append(RestartCost(*counts))
-                logs[lane[i]] = []
-                freed.append(lane[i])
-                lane[i], read[i] = i * lanes + request % lanes, 0
-        return True
-
-    log(range(len(logs)), engine.fx.tolist())
-    active = range(len(runs))
-    while active := [i for i in active if feed(i)]:
-        starting = [row for row in freed if row // lanes in active]  # rows of ended runs stay idle
-        freed.clear()
-        if starting:
-            newton_cg.start(engine, starting, [sample_uniform(spec, rngs[row // lanes]) for row in starting])
-            log(starting, engine.fx[starting].tolist())
-        converged = engine.converged.tolist()
-        stepping = [row for i in active for row in range(i * lanes, i * lanes + lanes) if not converged[row]]
-        if stepping:
-            accepted = newton_cg.step(engine, stepping).tolist()
-            log(stepping, [fn if ok else None for ok, fn in zip(accepted, engine.fx[stepping].tolist())])
+        next(run)
+    active = list(range(len(runs)))
+    while active:
+        sizes, x0, caps = [], [], []
+        for i in active:
+            left = params.max_total_evals - reports[i].total_evals
+            n = 1 if algorithm == "ncg" else min(max(WAVE, reports[i].restarts), left)
+            sizes.append(n)
+            x0 += [sample_uniform(spec, rngs[i]) for _ in range(n)]
+            caps += range(left - 1, left - 1 - n, -1)
+        fx, counts = newton_cg.descend(spec, x0, caps)
+        # a row's values are one per gradient, at its start point and its
+        # accepted steps; a step past those was rejected
+        grads, steps = counts[-1, :, 1], counts[-1, :, 3]
+        lengths, rejected = grads.tolist(), (steps == grads).tolist()
+        going, row = [], 0
+        for i, n in zip(active, sizes):
+            for r in range(row, row + n):
+                try:
+                    runs[i].send((fx[: lengths[r], r].tolist(), rejected[r], counts[:, r]))
+                except StopIteration:
+                    break
+            else:
+                going.append(i)
+            row += n
+        active = going
     return reports
 
 

@@ -8,9 +8,10 @@ iterations, which solves strictly convex quadratics exactly), backtrack an
 Armijo line search along ``p``, clip the accepted point to the box.  The
 step builds one Hessian operator for its rows (``Oracle.hvp_at``) and
 applies it in every CG iteration; each application is one counted HVP for
-every row still iterating.  The engine is exposed step by step so a
-surrounding loop can interleave its own termination rules between
-iterations, and rows can be started afresh (``start``) while others run.
+every row still iterating.  ``descend`` steps a block to native
+termination, or to a step cap per row, and returns every row's values
+and counts after each block step, so a caller can apply its own
+termination rules to the known descents afterwards.
 
 The line search tries the step sizes ``t = 1, 1/2, ..., 2**-29``
 (``MAX_BACKTRACKS`` of them) and takes the first whose probe passes the
@@ -55,7 +56,7 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, Oracle, dot
 
-__all__ = ["G_TOL", "NcgState", "init", "start", "step"]
+__all__ = ["G_TOL", "NcgState", "init", "step", "descend"]
 
 G_TOL = 1e-8
 ARMIJO_C = 1e-4
@@ -83,34 +84,19 @@ class NcgState:
 
 def init(spec: ObjectiveSpec, x0) -> NcgState:
     """An engine with one row per row of ``x0`` (shape ``(R, d)``), each
-    started there."""
+    started there (clipped to the box): one f and one gradient evaluation
+    each."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2:
         raise ValueError(f"start points have shape {x0.shape}, expected (rows, {spec.dim})")
-    n = len(x0)
-    state = NcgState(
-        Oracle(spec, n), np.empty(x0.shape), np.empty(n), np.empty(x0.shape), np.empty(n, bool), np.empty(n, int)
-    )
-    start(state, np.arange(n), x0)
-    return state
-
-
-def start(state: NcgState, rows, x0) -> None:
-    """Start ``rows`` afresh at ``x0`` (clipped to the box), zeroing their
-    counts: one f and one gradient evaluation each."""
-    oracle = state.oracle
-    spec = oracle.spec
-    for counts in (oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, state.steps):
-        counts[rows] = 0
-    x = np.clip(np.asarray(x0, dtype=float), spec.lower, spec.upper)
+    rows = np.arange(len(x0))
+    oracle = Oracle(spec, len(x0))
+    x = np.clip(x0, spec.lower, spec.upper)
     fx = oracle.f(x, rows)
     if not np.isfinite(fx).all():
         raise ValueError(f"{spec.name}: non-finite value at a start point")
     gx = oracle.grad(x, rows)
-    state.x[rows] = x
-    state.fx[rows] = fx
-    state.gx[rows] = gx
-    state.converged[rows] = np.sqrt(dot(gx, gx)) <= G_TOL
+    return NcgState(oracle, x, fx, gx, np.sqrt(dot(gx, gx)) <= G_TOL, np.zeros(len(x0), int))
 
 
 def _direction(oracle: Oracle, rows, x, g):
@@ -213,3 +199,25 @@ def step(state: NcgState, rows=None) -> np.ndarray:
         state.gx[moved] = g_new
         state.converged[moved] = np.sqrt(dot(g_new, g_new)) <= G_TOL
     return accepted
+
+
+def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray]:
+    """Descend from every row of ``x0`` as one block until each row has
+    terminated natively or taken ``max_steps`` (per row) steps.
+
+    Returns the values ``(S + 1, R)`` and the f, gradient, HVP and step
+    counts ``(S + 1, R, 4)`` of every row after :func:`init` and after
+    each of the ``S`` block steps.  Every row steps in every block step
+    until it stops, so its s-th step is block step s: a row with ``a``
+    accepted steps has the values ``fx[:a + 1, row]``, and its counts after
+    its s-th step are ``counts[s, row]``."""
+    state = init(spec, x0)
+    oracle = state.oracle
+    fx, counts = [], []
+    while True:
+        fx.append(state.fx.copy())
+        counts.append(np.stack((oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, state.steps), 1))
+        rows = np.flatnonzero(~state.converged & (state.steps < max_steps))
+        if not rows.size:
+            return np.stack(fx), np.stack(counts)
+        step(state, rows)

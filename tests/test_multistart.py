@@ -10,25 +10,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from recordstart import bench, objectives, special
+from recordstart import bench, newton_cg, objectives, special
 from recordstart import multistart as ms
 from reference import n_record_threshold, run_histories, tally_of
 
 
 def run_inner(f0, script, converged=False, **kw):
-    """Drive :func:`ms.inner_loop` from ``f0`` with a scripted engine row:
-    each step it asks for takes the next value of ``script``, and a step
-    past the end is a native stop.  Returns what the loop returns."""
-    script = list(script)
+    """:func:`ms.inner_loop` on the descent ``f0``, then ``script``: a
+    step past its end is a native stop, by a rejected step unless the
+    start point is ``converged``.  Returns what the loop returns."""
     kw.setdefault("zeta", 1.0)
-    loop = ms.inner_loop(f0, converged, params(), **kw)
-    try:
-        request = next(loop)
-        while True:
-            assert request is None  # a step request
-            request = loop.send((script.pop(0), False) if script else (None, True))
-    except StopIteration as stop:
-        return stop.value
+    values = [f0] if converged else [f0, *script]
+    return ms.inner_loop(values, not converged, params(), **kw)
 
 
 def params(**kw):
@@ -43,22 +36,22 @@ def params(**kw):
 
 
 def test_inner_loop_converged_at_init():
-    log, evals = run_inner(4.0, [5.0], converged=True)
+    log, evals, steps = run_inner(4.0, [5.0], converged=True)
     assert log.records == 1 and log.iterates == 1
-    assert evals == [(4.0, True)]
+    assert evals == [(4.0, True)] and steps == 0
 
 
 def test_inner_loop_stuck_after_second_record_stops_at_four():
     # one improvement then a plateau; at unit zeta the second record is
     # overdue once the iterate count passes ~3.64, so the run ends at 4
-    log, evals = run_inner(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
+    log, evals, _ = run_inner(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
     assert log.records == 2
     assert log.iterates == 4
     assert evals == [(10.0, True), (9.0, True), (9.0, False), (9.0, False)]
 
 
 def test_inner_loop_descending_run_records_every_iterate():
-    log, _ = run_inner(10.0, [8.0, 6.0, 4.0, 2.0])
+    log, _, _ = run_inner(10.0, [8.0, 6.0, 4.0, 2.0])
     assert log.records == log.iterates == 5
 
 
@@ -66,8 +59,8 @@ def test_inner_loop_slope_criterion_breaks_after_the_record():
     # second record improves by 1e-9 in one step: slope far below the
     # expectation at the previous record's level, so the loop breaks
     # right after evaluating it
-    log_plain, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])
-    log_slope, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0], algorithm="rdmss")
+    log_plain, _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])
+    log_slope, _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0], algorithm="rdmss")
     assert log_slope.records == 3
     assert log_slope.iterates == 3
     assert log_plain.iterates > log_slope.iterates
@@ -75,21 +68,42 @@ def test_inner_loop_slope_criterion_breaks_after_the_record():
 
 def test_inner_loop_slope_needs_two_records():
     # a tiny first improvement alone must not trigger the slope break
-    log, _ = run_inner(10.0, [10.0 - 1e-9], algorithm="rdmss")
+    log, _, _ = run_inner(10.0, [10.0 - 1e-9], algorithm="rdmss")
     assert log.records == 2
 
 
 def test_inner_loop_ncg_ignores_overdue_records():
     # the plateau that ends a dmss restart at iterate 4 runs on to native
     # termination under the baseline
-    log, _ = run_inner(10.0, [9.0] * 6, algorithm="ncg")
+    log, _, _ = run_inner(10.0, [9.0] * 6, algorithm="ncg")
     assert (log.records, log.iterates) == (2, 7)
 
 
 def test_inner_loop_stops_at_its_budget():
-    log, evals = run_inner(10.0, [9.0, 8.0, 7.0, 6.0], budget=3)
+    log, evals, _ = run_inner(10.0, [9.0, 8.0, 7.0, 6.0], budget=3)
     assert evals == [(10.0, True), (9.0, True), (8.0, True)]
     assert log.iterates == 3  # init + the two evaluated steps
+
+
+def test_inner_loop_overdue_stop_before_a_rejected_step_reads_j_minus_one_steps():
+    # the plateau restart is overdue at its last accepted value, iterate 4,
+    # so it never asks for the rejected step after it
+    log, _, steps = run_inner(10.0, [9.0, 9.0, 9.0])
+    assert (log.iterates, steps) == (4, 3)
+    # a budget stop there reads j - 1 steps too, as does a descent that
+    # converges there
+    log, _, steps = run_inner(10.0, [9.0, 8.0], budget=3)
+    assert (log.iterates, steps) == (3, 2)
+    log, _, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0)
+    assert (log.iterates, steps) == (3, 2)
+
+
+def test_inner_loop_native_stop_reads_the_rejected_step():
+    # one iterate earlier nothing is overdue yet: the loop asks for the
+    # step after the last value, which is rejected, and is charged j
+    log, evals, steps = run_inner(10.0, [9.0, 9.0])
+    assert (log.iterates, steps) == (3, 3)
+    assert evals == [(10.0, True), (9.0, True), (9.0, False)]
 
 
 @given(
@@ -113,7 +127,7 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
         if j >= thresholds[held - 1]:
             stop = j
             break
-    log, _ = run_inner(10.0, script, zeta=zeta)
+    log, _, _ = run_inner(10.0, script, zeta=zeta)
     assert (log.iterates, log.records) == (stop, min(stop, k))
 
 
@@ -245,7 +259,7 @@ def test_a_block_runs_out_of_budget_row_by_row(name, budget, algorithm):
 
 
 # ---------------------------------------------------------------------------
-# restarts descended ahead of their driver
+# restarts descended in waves
 # ---------------------------------------------------------------------------
 
 # the first five runs of the canonical table (master seed 52)
@@ -280,28 +294,73 @@ AHEAD_BLOCKS = (
     ids=[f"{name}-{algorithm}-{p.max_total_evals}-{p.delta}" for name, p, _, algorithm in AHEAD_BLOCKS],
 )
 def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algorithm):
-    # a driver reads its restarts' logged steps in order and is charged up
-    # to the last one it read, however far ahead the restarts ran
+    # a driver reads a prefix of each descent, in order, and is charged up
+    # to the last step it read, however many restarts a wave descends
     spec = objectives.make(name, 5)
-    assert ms.LOOKAHEAD > 0
+    assert ms.WAVE > 1
     ahead = ms.run_block(spec, p, seeds, algorithm)
-    monkeypatch.setattr(ms, "LOOKAHEAD", 0)
+    monkeypatch.setattr(ms, "WAVE", 1)
     assert ahead == ms.run_block(spec, p, seeds, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["dmss", "rdmss"])
+@pytest.mark.parametrize("name, budget", [("styblinski_tang", 7), ("rosenbrock", 12)])
+def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, algorithm):
+    # restart r of a run whose wave began at its restart r0, with `left`
+    # evaluations in the budget, holds at most left - (r - r0) evaluations:
+    # each restart before it in the wave holds one.  A restart reads at
+    # most one step fewer than it holds evaluations, so its row may take
+    # left - (r - r0) - 1 steps
+    spec = objectives.make(name, 5)
+    p = params(max_total_evals=budget)
+    draws = {}  # start point -> (run, restart)
+    for i, seed in enumerate(BUDGET_SEEDS):
+        rng = np.random.default_rng(seed)
+        for r in range(budget):
+            draws[tuple(objectives.sample_uniform(spec, rng))] = (i, r)
+    waves, row_steps = [], [0]
+    descend, step = newton_cg.descend, newton_cg.step
+
+    def wave(spec, x0, max_steps):
+        waves.append(([draws[tuple(x)] for x in x0], list(max_steps)))
+        return descend(spec, x0, max_steps)
+
+    def counted_step(state, rows):
+        accepted = step(state, rows)
+        row_steps[0] += len(rows)
+        assert (state.steps <= waves[-1][1]).all()
+        return accepted
+
+    monkeypatch.setattr(newton_cg, "descend", wave)
+    monkeypatch.setattr(newton_cg, "step", counted_step)
+    reports = ms.run_block(spec, p, BUDGET_SEEDS, algorithm)
+    for restarts, caps in waves:
+        drawn = {}  # run -> [(restart, cap), ...] in wave order
+        for (i, r), cap in zip(restarts, caps):
+            drawn.setdefault(i, []).append((r, cap))
+        for i, rows in drawn.items():
+            r0 = rows[0][0]
+            left = budget - sum(row.restart_index <= r0 for row in reports[i].history)
+            assert rows == [(r0 + q, left - q - 1) for q in range(len(rows))] and rows[-1][1] >= 0
+    charged = sum(cost.steps for report in reports for cost in report.costs)
+    assert charged <= row_steps[0]
 
 
 @pytest.mark.parametrize(
     "name, algorithm", [("zakharov", "dmss"), ("styblinski_tang", "rdmss"), ("centered_sinusoidal", "rdmss")]
 )
 def test_restart_i_starts_at_the_runs_ith_draw(name, algorithm):
-    # restarts run ahead still take the run's own draws in restart order
+    # restarts descended in waves still take the run's own draws in
+    # restart order
     spec = objectives.make(name, 5)
     seeds = CANONICAL_SEEDS[:3]
-    for seed, report in zip(seeds, ms.run_block(spec, params(), seeds, algorithm)):
+    reports = ms.run_block(spec, params(), seeds, algorithm)
+    assert any(report.restarts > ms.WAVE for report in reports)  # some run's restarts span two waves
+    for seed, report in zip(seeds, reports):
         firsts = {}
         for row in report.history:
             firsts.setdefault(row.restart_index, row.f_value)
         assert list(firsts) == list(range(1, report.restarts + 1))
-        assert report.restarts > ms.LOOKAHEAD + 1
         rng = np.random.default_rng(seed)
         draws = np.array([objectives.sample_uniform(spec, rng) for _ in firsts])
         values = objectives.Oracle(spec, len(draws)).f(draws, np.arange(len(draws)))

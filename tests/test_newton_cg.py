@@ -366,6 +366,9 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
     xs = [ob.sample_uniform(spec, rng) for _ in range(5)] + [face_point(spec, rng) for _ in range(3)]
     histories, block = descend(spec, xs)
     assert block.converged.all()
+    # the same descents kept as tables: values up to the last accepted
+    # step, counts after the last step
+    fx, counts = ncg.descend(spec, xs, np.full(len(xs), 1000))
     for i, (x0, history) in enumerate(zip(xs, histories)):
         ref = reference.init(spec, x0)
         values = [ref.fx]
@@ -375,8 +378,10 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
                 values.append(fn)
         assert [f for _, f in history] == values
         assert same_bits(block.x[i], ref.x) and same_bits(block.gx[i], ref.gx) and block.fx[i] == ref.fx
-        counts = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
-        assert counts == (ref.oracle.f_evals[0], ref.oracle.grad_evals[0], ref.oracle.hvp_evals[0], ref.steps)
+        ref_counts = (ref.oracle.f_evals[0], ref.oracle.grad_evals[0], ref.oracle.hvp_evals[0], ref.steps)
+        counts_i = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
+        assert counts_i == tuple(counts[-1, i]) == ref_counts
+        assert fx[: len(values), i].tolist() == values
 
 
 def visited_points(spec, rng, draws):
