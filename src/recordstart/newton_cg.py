@@ -213,6 +213,7 @@ def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray]
     its s-th step are ``counts[s, row]``."""
     state = init(spec, x0)
     oracle = state.oracle
+    max_steps = np.asarray(max_steps)
     fx, counts = [], []
     while True:
         fx.append(state.fx.copy())
