@@ -297,16 +297,13 @@ def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) ->
             sizes.append(n)
             x0 += [sample_uniform(spec, rngs[i]) for _ in range(n)]
             caps += range(left - 1, left - 1 - n, -1)
-        fx, counts = newton_cg.descend(spec, x0, caps)
-        # a row's values are one per gradient, at its start point and its
-        # accepted steps; a step past those was rejected
-        grads, steps = counts[-1, :, 1], counts[-1, :, 3]
-        lengths, rejected = grads.tolist(), (steps == grads).tolist()
+        fx, counts, accepted, rejected = newton_cg.descend(spec, x0, caps)
+        accepted, rejected = accepted.tolist(), rejected.tolist()
         going, row = [], 0
         for i, n in zip(active, sizes):
             for r in range(row, row + n):
                 try:
-                    runs[i].send((fx[: lengths[r], r].tolist(), rejected[r], counts[:, r]))
+                    runs[i].send((fx[: accepted[r] + 1, r].tolist(), rejected[r], counts[:, r]))
                 except StopIteration:
                     break
             else:

@@ -16,14 +16,14 @@ termination rules to the known descents afterwards.
 The line search tries the step sizes ``t = 1, 1/2, ..., 2**-29``
 (``MAX_BACKTRACKS`` of them) and takes the first whose probe passes the
 Armijo test with a strict decrease.  It evaluates them in the chunks of
-``PROBE_CHUNKS``: every searching row tries ``t = 1``, then the rows
-still searching evaluate all their other probes as one ``(L, 29, d)``
-block (``Oracle.f`` with a ``stop`` test).  Each row takes its first
-pass and is charged the probes up to and including it, or all 30, as a
-search one probe at a time would be; the probes past it are computed and
-not charged.  A restart that stops at the float floor ends with a
-search that rejects all 30, and a block step with such a row takes two
-line-search oracle calls, not 30.
+``PROBE_CHUNKS``, each as one ``(L, k, d)`` block of the L rows still
+searching (``Oracle.f`` with a ``stop`` test): ``t = 1``, then ``t =
+1/2, 1/4``, which most searching rows pass, then the other 27.  Each row
+takes its first pass and is charged the probes up to and including it,
+or all 30, as a search one probe at a time would be; the probes past it
+are computed and not charged.  A restart that stops at the float floor
+ends with a search that rejects all 30, and a block step with such a row
+takes three line-search oracle calls, not 30.
 
 Every row takes the bits it would take alone, whatever the block holds:
 rows never mix, every dot product is a stacked matmul (``objectives.dot``),
@@ -62,9 +62,9 @@ G_TOL = 1e-8
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 30
 SADDLE_STEP_FRACTION = 0.25
-# the line search's probes per oracle round: t = 1 alone, then every
-# backtrack left, t = 2**-1 ... 2**-29, as one block
-PROBE_CHUNKS = (1, MAX_BACKTRACKS - 1)
+# the line search's probes per oracle round: t = 1 alone, t = 2**-1 and
+# 2**-2, then every backtrack left, t = 2**-3 ... 2**-29, as one block
+PROBE_CHUNKS = (1, 2, MAX_BACKTRACKS - 3)
 _STEP_SIZES = np.ldexp(1.0, -np.arange(MAX_BACKTRACKS))
 
 
@@ -201,24 +201,27 @@ def step(state: NcgState, rows=None) -> np.ndarray:
     return accepted
 
 
-def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray]:
+def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Descend from every row of ``x0`` as one block until each row has
     terminated natively or taken ``max_steps`` (per row) steps.
 
     Returns the values ``(S + 1, R)`` and the f, gradient, HVP and step
     counts ``(S + 1, R, 4)`` of every row after :func:`init` and after
-    each of the ``S`` block steps.  Every row steps in every block step
-    until it stops, so its s-th step is block step s: a row with ``a``
-    accepted steps has the values ``fx[:a + 1, row]``, and its counts after
-    its s-th step are ``counts[s, row]``."""
+    each of the ``S`` block steps, and per row its accepted steps and
+    whether its last step was rejected (a native stop in the line
+    search).  Every row steps in every block step until it stops, so its
+    s-th step is block step s: a row with ``a`` accepted steps has the
+    values ``fx[:a + 1, row]``, and its counts after its s-th step are
+    ``counts[s, row]``."""
     state = init(spec, x0)
     oracle = state.oracle
     max_steps = np.asarray(max_steps)
+    rejected = np.zeros(len(max_steps), bool)
     fx, counts = [], []
     while True:
         fx.append(state.fx.copy())
         counts.append(np.stack((oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, state.steps), 1))
         rows = np.flatnonzero(~state.converged & (state.steps < max_steps))
         if not rows.size:
-            return np.stack(fx), np.stack(counts)
-        step(state, rows)
+            return np.stack(fx), np.stack(counts), state.steps - rejected, rejected
+        rejected[rows[~step(state, rows)]] = True

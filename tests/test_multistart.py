@@ -355,6 +355,7 @@ def test_restart_i_starts_at_the_runs_ith_draw(name, algorithm):
     spec = objectives.make(name, 5)
     seeds = CANONICAL_SEEDS[:3]
     reports = ms.run_block(spec, params(), seeds, algorithm)
+    assert all(report.restarts > 1 for report in reports)  # each run draws several restarts in a wave
     assert any(report.restarts > ms.WAVE for report in reports)  # some run's restarts span two waves
     for seed, report in zip(seeds, reports):
         firsts = {}

@@ -367,8 +367,8 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
     histories, block = descend(spec, xs)
     assert block.converged.all()
     # the same descents kept as tables: values up to the last accepted
-    # step, counts after the last step
-    fx, counts = ncg.descend(spec, xs, np.full(len(xs), 1000))
+    # step, counts after the last step, and whether that step was rejected
+    fx, counts, accepted, rejected = ncg.descend(spec, xs, np.full(len(xs), 1000))
     for i, (x0, history) in enumerate(zip(xs, histories)):
         ref = reference.init(spec, x0)
         values = [ref.fx]
@@ -382,6 +382,7 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
         counts_i = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
         assert counts_i == tuple(counts[-1, i]) == ref_counts
         assert fx[: len(values), i].tolist() == values
+        assert accepted[i] == len(values) - 1 and rejected[i] == (ref.steps == len(values))
 
 
 def visited_points(spec, rng, draws):
