@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from multiprocessing import Pool
 
 import numpy as np
@@ -69,6 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not 0.0 < self.eps_base < 1.0:
             raise ValueError("eps_base must be in (0, 1)")
         self.algo_params()  # rejects what AlgoParams rejects, epsilon underflow included
@@ -117,7 +120,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Execute all runs, write artifacts when ``out_dir`` is given, and
     return ``(AggregateReport, list[RunReport])``.  Each worker steps a
     contiguous share of the runs as one block."""
-    workers = max(1, min(config.workers, config.runs))
+    workers = min(config.workers, config.runs)
     cuts = [config.runs * k // workers for k in range(workers + 1)]
     jobs = [(config, start, stop) for start, stop in zip(cuts, cuts[1:])]
     if workers == 1:
@@ -154,30 +157,27 @@ def _aggregate(reports) -> AggregateReport:
 
 def emit_history(reports, path: str, sort_values: bool = False) -> None:
     """One CSV row per counted oracle call, chronological within runs;
-    ``eval_index`` is the row's 1-based rank within its run.
+    ``eval_index`` is the row's 1-based rank within its run, its position
+    in ``values``, and ``restart_index`` is read off ``run_stats``.
 
     With ``sort_values`` the rows of each run are reordered by
-    non-increasing objective value before they are ranked, the layout the
-    dimension-scaling plots consume.
+    non-increasing objective value before they are ranked, ties in
+    chronological order, the layout the dimension-scaling plots consume.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for run_id, report in enumerate(reports):
-            rows = report.history
+            restart_index = chain.from_iterable(
+                repeat(r, stats.iterates) for r, stats in enumerate(report.run_stats, start=1)
+            )
+            rows = zip(report.values, report.records, restart_index)
             if sort_values:
-                rows = sorted(rows, key=lambda r: -r.f_value)
-            for rank, row in enumerate(rows, start=1):
-                writer.writerow(
-                    [
-                        run_id,
-                        rank,
-                        repr(row.f_value),
-                        int(row.is_record),
-                        row.restart_index,
-                        report.algorithm,
-                    ]
-                )
+                rows = sorted(rows, key=lambda row: -row[0])
+            writer.writerows(
+                (run_id, rank, repr(f), int(flag), r, report.algorithm)
+                for rank, (f, flag, r) in enumerate(rows, start=1)
+            )
 
 
 def aggregate_from_history(history_path: str, objective: str, dim: int, eps_base: float) -> AggregateReport:

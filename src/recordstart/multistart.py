@@ -27,14 +27,17 @@ engine's rows do not mix, so a report depends neither on the block nor
 on the wave size; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are blocks
 of one run.
 
-A global run is written down once, in its ``RunReport``: the driver
-appends every evaluation to ``history``, every restart's ``RunStats`` to
+A global run is written down once, in its ``RunReport``: per restart,
+the driver extends two columns, the values it read (``values``) and
+their record flags (``records``), and appends its ``RunStats`` to
 ``run_stats`` and its oracle counts and engine steps (``RestartCost``,
 the descent's counts at the last step the driver read) to ``costs``.
-The restart count, the evaluation count, the mean inner-loop length and
-the success flag are read off these lists.  ``inner_loop`` gets the
-evaluations left in the budget and stops there, so the evaluation count
-cannot overshoot ``max_total_evals``.
+Restart ``r`` (1-based) holds the next ``run_stats[r - 1].iterates``
+evaluations, so no evaluation stores its restart index.  The restart
+count, the evaluation count, the mean inner-loop length and the success
+flag are read off these lists.  ``inner_loop`` gets the evaluations left
+in the budget and stops there, so the evaluation count cannot overshoot
+``max_total_evals``.
 
 Two guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
@@ -68,7 +71,6 @@ __all__ = [
     "RECORD_TOL",
     "WAVE",
     "AlgoParams",
-    "HistoryRow",
     "RestartCost",
     "RunReport",
     "inner_loop",
@@ -111,16 +113,6 @@ class AlgoParams:
 
 
 @dataclass(frozen=True)
-class HistoryRow:
-    """One counted oracle evaluation; its 1-based position in
-    ``RunReport.history`` is its evaluation index."""
-
-    f_value: float
-    is_record: bool
-    restart_index: int
-
-
-@dataclass(frozen=True)
 class RestartCost:
     """What one restart cost: its f, gradient and Hessian-vector
     evaluations and its engine steps, accepted or not."""
@@ -140,12 +132,16 @@ class RestartCost:
 @dataclass
 class RunReport:
     """The one record of a global run, filled in as the run goes: every
-    evaluation in order, the completed restarts and what each cost, and
-    the working zeta and failure probability after the last restart.  The
-    counts and the success flag are derived from these."""
+    evaluation's value and record flag in order, the completed restarts
+    and what each cost, and the working zeta and failure probability
+    after the last restart.  An evaluation's 1-based position in
+    ``values`` is its index; restart ``r`` holds the next
+    ``run_stats[r - 1].iterates`` of them.  The counts and the success
+    flag are derived from these."""
 
     algorithm: str
-    history: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     run_stats: list = field(default_factory=list)
     costs: list = field(default_factory=list)
     zeta_w: float = 1.0
@@ -159,7 +155,7 @@ class RunReport:
 
     @property
     def total_evals(self) -> int:
-        return len(self.history)
+        return len(self.values)
 
     @property
     def success(self) -> bool:
@@ -187,10 +183,10 @@ def inner_loop(
     ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the records
     held; the check is skipped until two iterates exist.  The slope check
     needs at least two records and is evaluated at the previous record's
-    value.  Returns the restart's ``RunStats``, its evaluations ``[(f,
-    is_record), ...]`` (the start point first) and the engine steps read
-    to decide them: ``j - 1`` for ``j`` iterates, or ``j`` when the loop
-    asked for the step after the last value and it was rejected.
+    value.  Returns the restart's ``RunStats``, the record flags of the
+    ``j`` iterates it read, ``values[:j]``, and the engine steps read to
+    decide them: ``j - 1``, or ``j`` when the loop asked for the step
+    after the last value and it was rejected.
     """
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
@@ -200,15 +196,15 @@ def inner_loop(
     expected = 1.0
     best = values[0]
     best_t = 1
-    evals = [(best, True)]
+    flags = [True]
     while j < budget and not (overdue and j >= 2 and expected >= k):
         if j == len(values):  # converged, or the next step is rejected
-            return RunStats(records=k, iterates=j), evals, j - 1 + rejected
+            return RunStats(records=k, iterates=j), flags, j - 1 + rejected
         fn = values[j]
         expected += zeta / (j + zeta)
         j += 1
         is_record = fn < best - RECORD_TOL
-        evals.append((fn, is_record))
+        flags.append(is_record)
         if is_record:
             k += 1
             slope = (best - fn) / (j - best_t)
@@ -220,7 +216,7 @@ def inner_loop(
                 and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale)
             ):
                 break
-    return RunStats(records=k, iterates=j), evals, j - 1
+    return RunStats(records=k, iterates=j), flags, j - 1
 
 
 def _working_zeta(tally: RunTally) -> float:
@@ -252,9 +248,9 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
     while report.p_fail >= params.delta and not report.budget_exhausted:
         values, rejected, counts = yield
         budget = params.max_total_evals - report.total_evals
-        stats, evals, steps = inner_loop(values, rejected, params, report.zeta_w, algorithm, budget)
-        restart_index = report.restarts + 1
-        report.history.extend(HistoryRow(f, is_record, restart_index) for f, is_record in evals)
+        stats, flags, steps = inner_loop(values, rejected, params, report.zeta_w, algorithm, budget)
+        report.values += values[: stats.iterates]
+        report.records += flags
         report.run_stats.append(stats)
         report.costs.append(RestartCost(*counts[steps].tolist()))
         report.budget_exhausted = report.total_evals >= params.max_total_evals
@@ -265,7 +261,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
         lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
         report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
 
-    report.evals_to_target = check_success(report.history, spec, params.epsilon)
+    report.evals_to_target = check_success(report.values, spec, params.epsilon)
 
 
 def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
@@ -328,10 +324,10 @@ def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
     return run_block(spec, params, [seed], "ncg")[0]
 
 
-def check_success(history, spec: ObjectiveSpec, epsilon: float) -> int | None:
+def check_success(values, spec: ObjectiveSpec, epsilon: float) -> int | None:
     """1-based index of the first oracle evaluation whose value is within
     epsilon of the known minimum, or None if no evaluation is."""
-    for index, row in enumerate(history, start=1):
-        if abs(row.f_value - spec.f_star) <= epsilon:
+    for index, f in enumerate(values, start=1):
+        if abs(f - spec.f_star) <= epsilon:
             return index
     return None

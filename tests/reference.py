@@ -32,7 +32,9 @@ name.
   counts included.
 
 :func:`tally_of` and the ``run_histories`` strategy build the run
-statistics that the record-statistics tests share.
+statistics that the record-statistics tests share, and
+:func:`history_rows` lays a run's evaluations out as the rows of
+``history.csv``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ run_histories = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+def history_rows(report) -> list[tuple[float, bool, int]]:
+    """``(f_value, is_record, restart_index)`` of every evaluation of a
+    ``RunReport``, in order: restart ``r`` holds the next
+    ``run_stats[r - 1].iterates`` values and record flags."""
+    restart_index = [r for r, stats in enumerate(report.run_stats, start=1) for _ in range(stats.iterates)]
+    assert len(report.values) == len(report.records) == len(restart_index)
+    return list(zip(report.values, report.records, restart_index))
 
 
 def tally_of(history: list[RunStats]) -> RunTally:

@@ -11,6 +11,7 @@ import pytest
 from recordstart import bench, hasplid
 from recordstart.multistart import run_ncg
 from recordstart.objectives import make
+from reference import history_rows
 
 
 def small_config(**kw):
@@ -69,19 +70,40 @@ def test_history_header_and_row_order(tmp_path):
         assert all(r[5] == "rdmss" for r in run_rows)
 
 
-def test_sorted_history_mode(tmp_path):
-    _, reports = bench.run_experiment(small_config(runs=3))
-    path = tmp_path / "sorted.csv"
-    bench.emit_history(reports, str(path), sort_values=True)
+def read_runs(path):
+    """The rows of a history CSV, grouped by ``run_id`` in file order."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
         per_run = {}
-        for rec in reader:
+        for rec in csv.DictReader(fh):
             per_run.setdefault(rec["run_id"], []).append(rec)
-    for rows in per_run.values():
-        values = [float(r["f_value"]) for r in rows]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert [int(r["eval_index"]) for r in rows] == list(range(1, len(rows) + 1))
+    return per_run
+
+
+def test_sorted_history_mode(tmp_path):
+    # styblinski_tang's restarts end at shared local minima, so its runs tie
+    # values across rows of different restarts
+    fields = ("f_value", "is_record", "restart_index", "algorithm")
+    ties = 0
+    for objective in ("zakharov", "styblinski_tang"):
+        _, reports = bench.run_experiment(small_config(objective=objective, runs=3))
+        chronological, path = tmp_path / f"{objective}.csv", tmp_path / f"{objective}_sorted.csv"
+        bench.emit_history(reports, str(chronological))
+        bench.emit_history(reports, str(path), sort_values=True)
+        before, after = read_runs(chronological), read_runs(path)
+        assert list(after) == list(before) == ["0", "1", "2"]
+        for run_id, rows in after.items():
+            values = [float(r["f_value"]) for r in rows]
+            assert all(b <= a for a, b in zip(values, values[1:]))
+            assert [int(r["eval_index"]) for r in rows] == list(range(1, len(rows) + 1))
+            # a stable sort of the chronological rows by non-increasing value:
+            # every row keeps its flag, restart and algorithm, ties keep their order
+            stable = sorted(before[run_id], key=lambda r: -float(r["f_value"]))
+            assert [tuple(r[k] for k in fields) for r in rows] == [tuple(r[k] for k in fields) for r in stable]
+            ties += sum(
+                a["f_value"] == b["f_value"] and a["restart_index"] != b["restart_index"]
+                for a, b in zip(rows, rows[1:])
+            )
+    assert ties > 0  # the order of ties is checked
 
 
 def test_reproducible_summaries(tmp_path):
@@ -122,7 +144,7 @@ def test_ncg_baseline_single_descent():
     aggregate, reports = bench.run_experiment(small_config(algorithm="ncg", runs=3))
     for r in reports:
         assert r.restarts == 1
-        assert max(h.restart_index for h in r.history) == 1
+        assert max(restart for _, _, restart in history_rows(r)) == 1
     assert aggregate.success_count == 3  # convex objective
 
 
@@ -133,7 +155,7 @@ def test_ncg_experiment_runs_the_shared_driver():
     for i, report in enumerate(reports):
         direct = run_ncg(spec, cfg.algo_params(), bench.derive_seed(cfg.seed, i))
         assert report.algorithm == "ncg"
-        assert report.history == direct.history
+        assert history_rows(report) == history_rows(direct)
 
 
 # f, grad and hvp evaluations, engine steps and rejected line-search probes
@@ -279,6 +301,9 @@ def test_config_validation():
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="sgd")
     with pytest.raises(ValueError):
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", runs=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", workers=workers)
     # bad parameters fail when the config is built, not in a run
     for bad, message in (
         ({"alpha": 2.0}, "alpha"),

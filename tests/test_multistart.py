@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 import reference
 from recordstart import bench, newton_cg, objectives, special
 from recordstart import multistart as ms
-from reference import n_record_threshold, run_histories, tally_of
+from reference import history_rows, n_record_threshold, run_histories, tally_of
 
 
 def run_inner(f0, script, converged=False, **kw):
     """:func:`ms.inner_loop` on the descent ``f0``, then ``script``: a
     step past its end is a native stop, by a rejected step unless the
-    start point is ``converged``.  Returns what the loop returns."""
+    start point is ``converged``.  Returns the loop's stats, the
+    evaluations it read ``[(f, is_record), ...]`` and its steps."""
     kw.setdefault("zeta", 1.0)
     values = [f0] if converged else [f0, *script]
-    return ms.inner_loop(values, not converged, params(), **kw)
+    stats, flags, steps = ms.inner_loop(values, not converged, params(), **kw)
+    assert len(flags) == stats.iterates
+    return stats, list(zip(values[: stats.iterates], flags)), steps
 
 
 def params(**kw):
@@ -147,7 +150,7 @@ def test_reports_are_deterministic(zakharov_reports):
     spec = objectives.make("zakharov", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
     again = ms.run_dmss(spec, p, 424242)
-    assert again.history == zakharov_reports[0].history
+    assert history_rows(again) == history_rows(zakharov_reports[0])
     assert again.total_evals == zakharov_reports[0].total_evals
 
 
@@ -178,29 +181,31 @@ def test_working_zeta_is_the_guarded_mle(history):
 
 def test_history_rows_are_chronological_and_flagged(zakharov_reports):
     for report in zakharov_reports:
+        rows = history_rows(report)
         # restart indices form a non-decreasing sequence starting at 1
-        seq = [r.restart_index for r in report.history]
+        seq = [restart for _, _, restart in rows]
         assert seq[0] == 1 and all(b - a in (0, 1) for a, b in zip(seq, seq[1:]))
         # the first row of every restart is that run's first record
         firsts = {}
-        for r in report.history:
-            firsts.setdefault(r.restart_index, r)
-        assert all(r.is_record for r in firsts.values())
+        for _, is_record, restart in rows:
+            firsts.setdefault(restart, is_record)
+        assert all(firsts.values())
 
 
 def test_total_evals_counts_history_rows(zakharov_reports):
     for report in zakharov_reports:
-        assert report.total_evals == len(report.history)
-        assert report.restarts == len(report.run_stats) == report.history[-1].restart_index
+        rows = history_rows(report)
+        assert report.total_evals == len(report.values) == len(report.records) == len(rows)
+        assert report.restarts == len(report.run_stats) == rows[-1][2]
         assert report.avg_inner_iters == pytest.approx(np.mean([s.iterates for s in report.run_stats]))
         # each restart's stats count its own history rows
         for i, s in enumerate(report.run_stats, start=1):
-            rows = [r for r in report.history if r.restart_index == i]
-            assert (s.iterates, s.records) == (len(rows), sum(r.is_record for r in rows))
+            own = [is_record for _, is_record, restart in rows if restart == i]
+            assert (s.iterates, s.records) == (len(own), sum(own))
 
 
 def test_rdmss_equals_dmss_until_first_slope_cut(zakharov_reports):
-    d_hist, r_hist = zakharov_reports[0].history, zakharov_reports[1].history
+    d_hist, r_hist = history_rows(zakharov_reports[0]), history_rows(zakharov_reports[1])
     shared = 0
     for a, b in zip(d_hist, r_hist):
         if a != b:
@@ -215,7 +220,7 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     base = ms.run_dmss(spec, p, 777)
     monkeypatch.setattr(ms, "expected_slope", lambda *a, **k: 0.0)
     disabled = ms.run_rdmss(spec, p, 777)
-    assert disabled.history == base.history
+    assert history_rows(disabled) == history_rows(base)
     assert disabled.restarts == base.restarts
 
 
@@ -239,7 +244,7 @@ def test_budgeted_run_is_a_prefix_of_the_unbudgeted_run(algorithm):
     assert not full.budget_exhausted
     for m in range(1, length + 2):
         cut = run(spec, params(max_total_evals=m), 3)
-        assert cut.history == full.history[: min(length, m)]
+        assert history_rows(cut) == history_rows(full)[: min(length, m)]
         assert cut.budget_exhausted == (length >= m)
 
 
@@ -340,7 +345,7 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
             drawn.setdefault(i, []).append((r, cap))
         for i, rows in drawn.items():
             r0 = rows[0][0]
-            left = budget - sum(row.restart_index <= r0 for row in reports[i].history)
+            left = budget - sum(stats.iterates for stats in reports[i].run_stats[:r0])
             assert rows == [(r0 + q, left - q - 1) for q in range(len(rows))] and rows[-1][1] >= 0
     charged = sum(cost.steps for report in reports for cost in report.costs)
     assert charged <= row_steps[0]
@@ -359,8 +364,8 @@ def test_restart_i_starts_at_the_runs_ith_draw(name, algorithm):
     assert any(report.restarts > ms.WAVE for report in reports)  # some run's restarts span two waves
     for seed, report in zip(seeds, reports):
         firsts = {}
-        for row in report.history:
-            firsts.setdefault(row.restart_index, row.f_value)
+        for f, _, restart in history_rows(report):
+            firsts.setdefault(restart, f)
         assert list(firsts) == list(range(1, report.restarts + 1))
         rng = np.random.default_rng(seed)
         draws = np.array([objectives.sample_uniform(spec, rng) for _ in firsts])
@@ -409,12 +414,12 @@ def test_ncg_is_one_plain_descent(ncg_reports):
             if fn is None:
                 break
             values.append(fn)
-        assert [r.f_value for r in report.history] == values
+        assert report.values == values
         oracle = engine.oracle
         cost = ms.RestartCost(oracle.f_evals[0], oracle.grad_evals[0], oracle.hvp_evals[0], engine.steps)
         assert report.costs == [cost]
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert [r.restart_index for r in report.history] == [1] * len(values)
+        assert [restart for _, _, restart in history_rows(report)] == [1] * len(values)
         assert report.restarts == 1 and not report.budget_exhausted
 
 
@@ -422,10 +427,11 @@ def test_ncg_flags_records_with_the_driver_tolerance(ncg_reports):
     below_tolerance = 0
     for _, _, report in ncg_reports:
         best = math.inf
-        for row in report.history:
-            assert row.is_record == (row.f_value < best - ms.RECORD_TOL)
-            if row.is_record:
-                best = row.f_value
+        assert len(report.records) == len(report.values)
+        for f, is_record in zip(report.values, report.records):
+            assert is_record == (f < best - ms.RECORD_TOL)
+            if is_record:
+                best = f
             else:
                 below_tolerance += 1
     assert below_tolerance > 0
@@ -435,19 +441,15 @@ def test_ncg_leaves_the_record_statistics_alone(ncg_reports):
     default = ms.RunReport("ncg")
     for _, _, report in ncg_reports:
         assert (report.zeta_w, report.p_fail) == (default.zeta_w, default.p_fail)
-        records = sum(r.is_record for r in report.history)
-        assert report.run_stats == [special.RunStats(records, len(report.history))]
+        assert len(report.records) == len(report.values)
+        assert report.run_stats == [special.RunStats(sum(report.records), len(report.values))]
 
 
 def test_check_success_exact_hit_and_miss():
     spec = objectives.make("zakharov", 5)
-    rows = [
-        ms.HistoryRow(4.2, True, 1),
-        ms.HistoryRow(0.0, True, 1),
-        ms.HistoryRow(1.0, False, 1),
-    ]
-    assert ms.check_success(rows, spec, 1e-10) == 2
-    assert ms.check_success(rows[:1], spec, 1e-10) is None
+    values = [4.2, 0.0, 1.0]
+    assert ms.check_success(values, spec, 1e-10) == 2
+    assert ms.check_success(values[:1], spec, 1e-10) is None
 
 
 def test_params_validation():
