@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # unset flags stay out of the namespace, so ExperimentConfig's defaults
-    # apply; only --workers defaults to the CPU count instead of 1
+    # apply
     run_p = sub.add_parser(
         "run", help="run one seeded experiment and write artifacts", argument_default=argparse.SUPPRESS
     )
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--ptilde-scale", type=float)
     run_p.add_argument("--runs", type=int)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    run_p.add_argument("--workers", type=int)
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=_cmd_run)
 

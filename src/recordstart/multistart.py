@@ -15,17 +15,18 @@ restart, no ``zeta``/``p_fail`` update.
 A restart starts at its run's next uniform draw and descends by
 deterministic Newton-CG, so its descent is fixed before the record
 statistics look at it: they only choose where it stops and whether
-another restart follows.  So ``run_block`` descends first and decides
-after.  Each wave draws the next restarts of every run still going and
-descends them all to a native stop as one engine block
-(``newton_cg.descend``); then each run's driver, a generator
-(``_drive``), is sent its descents one restart at a time, and
-``inner_loop`` finds where each stops.  The driver reads a prefix of
-each descent in restart order, so it decides as it would alone; the
-steps past its stops and the restarts it never reaches are dropped.  The
-engine's rows do not mix, so a report depends neither on the block nor
-on the wave size; ``run_dmss``, ``run_rdmss`` and ``run_ncg`` are blocks
-of one run.
+another restart follows.  So a run descends first and decides after, and
+its driver, a generator (``_drive``), owns its whole schedule: each wave
+it sizes its next restarts, draws them from its own generator, caps
+their steps and yields them, is sent their descents once, and reads
+them in restart order, ``inner_loop`` finding where each stops.  It
+reads a prefix of each descent, so it decides as it would with waves of
+one; the steps past its stops and the restarts it never reaches are
+dropped.  ``run_block`` only batches: it descends the waves of every
+running driver as one engine block (``newton_cg.descend``) and sends
+each driver its own columns.  The engine's rows do not mix, so a report
+depends neither on the block nor on the wave size; ``run_dmss``,
+``run_rdmss`` and ``run_ncg`` are blocks of one run.
 
 A global run is written down once, in its ``RunReport``: per restart,
 the driver extends two columns, the values it read (``values``) and
@@ -84,7 +85,7 @@ __all__ = [
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
 # restarts in a DMSS/RDMSS run's first wave; each later wave draws as
-# many as the run has made (run_block)
+# many as the run has made (_drive)
 WAVE = 8
 
 
@@ -234,78 +235,74 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
     return min(alpha * zeta_w, depth_cap)
 
 
-def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport):
-    """One global run as a generator: it yields before every restart and
-    is sent that restart's descent, ``(values, rejected, counts)``: the
-    arguments of :func:`inner_loop` and the descent's ``(f, grad, hvp,
-    steps)`` count rows after its start and each step.  The restart is
-    charged the row at the last step it read.  Where a restart starts is
-    up to the caller."""
+def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
+    """One global run as a generator that owns its restart schedule.
+
+    Each wave it draws its next restarts from ``rng``, in restart order:
+    one for ncg, else ``max(WAVE, restarts so far)``, but no more than the
+    ``left`` evaluations it has left.  It yields their start points and
+    step caps, ``left - 1, left - 2, ...``: the restart at position q may
+    take ``left - q - 1`` steps, as the q restarts before it hold an
+    evaluation each, so no cap changes a decision.  It is sent the wave's
+    :func:`newton_cg.descend` columns and reads the restarts in order,
+    each up to where :func:`inner_loop` stops it; a restart is charged
+    the descent's counts at the last step it read.  It returns once ncg
+    has read its restart, ``p_fail`` drops below ``delta`` or the budget
+    is spent; the steps past its stops and the restarts it never read
+    are dropped."""
     algorithm = report.algorithm
     # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
-
-    while report.p_fail >= params.delta and not report.budget_exhausted:
-        values, rejected, counts = yield
-        budget = params.max_total_evals - report.total_evals
-        stats, flags, steps = inner_loop(values, rejected, params, report.zeta_w, algorithm, budget)
-        report.values += values[: stats.iterates]
-        report.records += flags
-        report.run_stats.append(stats)
-        report.costs.append(RestartCost(*counts[steps].tolist()))
-        report.budget_exhausted = report.total_evals >= params.max_total_evals
-        if algorithm == "ncg":
-            break
-        tally.add(stats)
-        report.zeta_w = _working_zeta(tally)
-        lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
-        report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
-
-    report.evals_to_target = check_success(report.values, spec, params.epsilon)
+    while True:
+        left = params.max_total_evals - report.total_evals
+        n = 1 if algorithm == "ncg" else min(max(WAVE, report.restarts), left)
+        x0 = [sample_uniform(spec, rng) for _ in range(n)]
+        fx, counts, accepted, rejected = yield x0, range(left - 1, left - 1 - n, -1)
+        for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):
+            values = fx[: a + 1, r].tolist()
+            budget = params.max_total_evals - report.total_evals
+            stats, flags, steps = inner_loop(values, stopped, params, report.zeta_w, algorithm, budget)
+            report.values += values[: stats.iterates]
+            report.records += flags
+            report.run_stats.append(stats)
+            report.costs.append(RestartCost(*counts[steps, r].tolist()))
+            report.budget_exhausted = report.total_evals >= params.max_total_evals
+            if algorithm != "ncg":
+                tally.add(stats)
+                report.zeta_w = _working_zeta(tally)
+                lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
+                report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
+            if algorithm == "ncg" or report.p_fail < params.delta or report.budget_exhausted:
+                report.evals_to_target = check_success(report.values, spec, params.epsilon)
+                return
 
 
 def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
-    """One global run per seed, their restarts descended in waves.
+    """One global run per seed, each driven by :func:`_drive` from
+    ``default_rng(seed)``, their waves batched.
 
-    Restart r of a run starts at the r-th draw of ``default_rng(seed)``.
-    Each wave draws the next restarts of every run still going, in
-    restart order: one for ncg, else ``max(WAVE, restarts so far)``, but
-    no more than the evaluations the run has left.  The restart at
-    position q of its run's wave may take ``left - q - 1`` steps, as the q
-    restarts before it hold an evaluation each.  The wave descends them
-    all as one engine block (:func:`newton_cg.descend`), then sends each
-    driver its descents one at a time, until it ends or the wave's run
-    out.  A driver reads a prefix of each descent, in order, so it decides
-    as it would alone; the steps past it and the restarts it never reaches
-    are dropped.  A row's bits do not depend on the block, so each report
-    equals its run alone."""
+    Each round concatenates the waves the running drivers ask for,
+    descends them as one engine block (:func:`newton_cg.descend`) and
+    sends each driver its own columns; the drivers that return are done.
+    A row's bits do not depend on the block, so each report equals its
+    run alone."""
     reports = [RunReport(algorithm) for _ in seeds]
-    runs = [_drive(spec, params, report) for report in reports]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    for run in runs:
-        next(run)
-    active = list(range(len(runs)))
-    while active:
-        sizes, x0, caps = [], [], []
-        for i in active:
-            left = params.max_total_evals - reports[i].total_evals
-            n = 1 if algorithm == "ncg" else min(max(WAVE, reports[i].restarts), left)
-            sizes.append(n)
-            x0 += [sample_uniform(spec, rngs[i]) for _ in range(n)]
-            caps += range(left - 1, left - 1 - n, -1)
+    runs = [_drive(spec, params, report, np.random.default_rng(seed)) for report, seed in zip(reports, seeds)]
+    waves = [next(run) for run in runs]
+    while runs:
+        x0 = [x for starts, _ in waves for x in starts]
+        caps = [cap for _, wave_caps in waves for cap in wave_caps]
         fx, counts, accepted, rejected = newton_cg.descend(spec, x0, caps)
-        accepted, rejected = accepted.tolist(), rejected.tolist()
-        going, row = [], 0
-        for i, n in zip(active, sizes):
-            for r in range(row, row + n):
-                try:
-                    runs[i].send((fx[: accepted[r] + 1, r].tolist(), rejected[r], counts[:, r]))
-                except StopIteration:
-                    break
-            else:
-                going.append(i)
-            row += n
-        active = going
+        going, asked, row = [], [], 0
+        for run, (starts, _) in zip(runs, waves):
+            cols = slice(row, row + len(starts))
+            row = cols.stop
+            try:
+                asked.append(run.send((fx[:, cols], counts[:, cols], accepted[cols], rejected[cols])))
+                going.append(run)
+            except StopIteration:
+                pass
+        runs, waves = going, asked
     return reports
 
 

@@ -254,15 +254,22 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert json.loads(cmp_path.read_text())["objective"] == "zakharov"
 
 
-def test_cli_run_defaults_are_the_config_defaults(tmp_path, capsys):
-    # every flag left out takes ExperimentConfig's default; the worker
-    # count defaults to the CPU count instead and never reaches summary.json
-    code = bench.main(
-        ["run", "--objective", "rhe", "--algo", "ncg", "--workers", "1", "--out", str(tmp_path)]
-    )
+def test_cli_run_defaults_are_the_config_defaults(monkeypatch, tmp_path, capsys):
+    # every flag left out takes ExperimentConfig's default, the worker
+    # count too, and the worker count never reaches summary.json
+    configs = []
+    run_experiment = bench.run_experiment
+
+    def run(config, out_dir=None):
+        configs.append(config)
+        return run_experiment(config, out_dir=out_dir)
+
+    monkeypatch.setattr(bench, "run_experiment", run)
+    code = bench.main(["run", "--objective", "rhe", "--algo", "ncg", "--out", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    expected = asdict(bench.ExperimentConfig("rhe", 5, "ncg"))
+    assert configs == [bench.ExperimentConfig("rhe", 5, "ncg")]
+    expected = asdict(configs[0])
     del expected["workers"]
     assert json.loads((tmp_path / "summary.json").read_text())["config"] == expected
 

@@ -300,10 +300,13 @@ AHEAD_BLOCKS = (
 )
 def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algorithm):
     # a driver reads a prefix of each descent, in order, and is charged up
-    # to the last step it read, however many restarts a wave descends
+    # to the last step it read, however many restarts a wave descends,
+    # and each run draws from its own generator, so it equals its run alone
     spec = objectives.make(name, 5)
     assert ms.WAVE > 1
     ahead = ms.run_block(spec, p, seeds, algorithm)
+    for seed, report in zip(seeds, ahead):
+        assert report == ms.run_block(spec, p, [seed], algorithm)[0]
     monkeypatch.setattr(ms, "WAVE", 1)
     assert ahead == ms.run_block(spec, p, seeds, algorithm)
 
