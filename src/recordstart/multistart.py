@@ -17,14 +17,15 @@ deterministic Newton-CG, so its descent is fixed before the record
 statistics look at it: they only choose where it stops and whether
 another restart follows.  So a run descends first and decides after, and
 its driver, a generator (``_drive``), owns its whole schedule: each wave
-it sizes its next restarts, draws them from its own generator, caps
-their steps and yields them, is sent their descents once, and reads
-them in restart order, ``inner_loop`` finding where each stops.  It
-reads a prefix of each descent, so it decides as it would with waves of
-one; the steps past its stops and the restarts it never reaches are
-dropped.  ``run_block`` only batches: it descends the waves of every
-running driver as one engine block (``newton_cg.descend``) and sends
-each driver its own columns.  The engine's rows do not mix, so a report
+it sizes its next restarts from its own ``p_fail`` trend
+(``_wave_size``), draws them from its own generator, caps their steps
+and yields them, is sent their descents once, and reads them in restart
+order, ``inner_loop`` finding where each stops.  It reads a prefix of
+each descent, so it decides as it would with waves of one; the steps
+past its stops and the restarts it never reaches are dropped.
+``run_block`` only batches: it descends the waves of every running
+driver as one engine block (``newton_cg.descend``) and sends each
+driver its own columns.  The engine's rows do not mix, so a report
 depends neither on the block nor on the wave size; ``run_dmss``,
 ``run_rdmss`` and ``run_ncg`` are blocks of one run.
 
@@ -84,8 +85,8 @@ __all__ = [
 
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
-# restarts in a DMSS/RDMSS run's first wave; each later wave draws as
-# many as the run has made (_drive)
+# restarts in a DMSS/RDMSS run's first wave; later waves are sized from
+# the run's own p_fail trend (_wave_size)
 WAVE = 8
 
 
@@ -235,15 +236,35 @@ def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records:
     return min(alpha * zeta_w, depth_cap)
 
 
+def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
+    """How many restarts a run draws next, with ``left`` evaluations left.
+
+    ncg draws one.  A DMSS/RDMSS run draws ``WAVE`` first; after ``r``
+    restarts at failure probability ``p < 1`` it draws ``ceil(r *
+    (log(delta) / log(p) - 1)) + 1``, the restarts still needed at its
+    mean ``p_fail`` factor per restart plus one, else ``max(WAVE, r)``.
+    No wave exceeds ``ceil(left * r / total_evals)``, the restarts the
+    evaluations left hold at the run's mean restart length, so a flat
+    trend cannot draw the whole budget as one block."""
+    if report.algorithm == "ncg":
+        return 1
+    r = report.restarts
+    if r == 0:
+        return min(WAVE, left)
+    p = report.p_fail
+    n = math.ceil(r * (math.log(params.delta) / math.log(p) - 1)) + 1 if p < 1 else max(WAVE, r)
+    return min(n, math.ceil(left * r / report.total_evals))
+
+
 def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     """One global run as a generator that owns its restart schedule.
 
-    Each wave it draws its next restarts from ``rng``, in restart order:
-    one for ncg, else ``max(WAVE, restarts so far)``, but no more than the
-    ``left`` evaluations it has left.  It yields their start points and
-    step caps, ``left - 1, left - 2, ...``: the restart at position q may
-    take ``left - q - 1`` steps, as the q restarts before it hold an
-    evaluation each, so no cap changes a decision.  It is sent the wave's
+    Each wave it draws its next restarts from ``rng``, in restart order,
+    as many as :func:`_wave_size` asks for with the ``left`` evaluations
+    it has left.  It yields their start points and step caps, ``left -
+    1, left - 2, ...``: the restart at position q may take ``left - q -
+    1`` steps, as the q restarts before it hold an evaluation each, so no
+    cap changes a decision.  It is sent the wave's
     :func:`newton_cg.descend` columns and reads the restarts in order,
     each up to where :func:`inner_loop` stops it; a restart is charged
     the descent's counts at the last step it read.  It returns once ncg
@@ -255,7 +276,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     tally = RunTally()
     while True:
         left = params.max_total_evals - report.total_evals
-        n = 1 if algorithm == "ncg" else min(max(WAVE, report.restarts), left)
+        n = _wave_size(params, report, left)
         x0 = [sample_uniform(spec, rng) for _ in range(n)]
         fx, counts, accepted, rejected = yield x0, range(left - 1, left - 1 - n, -1)
         for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):

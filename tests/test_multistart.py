@@ -307,8 +307,59 @@ def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algori
     ahead = ms.run_block(spec, p, seeds, algorithm)
     for seed, report in zip(seeds, ahead):
         assert report == ms.run_block(spec, p, [seed], algorithm)[0]
-    monkeypatch.setattr(ms, "WAVE", 1)
+    monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: 1)
     assert ahead == ms.run_block(spec, p, seeds, algorithm)
+
+
+def report_after(restarts, iterates=10, p_fail=1.0, algorithm="dmss"):
+    """A run's report after ``restarts`` restarts of ``iterates`` each."""
+    stats = [special.RunStats(records=1, iterates=iterates)] * restarts
+    return ms.RunReport(algorithm, values=[0.0] * (restarts * iterates), run_stats=stats, p_fail=p_fail)
+
+
+def test_first_wave_is_WAVE_and_ncg_draws_one():
+    assert ms._wave_size(params(), report_after(0), 100_000) == ms.WAVE
+    assert ms._wave_size(params(), report_after(0), 5) == 5
+    assert ms._wave_size(params(), report_after(0, algorithm="ncg"), 100_000) == 1
+
+
+@pytest.mark.parametrize("restarts", [1, 8, 20])
+def test_wave_without_a_p_fail_trend_draws_as_many_as_made(restarts):
+    assert ms._wave_size(params(), report_after(restarts), 100_000) == max(ms.WAVE, restarts)
+
+
+def test_wave_draws_the_restarts_its_p_fail_trend_still_needs():
+    # 8 restarts brought p_fail to 1e-6, a factor 10**-0.75 each; reaching
+    # 1e-30 takes 32 more, plus one
+    p = params(delta=1e-30)
+    assert ms._wave_size(p, report_after(8, p_fail=1e-6), 100_000) == 33
+
+
+def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
+    # p_fail barely below 1 asks for about the whole budget as one wave;
+    # the guard holds each wave to the restarts the evaluations left hold
+    # at the run's mean restart length, and no wave size changes the report
+    spec = objectives.make("zakharov", 5)
+    p = params(max_total_evals=5_000)
+    monkeypatch.setattr(ms, "p_fail_histogram", lambda hist, lam, epsilon: 1 - 1e-12)
+    waves = []
+    descend = newton_cg.descend
+
+    def wave(spec, x0, max_steps):
+        waves.append(len(x0))
+        return descend(spec, x0, max_steps)
+
+    monkeypatch.setattr(newton_cg, "descend", wave)
+    (report,) = ms.run_block(spec, p, [7], "dmss")
+    assert report.budget_exhausted and waves[0] == ms.WAVE and len(waves) > 1
+    r = 0
+    for n in waves:
+        if r:
+            total = sum(stats.iterates for stats in report.run_stats[:r])
+            assert n <= math.ceil((p.max_total_evals - total) * r / total)
+        r += n
+    monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: 1)
+    assert report == ms.run_block(spec, p, [7], "dmss")[0]
 
 
 @pytest.mark.parametrize("algorithm", ["dmss", "rdmss"])
