@@ -9,15 +9,12 @@ Newton-CG baseline, one loop), :mod:`recordstart.bench`
 """
 
 from .bench import ExperimentConfig, run_experiment
-from .multistart import AlgoParams, run_dmss, run_ncg, run_rdmss
+from .multistart import AlgoParams
 from .objectives import make
 
 __all__ = [
     "AlgoParams",
     "ExperimentConfig",
     "make",
-    "run_dmss",
-    "run_ncg",
-    "run_rdmss",
     "run_experiment",
 ]

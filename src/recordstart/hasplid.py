@@ -1,16 +1,16 @@
 """Monte-Carlo lab for hesitant adaptive search with a power-law
 improvement distribution (HASPLID).
 
-The conceptual sampler works purely in range space.  Given a range
-distribution with CDF ``p`` and parameters ``alpha`` (bettering exponent)
-and ``lam`` (improvement-quality exponent):
+The lab samples the uniform range model, ``p(y) = y`` on [0, 1], so a
+level is its own CDF value.  With parameters ``alpha`` (bettering
+exponent) and ``lam`` (improvement-quality exponent):
 
-* the initial value has CDF ``p**lam``,
-* from level ``y`` the sampler improves with probability ``p(y)**alpha``,
-  drawing the new value with conditional CDF ``(p(t)/p(y))**lam``, and
+* the initial level has CDF ``y**lam``,
+* from level ``y`` the sampler improves with probability ``y**alpha``,
+  drawing the new level with conditional CDF ``(t/y)**lam``, and
   otherwise hesitates (repeats ``y``).
 
-So the sampler waits a Geometric(``p(y)**alpha``) number of steps at each
+So the sampler waits a Geometric(``y**alpha``) number of steps at each
 record, independently of the record values.  :func:`record_chain`
 simulates only the records: it draws each wait and each next record for a
 whole batch of trajectories at once, from one random stream, and
@@ -35,10 +35,6 @@ import numpy as np
 from .special import expected_records, mean_reciprocal_wait, p_fail_histogram, record_count_pmf
 
 __all__ = [
-    "RangeModel",
-    "uniform_model",
-    "exponential_model",
-    "mean_improvement",
     "record_chain",
     "LabConfig",
     "CheckResult",
@@ -47,89 +43,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RangeModel:
-    """Range distribution given by its CDF and quantile function, both
-    numpy expressions that take scalars and arrays alike."""
-
-    cdf: callable
-    inverse_cdf: callable
-
-
-def uniform_model() -> RangeModel:
-    """Uniform range distribution on [0, 1]: p(y) = y."""
-    return RangeModel(lambda y: np.clip(y, 0.0, 1.0), lambda u: u)
-
-
-def exponential_model() -> RangeModel:
-    """Unit-rate exponential range distribution: p(y) = 1 - exp(-y)."""
-    return RangeModel(
-        lambda y: -np.expm1(-np.maximum(y, 0.0)),
-        lambda u: -np.log1p(-u),
-    )
-
-
-def _gauss_legendre_unit(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]:
-    Newton's method on the roots of the Legendre polynomial ``P_n``."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    return (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre_unit(64)
-
-
-def mean_improvement(model: RangeModel, y: float, lam: float) -> float:
-    """Mean improvement ``E[y - Y' | y]`` of one improving step from level
-    ``y``, where ``Y'`` has conditional CDF ``(p(t)/p(y))**lam``:
-    ``integral_0^y (p(t)/p(y))**lam dt`` (both range models start at 0).
-
-    The substitution ``t = y*s**4`` smooths the ``t**lam`` behaviour at
-    ``t = 0`` so that a fixed 64-point Gauss-Legendre rule is accurate to
-    about 1e-13 relative for smooth CDFs (``y/(lam+1)`` for the uniform
-    model).  Levels at or below the bottom of the range give 0.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    p_y = model.cdf(y)
-    if p_y <= 0.0:
-        return 0.0
-    t = y * _GL_NODES**4
-    ratio = model.cdf(t) / p_y
-    return float(4.0 * y * np.sum(_GL_WEIGHTS * _GL_NODES**3 * ratio**lam))
-
-
 # smallest normal float: the success probability of a wait drawn where
 # p**alpha has underflowed to 0, which numpy's geometric sampler rejects
 _TINY = np.finfo(float).tiny
 
 
-def record_chain(alpha: float, lam: float, model: RangeModel, n: int, rng):
+def record_chain(alpha: float, lam: float, n: int, rng):
     """Levels and times of records 1, 2, ... of ``n`` trajectories.
 
     An endless generator of ``(levels, times)`` arrays of length ``n``,
     one pair per record, starting with the initial sample at time 0.  The
-    chain runs in p-space: the initial ``p`` is ``U**(1/lam)``, and each
-    step adds a Geometric(``p**alpha``) wait to the time, multiplies ``p``
-    by a fresh ``U**(1/lam)`` and yields ``model.inverse_cdf(p)``, drawing
-    both for all ``n`` trajectories from ``rng``.  Times are floats, exact
-    below ``2**53``; a wait past the int64 range saturates instead of
-    wrapping.  The yielded arrays are never modified afterwards.
+    level ``p`` starts at ``U**(1/lam)``, and each step adds a
+    Geometric(``p**alpha``) wait to the time and multiplies ``p`` by a
+    fresh ``U**(1/lam)``, drawing both for all ``n`` trajectories from
+    ``rng``.  Times are floats, exact below ``2**53``; a wait past the
+    int64 range saturates instead of wrapping.  The yielded arrays are
+    never modified afterwards.
     """
     inv_lam = 1.0 / lam
     p = rng.random(n) ** inv_lam
     t = np.zeros(n)
     while True:
-        yield model.inverse_cdf(p), t
+        yield p, t
         t = t + rng.geometric(np.maximum(p**alpha, _TINY))
         p = p * rng.random(n) ** inv_lam
 
@@ -225,23 +160,23 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     Checks, each against its closed form:
 
     * mean and variance of the number of records above the target level
-      (Poisson with mean ``-lam*log p(target)``),
+      (Poisson with mean ``-lam*log(target)``),
     * survival of the third record past the target level
-      (``G(3, -lam*log p(target))``),
+      (``G(3, -lam*log(target))``),
     * mean inter-record time for records near the window center
-      (geometric with success probability ``p(center)**alpha``),
+      (geometric with success probability ``center**alpha``),
     * record-count frequencies at a short horizon and the mean record
       count at a long horizon (Stirling pmf / digamma curve with
       ``zeta = lam/alpha``),
     * conditional mean of slope samples near the window center, twice:
       ``conditional_slope_mean`` against the stated closed form
-      ``alpha * p(center)**alpha / lam`` (the RDMSS cut threshold of
+      ``alpha * center**alpha / lam`` (the RDMSS cut threshold of
       :func:`recordstart.special.expected_slope`), which overstates the
       simulated process and fails; ``conditional_slope_mean_exact``
-      against the sampler's exact law ``E[y - Y' | y] * (-q*ln q)/(1-q)``
-      with ``q = p(center)**alpha``: the improvement and the
-      Geometric(q) wait are independent, so the mean slope is the mean
-      improvement (:func:`mean_improvement`) times ``E[1/wait]``
+      against the sampler's exact law ``center/(lam+1) * (-q*ln q)/(1-q)``
+      with ``q = center**alpha``: the improvement and the Geometric(q)
+      wait are independent, so the mean slope is the mean improvement
+      ``E[y - Y' | y] = y/(lam+1)`` times ``E[1/wait]``
       (:func:`recordstart.special.mean_reciprocal_wait`).
 
     Every statistic comes from one pass of :func:`record_chain` over all
@@ -262,20 +197,19 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
         raise ValueError("alpha must be in (0, 1] for validation")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    model = uniform_model()
     zeta = lam / alpha
     n = config.trajectories
     lo = WINDOW_CENTER - WINDOW_HALFWIDTH
     hi = WINDOW_CENTER + WINDOW_HALFWIDTH
-    p_t = model.cdf(TARGET_LEVEL)
-    q_mid = model.cdf(WINDOW_CENTER)
+    p_t = TARGET_LEVEL
+    q_mid = WINDOW_CENTER
     poi = -lam * math.log(p_t)
 
     # per trajectory: records above the target level, and records among
     # the first PMF_LENGTH and the first CURVE_LENGTH iterates
     counts, pmf_recs, curve_counts = (np.zeros(n, dtype=np.int32) for _ in range(3))
     gaps, slopes = [], []
-    chain = record_chain(alpha, lam, model, n, np.random.default_rng(config.seed))
+    chain = record_chain(alpha, lam, n, np.random.default_rng(config.seed))
     y, t = next(chain)
     for rec in itertools.count(1):
         counts += y > TARGET_LEVEL
@@ -330,7 +264,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
         _result(
             "conditional_slope_mean_exact",
             slope_mean,
-            mean_improvement(model, WINDOW_CENTER, lam) * mean_reciprocal_wait(q_mid**alpha),
+            WINDOW_CENTER / (lam + 1.0) * mean_reciprocal_wait(q_mid**alpha),
             0.05,
         )
     )

@@ -26,8 +26,8 @@ past its stops and the restarts it never reaches are dropped.
 ``run_block`` only batches: it descends the waves of every running
 driver as one engine block (``newton_cg.descend``) and sends each
 driver its own columns.  The engine's rows do not mix, so a report
-depends neither on the block nor on the wave size; ``run_dmss``,
-``run_rdmss`` and ``run_ncg`` are blocks of one run.
+depends neither on the block nor on the wave size: a block of one seed
+is that run alone.
 
 A global run is written down once, in its ``RunReport``: per restart,
 the driver extends two columns, the values it read (``values``) and
@@ -77,9 +77,6 @@ __all__ = [
     "RunReport",
     "inner_loop",
     "run_block",
-    "run_dmss",
-    "run_rdmss",
-    "run_ncg",
     "check_success",
 ]
 
@@ -325,21 +322,6 @@ def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) ->
                 pass
         runs, waves = going, asked
     return reports
-
-
-def run_dmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
-    """Record-overdue inner termination only."""
-    return run_block(spec, params, [seed], "dmss")[0]
-
-
-def run_rdmss(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
-    """Record-overdue plus slope-criterion inner termination."""
-    return run_block(spec, params, [seed], "rdmss")[0]
-
-
-def run_ncg(spec: ObjectiveSpec, params: AlgoParams, seed) -> RunReport:
-    """Baseline: one descent to native termination, no restarts."""
-    return run_block(spec, params, [seed], "ncg")[0]
 
 
 def check_success(values, spec: ObjectiveSpec, epsilon: float) -> int | None:

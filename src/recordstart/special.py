@@ -80,14 +80,12 @@ class RunTally:
     """
 
     runs: int = 0
-    excess_records: int = 0
     record_sum: int = 0
     survivors: list = field(default_factory=list)
     record_hist: dict = field(default_factory=dict)
 
     def add(self, st: RunStats) -> None:
         self.runs += 1
-        self.excess_records += st.records - 1
         self.record_sum += st.records
         self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
         survivors = self.survivors
@@ -175,7 +173,7 @@ def zeta_score(zeta: float, tally: RunTally) -> float:
     acc = 0.0
     for i, n in enumerate(tally.survivors, start=1):
         acc += n * zeta / (i + zeta)
-    return tally.excess_records - acc
+    return tally.record_sum - tally.runs - acc
 
 
 def solve_zeta_tally(tally: RunTally) -> float:

@@ -145,23 +145,23 @@ def incomplete_gamma_g(n: int, x: float) -> float:
     return min(1.0, max(0.0, 1.0 - math.exp(m) * acc))
 
 
-def per_iterate_values(alpha: float, lam: float, model, n: int, horizon: int, rng) -> np.ndarray:
-    """Values of ``n`` HASPLID trajectories at iterates ``0 .. horizon-1``,
-    shape ``(horizon, n)``, simulated one iterate at a time.
+def per_iterate_values(alpha: float, lam: float, n: int, horizon: int, rng) -> np.ndarray:
+    """Levels of ``n`` HASPLID trajectories under the uniform range model
+    at iterates ``0 .. horizon-1``, shape ``(horizon, n)``, simulated one
+    iterate at a time.
 
-    The initial value is ``inverse_cdf(U**(1/lam))``.  At every later
-    iterate one uniform decides whether the trajectory improves, with
-    probability ``p(y)**alpha`` at its current level ``y``; an improving
-    trajectory moves to ``inverse_cdf(p(y) * U**(1/lam))``, which has
-    conditional CDF ``(p(t)/p(y))**lam``, and the others repeat ``y``.
+    The initial level is ``U**(1/lam)``.  At every later iterate one
+    uniform decides whether the trajectory improves, with probability
+    ``y**alpha`` at its current level ``y``; an improving trajectory moves
+    to ``y * U**(1/lam)``, which has conditional CDF ``(t/y)**lam``, and
+    the others repeat ``y``.
     """
     inv_lam = 1.0 / lam
     values = np.empty((horizon, n))
-    y = values[0] = model.inverse_cdf(rng.random(n) ** inv_lam)
+    y = values[0] = rng.random(n) ** inv_lam
     for t in range(1, horizon):
-        p_y = model.cdf(y)
-        improve = rng.random(n) < p_y**alpha
-        y = values[t] = np.where(improve, model.inverse_cdf(p_y * rng.random(n) ** inv_lam), y)
+        improve = rng.random(n) < y**alpha
+        y = values[t] = np.where(improve, y * rng.random(n) ** inv_lam, y)
     return values
 
 

@@ -9,7 +9,7 @@ from dataclasses import asdict
 import pytest
 
 from recordstart import bench, hasplid
-from recordstart.multistart import run_ncg
+from recordstart.multistart import run_block
 from recordstart.objectives import make
 from reference import history_rows
 
@@ -153,7 +153,7 @@ def test_ncg_experiment_runs_the_shared_driver():
     _, reports = bench.run_experiment(cfg)
     spec = make("rosenbrock", 5)
     for i, report in enumerate(reports):
-        direct = run_ncg(spec, cfg.algo_params(), bench.derive_seed(cfg.seed, i))
+        (direct,) = run_block(spec, cfg.algo_params(), [bench.derive_seed(cfg.seed, i)], "ncg")
         assert report.algorithm == "ncg"
         assert history_rows(report) == history_rows(direct)
 

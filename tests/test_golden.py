@@ -20,7 +20,10 @@ restart changed.
 
 The lab digests cover every statistic, closed-form value and pass flag
 of the report, and the design it states (range model, target level,
-slope window, horizons).
+slope window, horizons).  They were re-recorded when the exact slope
+law's mean improvement became ``y/(lam+1)`` in closed form instead of a
+64-point quadrature: ``conditional_slope_mean_exact.theoretical`` moved
+by one ulp at both exponents, and no statistic or pass flag changed.
 """
 
 import hashlib
@@ -56,8 +59,8 @@ DEEP = {
 }
 
 LAB = {
-    0.5: "a3bd7ff132b2d4f356dff9a0c3e64fc16bc3831adad9bae3e87e6e81f2a33b37",
-    1.0: "9dd773484ec3c6d94faac83ce2ccbec207b9353cb88dba1e36fcd9b2b431b9da",
+    0.5: "193cef6c2e0c14ddfd01395a0161ef05204c88d672e8bd0bf6ce857a99517cc1",
+    1.0: "5880c8b4f03f601677dd7510484bd06d90192280e1557e34010ee0b5374bbccd",
 }
 
 

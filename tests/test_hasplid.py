@@ -1,4 +1,4 @@
-"""Simulator tests: construction invariants, the inverse-CDF sampling law,
+"""Simulator tests: construction invariants, the initial sampling law,
 the event-driven record chain against an independent per-iterate sampler,
 and determinism of the validation report.  Distributional validation at
 full trajectory counts lives in the acceptance suite."""
@@ -15,22 +15,16 @@ from recordstart import hasplid as hl
 from reference import extract_records, per_iterate_values
 
 
-def _chain_records(model, alpha, lam, n, count, seed):
+def _chain_records(alpha, lam, n, count, seed):
     """The first ``count`` records of ``record_chain`` as (levels, times)
     arrays of shape (count, n)."""
-    chain = hl.record_chain(alpha, lam, model, n, np.random.default_rng(seed))
+    chain = hl.record_chain(alpha, lam, n, np.random.default_rng(seed))
     levels, times = zip(*(next(chain) for _ in range(count)))
     return np.array(levels), np.array(times)
 
 
-def test_range_models_invert_their_cdf():
-    for model in (hl.uniform_model(), hl.exponential_model()):
-        for u in np.linspace(0.001, 0.999, 57):
-            assert model.cdf(model.inverse_cdf(u)) == pytest.approx(u, abs=1e-10)
-
-
 def test_zero_alpha_every_iterate_is_a_record():
-    levels, times = _chain_records(hl.uniform_model(), 0.0, 1.0, 4, 200, 5)
+    levels, times = _chain_records(0.0, 1.0, 4, 200, 5)
     assert np.all(times == np.arange(200)[:, None])
     assert np.all(np.diff(levels, axis=0) < 0)
 
@@ -42,12 +36,12 @@ def test_zero_alpha_every_iterate_is_a_record():
 )
 @settings(max_examples=40, deadline=None)
 def test_trajectories_never_increase(alpha, lam, seed):
-    values = per_iterate_values(alpha, lam, hl.uniform_model(), 4, 60, np.random.default_rng(seed))
+    values = per_iterate_values(alpha, lam, 4, 60, np.random.default_rng(seed))
     assert np.all(np.diff(values, axis=0) <= 0)
 
 
 def test_initial_sample_law_matches_power_cdf():
-    # inverse-CDF sampling: the first value has CDF p(y)**lam
+    # inverse-CDF sampling: the first level has CDF y**lam
     rng = np.random.default_rng(0)
     for lam in (0.5, 1.0, 2.0):
         u = rng.random(100_000)
@@ -58,13 +52,12 @@ def test_initial_sample_law_matches_power_cdf():
 
 
 def test_initial_sample_consistent_with_simulator():
-    # the chain's first level is exactly inverse_cdf(u0**(1/lam))
-    for model in (hl.uniform_model(), hl.exponential_model()):
-        for seed in (0, 1, 99):
-            for lam in (0.5, 2.0):
-                u0 = np.random.default_rng(seed).random()
-                levels, _ = _chain_records(model, 0.7, lam, 1, 1, seed)
-                assert levels[0, 0] == pytest.approx(model.inverse_cdf(u0 ** (1.0 / lam)), rel=1e-15)
+    # the chain's first level is exactly u0**(1/lam)
+    for seed in (0, 1, 99):
+        for lam in (0.5, 2.0):
+            u0 = np.random.default_rng(seed).random()
+            levels, _ = _chain_records(0.7, lam, 1, 1, seed)
+            assert levels[0, 0] == u0 ** (1.0 / lam)
 
 
 def test_extract_records_worked_example():
@@ -87,15 +80,15 @@ def test_extract_records_constant_trajectory():
 def test_record_invariants_on_simulated_trajectories(seed):
     # the per-iterate sampler moves only to a strictly lower level, so
     # every change of value is a record
-    values = per_iterate_values(0.5, 1.0, hl.uniform_model(), 8, 80, np.random.default_rng(seed))
+    values = per_iterate_values(0.5, 1.0, 8, 80, np.random.default_rng(seed))
     flags = extract_records(values)
     assert flags[0].all()
     assert np.array_equal(flags[1:], values[1:] != values[:-1])
 
 
 def test_simulator_deterministic_given_seed():
-    a = _chain_records(hl.uniform_model(), 0.5, 1.0, 16, 50, 42)
-    b = _chain_records(hl.uniform_model(), 0.5, 1.0, 16, 50, 42)
+    a = _chain_records(0.5, 1.0, 16, 50, 42)
+    b = _chain_records(0.5, 1.0, 16, 50, 42)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -111,12 +104,12 @@ Z_BOUND = 4.0
 KS_BOUND = 1.95 * math.sqrt(2.0 / TRAJECTORIES)
 
 
-def _chain_summary(model, alpha, lam, seed):
+def _chain_summary(alpha, lam, seed):
     """Record counts among the first 3 and the first ``HORIZON`` iterates,
     and time and level of the second record, of ``record_chain``'s
     trajectories; a second record at or past the horizon reads as time
     ``HORIZON`` and level inf."""
-    chain = hl.record_chain(alpha, lam, model, TRAJECTORIES, np.random.default_rng(seed))
+    chain = hl.record_chain(alpha, lam, TRAJECTORIES, np.random.default_rng(seed))
     first3 = first_horizon = 0
     for rec in itertools.count(1):
         level, time = next(chain)
@@ -129,9 +122,9 @@ def _chain_summary(model, alpha, lam, seed):
             return first3, first_horizon, t2, y2
 
 
-def _sampler_summary(model, alpha, lam, seed):
+def _sampler_summary(alpha, lam, seed):
     """:func:`_chain_summary` of the per-iterate reference sampler."""
-    values = per_iterate_values(alpha, lam, model, TRAJECTORIES, HORIZON, np.random.default_rng(seed))
+    values = per_iterate_values(alpha, lam, TRAJECTORIES, HORIZON, np.random.default_rng(seed))
     seen = np.cumsum(extract_records(values), axis=0)
     second = seen >= 2
     reached = second.any(axis=0)
@@ -149,14 +142,17 @@ def _ks_distance(a, b):
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-@pytest.mark.parametrize("model", [hl.uniform_model(), hl.exponential_model()], ids=["uniform", "exponential"])
-@pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.8, 2.0), (0.0, 1.0)])
-def test_record_chain_matches_per_iterate_sampler(model, alpha, lam):
+# (alpha, lam) of the comparison; each id also names the range model
+CHAIN_CASES = [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.8, 2.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, lam", CHAIN_CASES, ids=[f"{a}-{l}-uniform" for a, l in CHAIN_CASES])
+def test_record_chain_matches_per_iterate_sampler(alpha, lam):
     # record_chain draws only the records (a Geometric(p**alpha) wait and
     # a U**(1/lam) shrink of p per record); the reference draws every
-    # iterate, improving with probability p(y)**alpha.  Independent seeds.
-    chain = _chain_summary(model, alpha, lam, seed=1)
-    naive = _sampler_summary(model, alpha, lam, seed=2)
+    # iterate, improving with probability y**alpha.  Independent seeds.
+    chain = _chain_summary(alpha, lam, seed=1)
+    naive = _sampler_summary(alpha, lam, seed=2)
     n = TRAJECTORIES
     # record-count pmf among the first 3 iterates
     for k in (1, 2, 3):
@@ -172,15 +168,13 @@ def test_record_chain_matches_per_iterate_sampler(model, alpha, lam):
 
 
 @given(
-    st.sampled_from([hl.uniform_model, hl.exponential_model]),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.25, max_value=4.0),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_record_chain_levels_fall_and_times_rise(make_model, alpha, lam, seed):
-    model = make_model()
-    levels, times = _chain_records(model, alpha, lam, 8, 25, seed)
+def test_record_chain_levels_fall_and_times_rise(alpha, lam, seed):
+    levels, times = _chain_records(alpha, lam, 8, 25, seed)
     assert np.all(times[0] == 0)
     assert np.all(np.diff(levels, axis=0) < 0)
     assert np.all(np.diff(times, axis=0) >= 1)
@@ -192,7 +186,7 @@ def test_record_chain_draws_waits_past_underflow():
     # at lam = 0.01 the product of four U**100 underflows to 0 in about 6%
     # of the trajectories; numpy rejects a geometric success probability of
     # 0, so the kernel draws that wait at the smallest normal one
-    levels, times = _chain_records(hl.uniform_model(), 1.0, 0.01, 2000, 5, 0)
+    levels, times = _chain_records(1.0, 0.01, 2000, 5, 0)
     assert np.any(levels[3] == 0.0)
     assert np.all(np.diff(times, axis=0) >= 1)
 
@@ -200,18 +194,6 @@ def test_record_chain_draws_waits_past_underflow():
 def test_validation_report_is_deterministic():
     config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
     assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()
-
-
-def test_mean_improvement_edges():
-    ex = hl.exponential_model()
-    assert hl.mean_improvement(ex, 0.0, 1.0) == 0.0
-    assert hl.mean_improvement(hl.uniform_model(), -1.0, 2.0) == 0.0
-    # far up the exponential range: integral_0^y (1 - e^-t) dt / (1 - e^-y)
-    y = 20.0
-    exact = (y - 1.0 + math.exp(-y)) / -math.expm1(-y)
-    assert hl.mean_improvement(ex, y, 1.0) == pytest.approx(exact, rel=1e-12)
-    with pytest.raises(ValueError):
-        hl.mean_improvement(ex, 0.5, 0.0)
 
 
 def test_validation_requires_enough_samples():

@@ -143,13 +143,13 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
 def zakharov_reports():
     spec = objectives.make("zakharov", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    return ms.run_dmss(spec, p, 424242), ms.run_rdmss(spec, p, 424242)
+    return ms.run_block(spec, p, [424242], "dmss")[0], ms.run_block(spec, p, [424242], "rdmss")[0]
 
 
 def test_reports_are_deterministic(zakharov_reports):
     spec = objectives.make("zakharov", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    again = ms.run_dmss(spec, p, 424242)
+    (again,) = ms.run_block(spec, p, [424242], "dmss")
     assert history_rows(again) == history_rows(zakharov_reports[0])
     assert again.total_evals == zakharov_reports[0].total_evals
 
@@ -217,9 +217,9 @@ def test_rdmss_equals_dmss_until_first_slope_cut(zakharov_reports):
 def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     spec = objectives.make("rosenbrock", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    base = ms.run_dmss(spec, p, 777)
+    (base,) = ms.run_block(spec, p, [777], "dmss")
     monkeypatch.setattr(ms, "expected_slope", lambda *a, **k: 0.0)
-    disabled = ms.run_rdmss(spec, p, 777)
+    (disabled,) = ms.run_block(spec, p, [777], "rdmss")
     assert history_rows(disabled) == history_rows(base)
     assert disabled.restarts == base.restarts
 
@@ -228,7 +228,7 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
 def test_budget_exhaustion_is_flagged_not_raised(algorithm):
     spec = objectives.make("zakharov", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5, max_total_evals=7)
-    report = getattr(ms, f"run_{algorithm}")(spec, p, 3)
+    (report,) = ms.run_block(spec, p, [3], algorithm)
     assert report.budget_exhausted
     assert report.total_evals <= p.max_total_evals
 
@@ -238,12 +238,11 @@ def test_budgeted_run_is_a_prefix_of_the_unbudgeted_run(algorithm):
     # every decision reads only the evaluations so far, so a budget of m
     # cuts the run after its m-th evaluation and changes nothing before it
     spec = objectives.make("zakharov", 5)
-    run = getattr(ms, f"run_{algorithm}")
-    full = run(spec, params(), 3)
+    (full,) = ms.run_block(spec, params(), [3], algorithm)
     length = full.total_evals
     assert not full.budget_exhausted
     for m in range(1, length + 2):
-        cut = run(spec, params(max_total_evals=m), 3)
+        (cut,) = ms.run_block(spec, params(max_total_evals=m), [3], algorithm)
         assert history_rows(cut) == history_rows(full)[: min(length, m)]
         assert cut.budget_exhausted == (length >= m)
 
@@ -452,7 +451,7 @@ def test_every_restart_records_its_costs(zakharov_reports):
 def ncg_reports():
     p = params()
     return [
-        (name, seed, ms.run_ncg(objectives.make(name, 5), p, seed))
+        (name, seed, ms.run_block(objectives.make(name, 5), p, [seed], "ncg")[0])
         for name in objectives.OBJECTIVE_IDS
         for seed in CANONICAL_SEEDS
     ]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recordstart import hasplid
 from recordstart import special as sp
 from reference import incomplete_gamma_g, n_record_threshold, run_histories, tally_of, zeta_equation
 
@@ -258,7 +259,7 @@ def test_survival_count_score_matches_digamma_form(history, log_zeta):
     zeta = math.exp(log_zeta)
     tally = tally_of(history)
     survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(tally.survivors, start=1))
-    scale = tally.excess_records + survivors
+    scale = tally.record_sum - tally.runs + survivors
     assert sp.zeta_score(zeta, tally) == pytest.approx(zeta_equation(zeta, history), abs=1e-12 * scale)
 
 
@@ -282,7 +283,6 @@ def test_zeta_score_falls_as_zeta_grows(history, log_zeta, log_step):
 def test_run_tally_survival_counts():
     tally = tally_of([sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)])
     assert tally.runs == 3
-    assert tally.excess_records == 3
     assert tally.survivors == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
     assert (tally.record_sum, tally.record_hist) == (6, {2: 1, 1: 1, 3: 1})
 
@@ -486,14 +486,19 @@ def test_reciprocal_wait_rejects_q_outside_unit_interval(q):
         sp.mean_reciprocal_wait(q)
 
 
-@pytest.mark.parametrize("model_name", ["uniform", "exponential"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("y", [0.01, 0.3, 0.5, 0.9])
-def test_mean_improvement_matches_inverse_cdf_quadrature(model_name, lam, y):
-    from recordstart import hasplid
+def test_exact_slope_law_matches_improvement_quadrature(lam, alpha):
+    # the lab's exact slope law is the mean improvement from the window
+    # center times E[1/wait]; the improved level is y * U**(1/lam)
+    report = hasplid.validate_statistics(hasplid.LabConfig(alpha=alpha, lam=lam, trajectories=2000, seed=0))
+    y = hasplid.WINDOW_CENTER
+    mean_next = mpmath.quad(lambda u: y * u ** (1.0 / lam), [0, 1])
+    exact = (y - float(mean_next)) * sp.mean_reciprocal_wait(y**alpha)
+    assert report.check("conditional_slope_mean_exact").theoretical == pytest.approx(exact, rel=1e-9)
 
-    model = {"uniform": hasplid.uniform_model, "exponential": hasplid.exponential_model}[model_name]()
-    p = model.cdf(y)
-    # the improved value is inverse_cdf(p(y) * U**(1/lam)) with U uniform
-    mean_next = mpmath.quad(lambda u: model.inverse_cdf(p * float(u) ** (1.0 / lam)), [0, 1])
-    assert hasplid.mean_improvement(model, y, lam) == pytest.approx(y - float(mean_next), rel=1e-9)
+
+def test_exact_slope_law_at_unit_exponents_is_log_two_over_four():
+    # 0.5/2 * (-0.5*ln 0.5)/0.5, with no rounding in the mean improvement
+    report = hasplid.validate_statistics(hasplid.LabConfig(alpha=1.0, lam=1.0, trajectories=2000, seed=0))
+    assert report.check("conditional_slope_mean_exact").theoretical == math.log(2) / 4
