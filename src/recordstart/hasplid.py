@@ -201,9 +201,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     n = config.trajectories
     lo = WINDOW_CENTER - WINDOW_HALFWIDTH
     hi = WINDOW_CENTER + WINDOW_HALFWIDTH
-    p_t = TARGET_LEVEL
-    q_mid = WINDOW_CENTER
-    poi = -lam * math.log(p_t)
+    poi = -lam * math.log(TARGET_LEVEL)
 
     # per trajectory: records above the target level, and records among
     # the first PMF_LENGTH and the first CURVE_LENGTH iterates
@@ -238,13 +236,13 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
         _result(
             "third_record_survival",
             float(np.mean(third_above)),
-            p_fail_histogram({3: 1}, lam, p_t),  # G(3, poi): one factor, k = 3
+            p_fail_histogram({3: 1}, poi),  # G(3, poi): one factor, k = 3
             0.01,
             relative=False,
         )
     )
     report.checks.append(
-        _result("inter_record_time_mean", float(np.mean(gaps)), q_mid ** (-alpha), 0.03)
+        _result("inter_record_time_mean", float(np.mean(gaps)), WINDOW_CENTER ** (-alpha), 0.03)
     )
     pmf_dev = max(abs(pmf_counts[k] / n - record_count_pmf(PMF_LENGTH, k, zeta)) for k in range(1, PMF_LENGTH + 1))
     report.checks.append(_result("record_count_pmf_short_horizon", pmf_dev, 0.0, 0.01, relative=False))
@@ -258,13 +256,13 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     )
     slope_mean = float(np.mean(slopes))
     report.checks.append(
-        _result("conditional_slope_mean", slope_mean, alpha * q_mid**alpha / lam, 0.05)
+        _result("conditional_slope_mean", slope_mean, alpha * WINDOW_CENTER**alpha / lam, 0.05)
     )
     report.checks.append(
         _result(
             "conditional_slope_mean_exact",
             slope_mean,
-            WINDOW_CENTER / (lam + 1.0) * mean_reciprocal_wait(q_mid**alpha),
+            WINDOW_CENTER / (lam + 1.0) * mean_reciprocal_wait(WINDOW_CENTER**alpha),
             0.05,
         )
     )

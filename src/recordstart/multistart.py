@@ -51,10 +51,11 @@ essentially every iterate, a regime where the raw estimators degenerate):
   freeze ``p_fail`` at 1); the score falls as ``zeta`` grows, so one
   evaluation at the guard tells whether the clamp applies before any
   bisection runs,
-* the tail depth fed to ``p_fail`` is capped at the mean observed record
-  count (the model's own moment identity: a run that explored to depth x
-  accrues Poisson(x) records), keeping the failure probability responsive
-  at target sizes many orders below the per-run record counts.
+* the tail depth ``x = alpha * zeta_w * -log(epsilon)`` fed to
+  ``p_fail`` is capped at the mean observed record count (the model's own
+  moment identity: a run that explored to depth x accrues Poisson(x)
+  records), keeping the failure probability responsive at target sizes
+  many orders below the per-run record counts.
 """
 
 from __future__ import annotations
@@ -225,14 +226,6 @@ def _working_zeta(tally: RunTally) -> float:
     return ZETA_GUARD if zeta_score(ZETA_GUARD, tally) > 0 else solve_zeta_tally(tally)
 
 
-def _effective_lambda(alpha: float, zeta_w: float, epsilon: float, mean_records: float) -> float:
-    """Tail-rate parameter used in the failure probability: ``alpha *
-    zeta_w`` capped so the tail depth ``-lam*log(eps)`` does not exceed
-    the mean observed record count."""
-    depth_cap = mean_records / (-math.log(epsilon))
-    return min(alpha * zeta_w, depth_cap)
-
-
 def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
     """How many restarts a run draws next, with ``left`` evaluations left.
 
@@ -288,8 +281,8 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             if algorithm != "ncg":
                 tally.add(stats)
                 report.zeta_w = _working_zeta(tally)
-                lam = _effective_lambda(params.alpha, report.zeta_w, params.epsilon, tally.record_sum / tally.runs)
-                report.p_fail = p_fail_histogram(tally.record_hist, lam, params.epsilon)
+                x = min(params.alpha * report.zeta_w * -math.log(params.epsilon), tally.record_sum / tally.runs)
+                report.p_fail = p_fail_histogram(tally.record_hist, x)
             if algorithm == "ncg" or report.p_fail < params.delta or report.budget_exhausted:
                 report.evals_to_target = check_success(report.values, spec, params.epsilon)
                 return

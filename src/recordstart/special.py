@@ -20,7 +20,8 @@ best, the initial point counting as record 1).  Under that model
   ``zeta * (psi(j+zeta) - psi(zeta))``,
 * the probability that a run with ``k`` records never came within the
   target tail of mass ``eps`` is ``G(k, -lam*log(eps))`` with ``G`` the
-  regularized lower incomplete gamma function at integer order.
+  regularized lower incomplete gamma function at integer order, a plain
+  sum of Poisson terms (:func:`p_fail_histogram`).
 """
 
 from __future__ import annotations
@@ -211,38 +212,33 @@ def solve_zeta_tally(tally: RunTally) -> float:
     return math.sqrt(lo * hi)
 
 
-def p_fail_histogram(record_hist: dict[int, int], lam: float, epsilon: float) -> float:
-    """Probability that every completed run missed the eps-target tail,
-    ``prod_r G(k_r, -lam * log(epsilon))``, over the record-count histogram
-    ``{k: c_k}``: ``prod_k G(k, -lam * log(epsilon))**c_k``.  An empty
-    histogram gives 1.0, and ``{k: 1}`` gives ``G(k, x)`` itself.
+def p_fail_histogram(record_hist: dict[int, int], x: float) -> float:
+    """Probability that every completed run missed the target tail at
+    depth ``x``, ``prod_r G(k_r, x)``, over the record-count histogram
+    ``{k: c_k}``: ``prod_k G(k, x)**c_k``.  An empty histogram gives 1.0,
+    and ``{k: 1}`` gives ``G(k, x)`` itself.
 
-    ``G(k, x) = 1 - exp(-x) * sum_{s<k} x**s / s!``, the regularized lower
-    incomplete gamma at integer order, is summed in log space, left to
-    right, from one pass over the Poisson log terms: the sum of
-    ``exp(term - m)`` runs on from one k to the next and restarts only when
-    a new term raises the maximum ``m``.
+    ``G(k, x) = 1 - sum_{s<k} exp(-x) * x**s / s!``, the regularized lower
+    incomplete gamma at integer order, is one plain left-to-right sum of
+    the Poisson terms that runs on from one k to the next.  A term is at
+    most 1, so none overflows, and ``1 - acc`` keeps an absolute accuracy
+    of about 1e-16 at x = 1, growing with x: 2.4e-15 at the canonical
+    table's deepest x = 43.5, 1e-13 at x = 250.  A factor below that is
+    rounding; the drivers' smallest factors are 1.04e-4 (canonical table)
+    and 0.029 (deep).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    x = -lam * math.log(epsilon)
     if not 0.0 < x < math.inf:
-        raise ValueError("lam must be positive, with a finite tail depth -lam*log(epsilon)")
+        raise ValueError(f"tail depth x must be positive and finite, got {x}")
     ks = sorted(record_hist)
     if ks and ks[0] < 1:
         raise ValueError("record counts must be >= 1")
     log_x = math.log(x)
-    terms = [-x + s * log_x - math.lgamma(s + 1) for s in range(ks[-1] if ks else 0)]
-    out, m, acc, done = 1.0, -math.inf, 0.0, 0
+    out, acc, done = 1.0, 0.0, 0
     for k in ks:
-        new = terms[done:k]
-        top = max(new)
-        if top > m:
-            m, acc, new = top, 0.0, terms[:k]
-        for t in new:
-            acc += math.exp(t - m)
+        for s in range(done, k):
+            acc += math.exp(s * log_x - x - math.lgamma(s + 1))
         done = k
-        out *= min(1.0, max(0.0, 1.0 - math.exp(m) * acc)) ** record_hist[k]
+        out *= max(0.0, 1.0 - acc) ** record_hist[k]
     return out
 
 

@@ -134,15 +134,11 @@ def incomplete_gamma_g(n: int, x: float) -> float:
         return 1.0
     if x == 0.0:
         return 0.0
-    # log-space accumulation keeps the Poisson tail stable for large x
-    log_terms = [-x + s * math.log(x) - math.lgamma(s + 1) for s in range(n)]
-    m = max(log_terms)
-    if m == -math.inf:
-        return 1.0
-    acc = 0.0  # left to right on every Python version, as p_fail_histogram sums
-    for t in log_terms:
-        acc += math.exp(t - m)
-    return min(1.0, max(0.0, 1.0 - math.exp(m) * acc))
+    log_x = math.log(x)
+    acc = 0.0  # left to right, the terms p_fail_histogram sums
+    for s in range(n):
+        acc += math.exp(s * log_x - x - math.lgamma(s + 1))
+    return max(0.0, 1.0 - acc)
 
 
 def per_iterate_values(alpha: float, lam: float, n: int, horizon: int, rng) -> np.ndarray:

@@ -165,8 +165,8 @@ def test_p_fail_matches_declared_relation(zakharov_reports):
         tally = tally_of(report.run_stats)
         assert report.zeta_w == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
         counts = [s.records for s in report.run_stats]
-        lam = ms._effective_lambda(0.5, report.zeta_w, 0.01**5, float(np.mean(counts)))
-        assert report.p_fail == special.p_fail_histogram(tally.record_hist, lam, 0.01**5)
+        x = min(0.5 * report.zeta_w * -math.log(0.01**5), float(np.mean(counts)))
+        assert report.p_fail == special.p_fail_histogram(tally.record_hist, x)
         assert report.p_fail < 1e-3  # loop exit condition
 
 
@@ -340,7 +340,7 @@ def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
     # at the run's mean restart length, and no wave size changes the report
     spec = objectives.make("zakharov", 5)
     p = params(max_total_evals=5_000)
-    monkeypatch.setattr(ms, "p_fail_histogram", lambda hist, lam, epsilon: 1 - 1e-12)
+    monkeypatch.setattr(ms, "p_fail_histogram", lambda hist, x: 1 - 1e-12)
     waves = []
     descend = newton_cg.descend
 

@@ -50,6 +50,9 @@ def test_dimension_scaling_writes_every_sorted_history(tmp_path):
         for dim in (5, 15, 25, 50)
     )
     assert written == SORTED_HISTORY_DIGESTS
+    # Styblinski-Tang's target 0.01**d falls below the float spacing at f* from d = 15 on
+    flagged = [line.split(":")[0] for line in done.stdout.splitlines() if "only an exact hit counts" in line]
+    assert flagged == [f"styblinski_tang d={dim}" for dim in (15, 25, 50)]
 
 
 def test_reproduce_benchmarks_writes_every_configuration(tmp_path):

@@ -307,22 +307,25 @@ def test_run_stats_validation():
 # ---------------------------------------------------------------------------
 
 
-def p_fail(record_counts, lam, epsilon):
-    return sp.p_fail_histogram(collections.Counter(record_counts), lam, epsilon)
+LOG100 = math.log(100.0)  # the tail depth -lam*log(eps) at lam = 1, eps = 0.01
+
+
+def p_fail(record_counts, x):
+    return sp.p_fail_histogram(collections.Counter(record_counts), x)
 
 
 def test_p_fail_empty_product():
-    assert sp.p_fail_histogram({}, 1.0, 0.01) == 1.0
+    assert sp.p_fail_histogram({}, LOG100) == 1.0
 
 
 def test_p_fail_single_run_equals_gamma_value():
-    assert p_fail([2], 1.0, 0.01) == pytest.approx(0.9439483, abs=1e-7)
+    assert p_fail([2], LOG100) == pytest.approx(0.9439483, abs=1e-7)
 
 
 def test_p_fail_two_runs_squares():
-    one = p_fail([2], 1.0, 0.01)
-    assert p_fail([2, 2], 1.0, 0.01) == pytest.approx(one * one, rel=1e-12)
-    assert p_fail([2, 2], 1.0, 0.01) == pytest.approx(0.8910384, abs=1e-7)
+    one = p_fail([2], LOG100)
+    assert p_fail([2, 2], LOG100) == pytest.approx(one * one, rel=1e-12)
+    assert p_fail([2, 2], LOG100) == pytest.approx(0.8910384, abs=1e-7)
 
 
 @given(
@@ -330,14 +333,15 @@ def test_p_fail_two_runs_squares():
     st.integers(min_value=1, max_value=30),
 )
 def test_p_fail_appending_a_run_strictly_decreases(counts, extra):
-    base = p_fail(counts, 1.0, 0.01)
-    assert p_fail(counts + [extra], 1.0, 0.01) < base
+    base = p_fail(counts, LOG100)
+    assert p_fail(counts + [extra], LOG100) < base
 
 
 def test_p_fail_histogram_equals_p_fail_of_the_counts():
     counts = [3, 1, 3, 7, 3, 1]
-    assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, 0.4, 1e-10) == pytest.approx(
-        math.prod(incomplete_gamma_g(k, -0.4 * math.log(1e-10)) for k in counts), rel=1e-14
+    x = -0.4 * math.log(1e-10)
+    assert sp.p_fail_histogram({1: 2, 3: 3, 7: 1}, x) == pytest.approx(
+        math.prod(incomplete_gamma_g(k, x) for k in counts), rel=1e-14
     )
 
 
@@ -351,27 +355,37 @@ def test_p_fail_histogram_equals_p_fail_of_the_counts():
     ],
 )
 def test_p_fail_histogram_is_the_product_of_the_gamma_values_exactly(hist):
-    lam, eps = 0.8, 1e-10
-    x = -lam * math.log(eps)
+    x = -0.8 * math.log(1e-10)
     assert math.floor(x) == 18
-    assert sp.p_fail_histogram(hist, lam, eps) == math.prod(
+    assert sp.p_fail_histogram(hist, x) == math.prod(
         incomplete_gamma_g(k, x) ** c for k, c in sorted(hist.items())
     )
 
 
+@pytest.mark.parametrize("x", [0.5, 2.3026, 18.42, 60.0, 250.0])
+def test_p_fail_histogram_against_mpmath(x):
+    # orders from 1 up to 3x + 5, deep in the lower tail where G -> 0;
+    # rounding in the Poisson terms' exponents grows with x, ~1e-13 at 250
+    mode, top = max(2, round(x)), int(3 * x) + 5
+    hists = ({1: 2, top: 1}, {mode: 3}, {1: 1, mode: 2, mode + 1: 1, top: 2}, {k: 1 for k in range(1, 2 * mode)})
+    for hist in hists:
+        factors = {k: mpmath.gammainc(k, 0, x, regularized=True) for k in hist}
+        exact = float(mpmath.fprod(factors[k] ** c for k, c in hist.items()))
+        err = abs(sp.p_fail_histogram(hist, x) - exact)
+        assert err <= 1e-15 * max(1.0, x)
+        if min(factors.values()) >= 1e-4:
+            assert err <= 1e-10 * exact
+
+
 def test_p_fail_rejects_a_tail_depth_that_is_not_positive_and_finite():
-    for lam in (math.nan, math.inf, 5e-324):
-        with pytest.raises(ValueError, match="lam"):
-            sp.p_fail_histogram({2: 1}, lam, 0.999)
+    for x in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tail depth"):
+            sp.p_fail_histogram({2: 1}, x)
 
 
 def test_p_fail_domain_errors():
     with pytest.raises(ValueError):
-        sp.p_fail_histogram({2: 1}, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        sp.p_fail_histogram({2: 1}, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        sp.p_fail_histogram({0: 1}, 1.0, 0.1)
+        sp.p_fail_histogram({0: 1}, LOG100)
 
 
 # ---------------------------------------------------------------------------
