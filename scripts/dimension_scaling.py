@@ -23,7 +23,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=50)
     parser.add_argument("--seed", type=int, default=bench.DEFAULT_SEED)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=bench.ExperimentConfig.workers)
     parser.add_argument("--out", default="scaling")
     args = parser.parse_args()
 

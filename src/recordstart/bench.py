@@ -48,6 +48,8 @@ __all__ = [
 ALGORITHMS = ("dmss", "rdmss", "ncg")
 HISTORY_HEADER = ["run_id", "eval_index", "f_value", "is_record", "restart_index", "algorithm"]
 DEFAULT_SEED = 52
+# a history row's is_record field, with its leading comma, by flag
+_FLAG_FIELDS = (",0", ",1")
 
 
 @dataclass(frozen=True)
@@ -165,19 +167,20 @@ def emit_history(reports, path: str, sort_values: bool = False) -> None:
     chronological order, the layout the dimension-scaling plots consume.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
+        # the bytes csv.writer writes (no field needs quoting), one write
+        # per run; a row is joined from four strings: "run_id,rank,", the
+        # value's repr, ",is_record" and ",restart_index,algorithm\r\n"
+        fh.write(",".join(HISTORY_HEADER) + "\r\n")
         for run_id, report in enumerate(reports):
-            restart_index = chain.from_iterable(
-                repeat(r, stats.iterates) for r, stats in enumerate(report.run_stats, start=1)
+            tails = chain.from_iterable(
+                repeat(f",{r},{report.algorithm}\r\n", stats.iterates)
+                for r, stats in enumerate(report.run_stats, start=1)
             )
-            rows = zip(report.values, report.records, restart_index)
+            values, flags = report.values, report.records
             if sort_values:
-                rows = sorted(rows, key=lambda row: -row[0])
-            writer.writerows(
-                (run_id, rank, repr(f), int(flag), r, report.algorithm)
-                for rank, (f, flag, r) in enumerate(rows, start=1)
-            )
+                values, flags, tails = zip(*sorted(zip(values, flags, tails), key=lambda row: -row[0]))
+            heads = map(f"{run_id},{{}},".format, range(1, len(values) + 1))
+            fh.write("".join(map("".join, zip(heads, map(repr, values), map(_FLAG_FIELDS.__getitem__, flags), tails))))
 
 
 def aggregate_from_history(history_path: str, objective: str, dim: int, eps_base: float) -> AggregateReport:

@@ -17,12 +17,14 @@ deterministic Newton-CG, so its descent is fixed before the record
 statistics look at it: they only choose where it stops and whether
 another restart follows.  So a run descends first and decides after, and
 its driver, a generator (``_drive``), owns its whole schedule: each wave
-it sizes its next restarts from its own ``p_fail`` trend
-(``_wave_size``), draws them from its own generator, caps their steps
-and yields them, is sent their descents once, and reads them in restart
-order, ``inner_loop`` finding where each stops.  It reads a prefix of
-each descent, so it decides as it would with waves of one; the steps
-past its stops and the restarts it never reaches are dropped.
+it sizes its next restarts from its own ``p_fail`` trend, or before it
+has one from the record model's prior (``_wave_size``: 11 restarts at
+``delta = 1e-3``, 101 at ``1e-30``), draws them from its own generator
+in one call, caps their steps and yields them, is sent their descents
+once, and reads them in restart order, ``inner_loop`` finding where each
+stops.  It reads a prefix of each descent, so it decides as it would
+with waves of one; the steps past its stops and the restarts it never
+reaches are dropped.
 ``run_block`` only batches: it descends the waves of every running
 driver as one engine block (``newton_cg.descend``) and sends each
 driver its own columns.  The engine's rows do not mix, so a report
@@ -66,13 +68,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import newton_cg
-from .objectives import ObjectiveSpec, sample_uniform
-from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
+from .objectives import ObjectiveSpec
+from .special import RunStats, RunTally, p_fail_histogram, ptilde, solve_zeta_tally, zeta_score
 
 __all__ = [
     "ZETA_GUARD",
     "RECORD_TOL",
-    "WAVE",
     "AlgoParams",
     "RestartCost",
     "RunReport",
@@ -83,9 +84,6 @@ __all__ = [
 
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
-# restarts in a DMSS/RDMSS run's first wave; later waves are sized from
-# the run's own p_fail trend (_wave_size)
-WAVE = 8
 
 
 @dataclass(frozen=True)
@@ -210,11 +208,9 @@ def inner_loop(
             slope = (best - fn) / (j - best_t)
             prev_value = best
             best, best_t = fn, j
-            if (
-                use_slope
-                and k >= 2
-                and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale)
-            ):
+            # the model's expected slope at the previous record,
+            # special.expected_slope without its argument checks
+            if use_slope and slope < ptilde(prev_value, params.ptilde_scale) ** params.alpha / zeta:
                 break
     return RunStats(records=k, iterates=j), flags, j - 1
 
@@ -229,21 +225,25 @@ def _working_zeta(tally: RunTally) -> float:
 def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
     """How many restarts a run draws next, with ``left`` evaluations left.
 
-    ncg draws one.  A DMSS/RDMSS run draws ``WAVE`` first; after ``r``
-    restarts at failure probability ``p < 1`` it draws ``ceil(r *
-    (log(delta) / log(p) - 1)) + 1``, the restarts still needed at its
-    mean ``p_fail`` factor per restart plus one, else ``max(WAVE, r)``.
-    No wave exceeds ``ceil(left * r / total_evals)``, the restarts the
-    evaluations left hold at the run's mean restart length, so a flat
-    trend cannot draw the whole budget as one block."""
+    ncg draws one.  A DMSS/RDMSS run at failure probability ``p < 1``
+    after ``r`` restarts draws ``ceil(r * (log(delta) / log(p) - 1)) +
+    1``, the restarts still needed at its mean ``p_fail`` factor per
+    restart plus one.  While ``p`` is still 1, its first wave included, it
+    draws ``ceil(log(delta) / log(1/2)) + 1`` (11 at ``delta = 1e-3``, 101
+    at ``1e-30``): the record model's prior factor of 1/2, as the tail
+    depth is capped at the mean record count and a Poisson count reaches
+    its mean about half the time.  The first wave holds at most ``left``
+    restarts, and a later one at most ``ceil(left * r / total_evals)``,
+    the restarts the evaluations left hold at the run's mean restart
+    length, so a flat trend cannot draw the whole budget as one block."""
     if report.algorithm == "ncg":
         return 1
-    r = report.restarts
-    if r == 0:
-        return min(WAVE, left)
-    p = report.p_fail
-    n = math.ceil(r * (math.log(params.delta) / math.log(p) - 1)) + 1 if p < 1 else max(WAVE, r)
-    return min(n, math.ceil(left * r / report.total_evals))
+    r, p = report.restarts, report.p_fail
+    if p < 1:
+        n = math.ceil(r * (math.log(params.delta) / math.log(p) - 1)) + 1
+    else:
+        n = math.ceil(math.log(params.delta) / math.log(0.5)) + 1
+    return min(n, math.ceil(left * r / report.total_evals) if r else left)
 
 
 def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
@@ -267,7 +267,8 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     while True:
         left = params.max_total_evals - report.total_evals
         n = _wave_size(params, report, left)
-        x0 = [sample_uniform(spec, rng) for _ in range(n)]
+        # one draw for the wave: the bits of n objectives.sample_uniform calls
+        x0 = spec.lower + (spec.upper - spec.lower) * rng.random((n, spec.dim))
         fx, counts, accepted, rejected = yield x0, range(left - 1, left - 1 - n, -1)
         for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):
             values = fx[: a + 1, r].tolist()
@@ -301,7 +302,7 @@ def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) ->
     runs = [_drive(spec, params, report, np.random.default_rng(seed)) for report, seed in zip(reports, seeds)]
     waves = [next(run) for run in runs]
     while runs:
-        x0 = [x for starts, _ in waves for x in starts]
+        x0 = np.concatenate([starts for starts, _ in waves])
         caps = [cap for _, wave_caps in waves for cap in wave_caps]
         fx, counts, accepted, rejected = newton_cg.descend(spec, x0, caps)
         going, asked, row = [], [], 0

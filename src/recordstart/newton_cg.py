@@ -43,8 +43,10 @@ outward gradient pull are frozen for the subproblem, and when the very
 first CG iteration meets non-positive curvature the step falls back to the
 gradient direction rescaled to a fixed fraction of the box diagonal (plain
 ``-g`` is metrically meaningless on landscapes whose curvature scale
-differs wildly from unity, and crawls).  A row with nothing pinned has an
-all-true mask, and ``np.where`` returns its input's bits there.
+differs wildly from unity, and crawls).  ``np.where`` returns its input's
+bits on a row with nothing pinned, and a block with nothing pinned skips
+the mask, as a CG iteration with every row still in the solve skips its
+row masks.
 """
 
 from __future__ import annotations
@@ -107,8 +109,11 @@ def _direction(oracle: Oracle, rows, x, g):
     n, d = x.shape
     span = spec.upper - spec.lower
     pin_tol = 1e-12 * span
-    free = ~(((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0)))
-    gm = np.where(free, g, 0.0)
+    pinned = ((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0))
+    # zero the pinned coordinates; np.where keeps the other bits, so with
+    # nothing pinned the mask is skipped
+    free = ~pinned if pinned.any() else None
+    gm = g if free is None else np.where(free, g, 0.0)
     rr = dot(gm, gm)
     gm_norm = np.sqrt(rr)
     found = gm_norm != 0.0
@@ -123,7 +128,9 @@ def _direction(oracle: Oracle, rows, x, g):
         act &= ~(np.sqrt(rr) <= tol)
         if not act.any():
             break
-        ap = np.where(free, hvp(pd, rows[act]), 0.0)
+        ap = hvp(pd, rows[act])
+        if free is not None:
+            ap = np.where(free, ap, 0.0)
         curv = dot(pd, ap)
         flat = act & (curv <= 0.0)
         if flat.any():
@@ -131,17 +138,19 @@ def _direction(oracle: Oracle, rows, x, g):
                 scale = SADDLE_STEP_FRACTION * span * math.sqrt(d) / gm_norm[flat]
                 p[flat] = -gm[flat] * scale[:, None]
             act &= ~flat
-        on = act[:, None]
-        np.divide(rr, curv, out=a, where=act)
+        # a masked ufunc costs about three unmasked ones; while every row
+        # is in the solve, where=True updates them all, with the same bits
+        row_on, on = (True, True) if act.all() else (act, act[:, None])
+        np.divide(rr, curv, out=a, where=row_on)
         np.multiply(a[:, None], pd, out=term, where=on)
         np.add(p, term, out=p, where=on)
         np.multiply(a[:, None], ap, out=term, where=on)
         np.add(r, term, out=r, where=on)
         rr_new = dot(r, r)
-        np.divide(rr_new, rr, out=a, where=act)
+        np.divide(rr_new, rr, out=a, where=row_on)
         np.multiply(pd, a[:, None], out=pd, where=on)
         np.subtract(pd, r, out=pd, where=on)
-        np.copyto(rr, rr_new, where=act)
+        np.copyto(rr, rr_new, where=row_on)
     uphill = dot(p, gm) >= 0.0
     if uphill.any():
         p[uphill] = -gm[uphill]

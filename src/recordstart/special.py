@@ -1,6 +1,7 @@
 """Closed-form record statistics and the special functions behind them.
 
-Everything in this module is pure and stateless, apart from
+Everything in this module is pure and stateless, apart from a table of
+log factorials that :func:`p_fail_histogram` grows as it needs and
 :class:`RunTally`, the running sufficient statistics of completed runs from
 which :func:`zeta_score`, :func:`solve_zeta_tally` and
 :func:`p_fail_histogram` evaluate the drivers' cross-run statistics without
@@ -53,6 +54,8 @@ ZETA_MAX = 1e6
 # negative below y = 0, where several benchmark objectives take values
 PTILDE_FLOOR = 1e-12
 _STIRLING_MAX_N = 20
+# _LOG_FACTORIAL[s] = lgamma(s + 1), grown by p_fail_histogram as needed
+_LOG_FACTORIAL: list[float] = []
 
 
 @dataclass(frozen=True)
@@ -233,10 +236,12 @@ def p_fail_histogram(record_hist: dict[int, int], x: float) -> float:
     if ks and ks[0] < 1:
         raise ValueError("record counts must be >= 1")
     log_x = math.log(x)
+    log_fact = _LOG_FACTORIAL
+    log_fact += [math.lgamma(s + 1) for s in range(len(log_fact), max(ks, default=0))]
     out, acc, done = 1.0, 0.0, 0
     for k in ks:
         for s in range(done, k):
-            acc += math.exp(s * log_x - x - math.lgamma(s + 1))
+            acc += math.exp(s * log_x - x - log_fact[s])
         done = k
         out *= max(0.0, 1.0 - acc) ** record_hist[k]
     return out

@@ -218,7 +218,9 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     spec = objectives.make("rosenbrock", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
     (base,) = ms.run_block(spec, p, [777], "dmss")
-    monkeypatch.setattr(ms, "expected_slope", lambda *a, **k: 0.0)
+    # a zero surrogate CDF makes the expected slope 0, which no record's
+    # slope is below
+    monkeypatch.setattr(ms, "ptilde", lambda *a, **k: 0.0)
     (disabled,) = ms.run_block(spec, p, [777], "rdmss")
     assert history_rows(disabled) == history_rows(base)
     assert disabled.restarts == base.restarts
@@ -302,7 +304,7 @@ def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algori
     # to the last step it read, however many restarts a wave descends,
     # and each run draws from its own generator, so it equals its run alone
     spec = objectives.make(name, 5)
-    assert ms.WAVE > 1
+    assert ms._wave_size(p, ms.RunReport(algorithm), p.max_total_evals) > 1
     ahead = ms.run_block(spec, p, seeds, algorithm)
     for seed, report in zip(seeds, ahead):
         assert report == ms.run_block(spec, p, [seed], algorithm)[0]
@@ -316,15 +318,27 @@ def report_after(restarts, iterates=10, p_fail=1.0, algorithm="dmss"):
     return ms.RunReport(algorithm, values=[0.0] * (restarts * iterates), run_stats=stats, p_fail=p_fail)
 
 
-def test_first_wave_is_WAVE_and_ncg_draws_one():
-    assert ms._wave_size(params(), report_after(0), 100_000) == ms.WAVE
-    assert ms._wave_size(params(), report_after(0), 5) == 5
-    assert ms._wave_size(params(), report_after(0, algorithm="ncg"), 100_000) == 1
+# ceil(log(delta) / log(1/2)) + 1: the restarts a run needs at the record
+# model's prior p_fail factor of 1/2 per restart, plus one
+PRIOR_WAVE = {1e-3: 11, 1e-30: 101}
 
 
-@pytest.mark.parametrize("restarts", [1, 8, 20])
-def test_wave_without_a_p_fail_trend_draws_as_many_as_made(restarts):
-    assert ms._wave_size(params(), report_after(restarts), 100_000) == max(ms.WAVE, restarts)
+def test_first_wave_is_the_record_prior_and_ncg_draws_one():
+    for delta, prior in PRIOR_WAVE.items():
+        p = params(delta=delta)
+        assert ms._wave_size(p, report_after(0), 100_000) == prior
+        assert ms._wave_size(p, report_after(0), prior) == prior
+        assert ms._wave_size(p, report_after(0), 5) == 5  # capped at the evaluations left
+        assert ms._wave_size(p, report_after(0, algorithm="ncg"), 100_000) == 1
+
+
+@pytest.mark.parametrize("restarts", [1, 8, 20, 150])
+def test_wave_without_a_p_fail_trend_draws_the_prior(restarts):
+    for delta, prior in PRIOR_WAVE.items():
+        p = params(delta=delta)
+        assert ms._wave_size(p, report_after(restarts), 100_000) == prior
+        # the 25 evaluations left hold 3 restarts of the run's mean length, 10
+        assert ms._wave_size(p, report_after(restarts), 25) == 3
 
 
 def test_wave_draws_the_restarts_its_p_fail_trend_still_needs():
@@ -350,7 +364,7 @@ def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
 
     monkeypatch.setattr(newton_cg, "descend", wave)
     (report,) = ms.run_block(spec, p, [7], "dmss")
-    assert report.budget_exhausted and waves[0] == ms.WAVE and len(waves) > 1
+    assert report.budget_exhausted and waves[0] == PRIOR_WAVE[p.delta] and len(waves) > 1
     r = 0
     for n in waves:
         if r:
@@ -407,14 +421,18 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
 @pytest.mark.parametrize(
     "name, algorithm", [("zakharov", "dmss"), ("styblinski_tang", "rdmss"), ("centered_sinusoidal", "rdmss")]
 )
-def test_restart_i_starts_at_the_runs_ith_draw(name, algorithm):
+def test_restart_i_starts_at_the_runs_ith_draw(monkeypatch, name, algorithm):
     # restarts descended in waves still take the run's own draws in
-    # restart order
+    # restart order.  The first wave holds each of these runs whole, so
+    # they are run again in waves of three, which every run spans
     spec = objectives.make(name, 5)
     seeds = CANONICAL_SEEDS[:3]
+    whole = ms.run_block(spec, params(), seeds, algorithm)
+    assert all(report.restarts > 1 for report in whole)  # each run draws several restarts in a wave
+    monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: min(3, left))
     reports = ms.run_block(spec, params(), seeds, algorithm)
-    assert all(report.restarts > 1 for report in reports)  # each run draws several restarts in a wave
-    assert any(report.restarts > ms.WAVE for report in reports)  # some run's restarts span two waves
+    assert all(report.restarts > 3 for report in reports)  # every run's restarts span two waves
+    assert reports == whole
     for seed, report in zip(seeds, reports):
         firsts = {}
         for f, _, restart in history_rows(report):

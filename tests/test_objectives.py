@@ -2,6 +2,11 @@
 analytic derivatives, the vectorized sinusoid products against their
 loop reference, sampling bounds, registry behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from reference import (
@@ -393,3 +398,19 @@ def test_registry_contents():
     }
     with pytest.raises(KeyError):
         ob.make("sphere", 5)
+
+
+def test_importing_objectives_leaves_the_harness_unloaded():
+    # the package resolves its top-level names on first use, so a fresh
+    # interpreter that imports only the objectives loads neither the
+    # experiment harness nor its process pool
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, recordstart.objectives; "
+        "print(sorted(m for m in ('recordstart.bench', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
