@@ -31,7 +31,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .hasplid import LabConfig, validate_statistics
-from .multistart import AlgoParams, RunReport, run_block
+from .multistart import ALGORITHMS, AlgoParams, RunReport, check_algorithm, run_block
 from .objectives import OBJECTIVE_IDS, make
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "main",
 ]
 
-ALGORITHMS = ("dmss", "rdmss", "ncg")
 HISTORY_HEADER = ["run_id", "eval_index", "f_value", "is_record", "restart_index", "algorithm"]
 DEFAULT_SEED = 52
 # a history row's is_record field, with its leading comma, by flag
@@ -68,8 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         make(self.objective, self.dim)  # rejects an unknown objective or a dim below 2
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        check_algorithm(self.algorithm)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:
@@ -138,11 +136,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         # produce byte-identical files at any parallelism
         summary_cfg = asdict(config)
         del summary_cfg["workers"]
-        summary = {"config": summary_cfg, "aggregate": aggregate.to_dict()}
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _json({"config": summary_cfg, "aggregate": aggregate.to_dict()}, os.path.join(out_dir, "summary.json"))
     return aggregate, reports
+
+
+def _json(obj, path: str | None = None) -> str:
+    """``obj`` as the indented, key-sorted JSON of every artifact and CLI
+    print, also written to ``path``, newline-terminated, when given."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def _aggregate(reports) -> AggregateReport:
@@ -256,7 +261,7 @@ def compare(summary_a_path: str, summary_b_path: str) -> dict:
 def _cmd_run(args) -> int:
     fields = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}
     aggregate, _ = run_experiment(ExperimentConfig(**fields), out_dir=args.out)
-    print(json.dumps(aggregate.to_dict(), indent=2, sort_keys=True))
+    print(_json(aggregate.to_dict()))
     return 0
 
 
@@ -264,23 +269,12 @@ def _cmd_validate_theory(args) -> int:
     fields = {k: v for k, v in vars(args).items() if k in LabConfig.__dataclass_fields__}
     power_law = validate_statistics(LabConfig(alpha=0.5, lam=1.0, **fields))
     classical = validate_statistics(LabConfig(alpha=1.0, lam=1.0, **fields))
-    report = {"power_law": power_law.to_dict(), "classical": classical.to_dict()}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    ok = power_law.all_passed() and classical.all_passed()
-    return 0 if ok else 1
+    print(_json({"power_law": power_law.to_dict(), "classical": classical.to_dict()}, args.out))
+    return 0 if power_law.all_passed() and classical.all_passed() else 1
 
 
 def _cmd_compare(args) -> int:
-    result = compare(args.summary_a, args.summary_b)
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_json(compare(args.summary_a, args.summary_b), args.out))
     return 0
 
 

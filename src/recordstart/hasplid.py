@@ -133,17 +133,7 @@ class ValidationReport:
         )
         return {
             "config": {**asdict(self.config), **design},
-            "checks": [
-                {
-                    "name": c.name,
-                    "statistic": c.statistic,
-                    "theoretical": c.theoretical,
-                    "tolerance": c.tolerance,
-                    "relative": c.relative,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "pass": c.passed} for c in self.checks],
         }
 
     def to_json(self) -> str:

@@ -18,13 +18,12 @@ statistics look at it: they only choose where it stops and whether
 another restart follows.  So a run descends first and decides after, and
 its driver, a generator (``_drive``), owns its whole schedule: each wave
 it sizes its next restarts from its own ``p_fail`` trend, or before it
-has one from the record model's prior (``_wave_size``: 11 restarts at
-``delta = 1e-3``, 101 at ``1e-30``), draws them from its own generator
-in one call, caps their steps and yields them, is sent their descents
-once, and reads them in restart order, ``inner_loop`` finding where each
-stops.  It reads a prefix of each descent, so it decides as it would
-with waves of one; the steps past its stops and the restarts it never
-reaches are dropped.
+has one from the record model's prior (the rule is ``_wave_size``'s),
+draws them from its own generator in one call, caps their steps and
+yields them, is sent their descents once, and reads them in restart
+order, ``inner_loop`` finding where each stops.  It reads a prefix of
+each descent, so it decides as it would with waves of one; the steps
+past its stops and the restarts it never reaches are dropped.
 ``run_block`` only batches: it descends the waves of every running
 driver as one engine block (``newton_cg.descend``) and sends each
 driver its own columns.  The engine's rows do not mix, so a report
@@ -35,7 +34,8 @@ A global run is written down once, in its ``RunReport``: per restart,
 the driver extends two columns, the values it read (``values``) and
 their record flags (``records``), and appends its ``RunStats`` to
 ``run_stats`` and its oracle counts and engine steps (``RestartCost``,
-the descent's counts at the last step the driver read) to ``costs``.
+the descent's counts at the last step the driver read, and that step) to
+``costs``.
 Restart ``r`` (1-based) holds the next ``run_stats[r - 1].iterates``
 evaluations, so no evaluation stores its restart index.  The restart
 count, the evaluation count, the mean inner-loop length and the success
@@ -72,6 +72,7 @@ from .objectives import ObjectiveSpec
 from .special import RunStats, RunTally, p_fail_histogram, ptilde, solve_zeta_tally, zeta_score
 
 __all__ = [
+    "ALGORITHMS",
     "ZETA_GUARD",
     "RECORD_TOL",
     "AlgoParams",
@@ -79,9 +80,12 @@ __all__ = [
     "RunReport",
     "inner_loop",
     "run_block",
+    "check_algorithm",
     "check_success",
 ]
 
+# the names inner_loop, _wave_size and _drive branch on
+ALGORITHMS = ("dmss", "rdmss", "ncg")
 ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
 
@@ -164,6 +168,12 @@ class RunReport:
         return float(np.mean([s.iterates for s in self.run_stats]))
 
 
+def check_algorithm(algorithm: str) -> None:
+    """Reject a name outside ``ALGORITHMS``, which would run another one silently."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
+
+
 def inner_loop(
     values, rejected: bool, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
 ):
@@ -186,6 +196,7 @@ def inner_loop(
     decide them: ``j - 1``, or ``j`` when the loop asked for the step
     after the last value and it was rejected.
     """
+    check_algorithm(algorithm)
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
     j, k = 1, 1
@@ -277,7 +288,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             report.values += values[: stats.iterates]
             report.records += flags
             report.run_stats.append(stats)
-            report.costs.append(RestartCost(*counts[steps, r].tolist()))
+            report.costs.append(RestartCost(*counts[steps, r].tolist(), steps))
             report.budget_exhausted = report.total_evals >= params.max_total_evals
             if algorithm != "ncg":
                 tally.add(stats)
@@ -298,6 +309,7 @@ def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) ->
     sends each driver its own columns; the drivers that return are done.
     A row's bits do not depend on the block, so each report equals its
     run alone."""
+    check_algorithm(algorithm)
     reports = [RunReport(algorithm) for _ in seeds]
     runs = [_drive(spec, params, report, np.random.default_rng(seed)) for report, seed in zip(reports, seeds)]
     waves = [next(run) for run in runs]

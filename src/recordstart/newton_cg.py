@@ -111,7 +111,8 @@ def _direction(oracle: Oracle, rows, x, g):
     pin_tol = 1e-12 * span
     pinned = ((x <= spec.lower + pin_tol) & (g > 0)) | ((x >= spec.upper - pin_tol) & (g < 0))
     # zero the pinned coordinates; np.where keeps the other bits, so with
-    # nothing pinned the mask is skipped
+    # nothing pinned the mask is skipped: that pays on the dimension
+    # sweep's large blocks, which no benchmark workload has
     free = ~pinned if pinned.any() else None
     gm = g if free is None else np.where(free, g, 0.0)
     rr = dot(gm, gm)
@@ -214,14 +215,14 @@ def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray,
     """Descend from every row of ``x0`` as one block until each row has
     terminated natively or taken ``max_steps`` (per row) steps.
 
-    Returns the values ``(S + 1, R)`` and the f, gradient, HVP and step
-    counts ``(S + 1, R, 4)`` of every row after :func:`init` and after
-    each of the ``S`` block steps, and per row its accepted steps and
-    whether its last step was rejected (a native stop in the line
-    search).  Every row steps in every block step until it stops, so its
-    s-th step is block step s: a row with ``a`` accepted steps has the
-    values ``fx[:a + 1, row]``, and its counts after its s-th step are
-    ``counts[s, row]``."""
+    Returns the values ``(S + 1, R)`` and the f, gradient and HVP counts
+    ``(S + 1, R, 3)`` of every row after :func:`init` and after each of
+    the ``S`` block steps, and per row its accepted steps and whether its
+    last step was rejected (a native stop in the line search).  Every row
+    steps in every block step until it stops, so its s-th step is block
+    step s: a row with ``a`` accepted steps has the values ``fx[:a + 1,
+    row]``, and its counts after its s-th step are ``counts[s, row]``,
+    which is why no step count is stacked."""
     state = init(spec, x0)
     oracle = state.oracle
     max_steps = np.asarray(max_steps)
@@ -229,7 +230,7 @@ def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray,
     fx, counts = [], []
     while True:
         fx.append(state.fx.copy())
-        counts.append(np.stack((oracle.f_evals, oracle.grad_evals, oracle.hvp_evals, state.steps), 1))
+        counts.append(np.stack((oracle.f_evals, oracle.grad_evals, oracle.hvp_evals), 1))
         rows = np.flatnonzero(~state.converged & (state.steps < max_steps))
         if not rows.size:
             return np.stack(fx), np.stack(counts), state.steps - rejected, rejected

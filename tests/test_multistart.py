@@ -535,3 +535,19 @@ def test_params_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="max_total_evals"):
             ms.AlgoParams(max_total_evals=budget)
+
+
+@pytest.mark.parametrize("name", ["dmsss", "RDMSS"])
+def test_unknown_algorithm_names_are_rejected_with_one_message(name):
+    # the loop branches on exact names: "dmsss" would run DMSS and
+    # "RDMSS" would run without the slope rule
+    message = f"algorithm must be one of {ms.ALGORITHMS}, not '{name}'"
+    spec = objectives.make("zakharov", 5)
+    for call in (
+        lambda: ms.run_block(spec, params(), [7], name),
+        lambda: ms.inner_loop([1.0, 0.5], True, params(), 1.0, name),
+        lambda: bench.ExperimentConfig("zakharov", 5, name),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message

@@ -380,7 +380,7 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
         assert same_bits(block.x[i], ref.x) and same_bits(block.gx[i], ref.gx) and block.fx[i] == ref.fx
         ref_counts = (ref.oracle.f_evals[0], ref.oracle.grad_evals[0], ref.oracle.hvp_evals[0], ref.steps)
         counts_i = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
-        assert counts_i == tuple(counts[-1, i]) == ref_counts
+        assert counts_i == (*counts[-1, i], block.steps[i]) == ref_counts
         assert fx[: len(values), i].tolist() == values
         assert accepted[i] == len(values) - 1 and rejected[i] == (ref.steps == len(values))
 
