@@ -11,6 +11,7 @@ import argparse
 import os
 
 from recordstart import bench
+from recordstart.multistart import ALGORITHMS
 from recordstart.objectives import OBJECTIVE_IDS
 
 
@@ -30,7 +31,7 @@ def main():
     print(header)
     print("-" * len(header))
     for objective in OBJECTIVE_IDS:
-        for algo in ("dmss", "rdmss", "ncg"):
+        for algo in ALGORITHMS:
             cfg = bench.ExperimentConfig(
                 objective=objective,
                 dim=args.dim,

@@ -190,39 +190,33 @@ def emit_history(reports, path: str, sort_values: bool = False) -> None:
 
 def aggregate_from_history(history_path: str, objective: str, dim: int, eps_base: float) -> AggregateReport:
     """Recompute the aggregate purely from history.csv (consistency
-    oracle for summary.json)."""
-    spec = make(objective, dim)
+    oracle for summary.json).  One pass over the rows keeps, per run, its
+    row count per restart index and the ``eval_index`` of its first row
+    within ``eps_base**dim`` of ``f*``, so memory grows with runs and
+    restarts, not rows."""
+    f_star = make(objective, dim).f_star
     epsilon = eps_base**dim
-    runs: dict[int, list] = {}
+    loops: dict[int, dict[int, int]] = {}
+    hits: dict[int, int] = {}
     with open(history_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            runs.setdefault(int(rec["run_id"]), []).append(rec)
-    restarts, hits, inner, totals, successes = [], [], [], [], 0
-    for run_id in sorted(runs):
-        rows = runs[run_id]
-        n_restarts = max(int(r["restart_index"]) for r in rows)
-        restarts.append(n_restarts)
-        totals.append(len(rows))
-        per_loop = [0] * n_restarts
-        for r in rows:
-            per_loop[int(r["restart_index"]) - 1] += 1
-        inner.append(float(np.mean(per_loop)))
-        hit = None
-        for r in rows:
-            if abs(float(r["f_value"]) - spec.f_star) <= epsilon:
-                hit = int(r["eval_index"])
-                break
-        if hit is not None:
-            successes += 1
-            hits.append(hit)
+        rows = csv.reader(fh)
+        next(rows)  # HISTORY_HEADER
+        for run_id, eval_index, f_value, _, restart_index, _ in rows:
+            run_id, restart_index = int(run_id), int(restart_index)
+            counts = loops.setdefault(run_id, {})
+            counts[restart_index] = counts.get(restart_index, 0) + 1
+            if run_id not in hits and abs(float(f_value) - f_star) <= epsilon:
+                hits[run_id] = int(eval_index)
+    per_run = [loops[run_id] for run_id in sorted(loops)]
+    restarts = [max(counts) for counts in per_run]
+    inner = [np.mean([counts.get(r, 0) for r in range(1, n + 1)]) for counts, n in zip(per_run, restarts)]
     return AggregateReport(
         avg_restarts=float(np.mean(restarts)),
-        avg_evals_to_target=float(np.mean(hits)) if hits else None,
+        avg_evals_to_target=float(np.mean([hits[run_id] for run_id in sorted(hits)])) if hits else None,
         avg_inner_iterations=float(np.mean(inner)),
-        avg_total_evals=float(np.mean(totals)),
-        success_count=successes,
-        runs=len(runs),
+        avg_total_evals=float(np.mean([sum(counts.values()) for counts in per_run])),
+        success_count=len(hits),
+        runs=len(per_run),
     )
 
 

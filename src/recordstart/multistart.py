@@ -69,7 +69,7 @@ import numpy as np
 
 from . import newton_cg
 from .objectives import ObjectiveSpec
-from .special import RunStats, RunTally, p_fail_histogram, ptilde, solve_zeta_tally, zeta_score
+from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
 
 __all__ = [
     "ALGORITHMS",
@@ -219,9 +219,8 @@ def inner_loop(
             slope = (best - fn) / (j - best_t)
             prev_value = best
             best, best_t = fn, j
-            # the model's expected slope at the previous record,
-            # special.expected_slope without its argument checks
-            if use_slope and slope < ptilde(prev_value, params.ptilde_scale) ** params.alpha / zeta:
+            # the model's expected slope at the previous record
+            if use_slope and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale):
                 break
     return RunStats(records=k, iterates=j), flags, j - 1
 

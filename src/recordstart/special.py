@@ -266,12 +266,10 @@ def ptilde(y: float, scale: float) -> float:
 
 def expected_slope(y_record: float, alpha: float, zeta: float, scale: float) -> float:
     """Model expectation of the record-improvement slope at level y:
-    ``ptilde(y)**alpha / zeta``.
+    ``ptilde(y)**alpha / zeta``.  Unchecked: the drivers pass an ``alpha``
+    in (0, 1], which ``AlgoParams`` enforces, and a ``zeta`` of at least
+    ``ZETA_MIN``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
     return ptilde(y_record, scale) ** alpha / zeta
 
 

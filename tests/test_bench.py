@@ -4,8 +4,11 @@ equivalence, comparison output, CLI plumbing."""
 
 import csv
 import json
+import random
+import tracemalloc
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from recordstart import bench, hasplid
@@ -123,14 +126,66 @@ def test_parallel_serial_equivalence(tmp_path):
 
 
 def test_aggregate_recomputed_from_history(tmp_path):
-    out = tmp_path / "exp"
-    aggregate, _ = bench.run_experiment(small_config(runs=6), out_dir=str(out))
-    redo = bench.aggregate_from_history(str(out / "history.csv"), "zakharov", 5, 0.01)
-    assert redo.avg_restarts == aggregate.avg_restarts
-    assert redo.avg_total_evals == aggregate.avg_total_evals
-    assert redo.avg_inner_iterations == pytest.approx(aggregate.avg_inner_iterations, rel=1e-12)
-    assert redo.success_count == aggregate.success_count
-    assert redo.avg_evals_to_target == pytest.approx(aggregate.avg_evals_to_target, rel=1e-12)
+    # as written, with the runs' rows interleaved, and ranked by value
+    config = small_config(objective="styblinski_tang", runs=6)
+    aggregate, reports = bench.run_experiment(config, out_dir=str(tmp_path))
+    written = tmp_path / "history.csv"
+
+    def redo(path):
+        return bench.aggregate_from_history(str(path), config.objective, config.dim, config.eps_base).to_dict()
+
+    assert redo(written) == aggregate.to_dict()
+    # rows of different runs interleaved at random, each run's rows in order
+    with open(written, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    pending = {}
+    for row in rows:
+        pending.setdefault(row[0], []).append(row)
+    turns = [row[0] for row in rows]
+    random.Random(0).shuffle(turns)
+    shuffled = tmp_path / "shuffled.csv"
+    with open(shuffled, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [pending[run_id].pop(0) for run_id in turns])
+    assert shuffled.read_bytes() != written.read_bytes()
+    assert redo(shuffled) == redo(written)
+    # ranked by non-increasing value, a run's rows within epsilon of f* are
+    # its lowest, so its first hit is ranked after all its other rows
+    ranked = tmp_path / "sorted.csv"
+    bench.emit_history(reports, str(ranked), sort_values=True)
+    f_star = make(config.objective, config.dim).f_star
+    within = [sum(abs(v - f_star) <= config.epsilon for v in r.values) for r in reports]
+    first_hits = [r.total_evals - n + 1 for r, n in zip(reports, within) if n]
+    assert 0 < len(first_hits) == aggregate.success_count
+    expected = aggregate.to_dict() | {"avg_evals_to_target": float(np.mean(first_hits))}
+    assert redo(ranked) == expected
+
+
+def test_aggregate_from_history_holds_no_rows(tmp_path):
+    # 20 runs x 1,000 rows, 10 rows per restart, each run reaching f* = 0
+    # at its last row; an oracle holding every row peaks near 9 MB here
+    path = tmp_path / "history.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(bench.HISTORY_HEADER)
+        for run_id in range(20):
+            writer.writerows(
+                [run_id, i, repr(1000.0 - i), int(i % 7 == 1), (i - 1) // 10 + 1, "rdmss"] for i in range(1, 1001)
+            )
+    tracemalloc.start()
+    try:
+        report = bench.aggregate_from_history(str(path), "zakharov", 5, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.to_dict() == {
+        "avg_restarts": 100.0,
+        "avg_evals_to_target": 1000.0,
+        "avg_inner_iterations": 10.0,
+        "avg_total_evals": 1000.0,
+        "success_count": 20,
+        "runs": 20,
+    }
+    assert peak < 1_000_000
 
 
 def test_single_run_experiment():

@@ -218,9 +218,8 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     spec = objectives.make("rosenbrock", 5)
     p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
     (base,) = ms.run_block(spec, p, [777], "dmss")
-    # a zero surrogate CDF makes the expected slope 0, which no record's
-    # slope is below
-    monkeypatch.setattr(ms, "ptilde", lambda *a, **k: 0.0)
+    # no record's slope is below an expected slope of 0
+    monkeypatch.setattr(ms, "expected_slope", lambda *a, **k: 0.0)
     (disabled,) = ms.run_block(spec, p, [777], "rdmss")
     assert history_rows(disabled) == history_rows(base)
     assert disabled.restarts == base.restarts

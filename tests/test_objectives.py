@@ -401,9 +401,9 @@ def test_registry_contents():
 
 
 def test_importing_objectives_leaves_the_harness_unloaded():
-    # the package resolves its top-level names on first use, so a fresh
-    # interpreter that imports only the objectives loads neither the
-    # experiment harness nor its process pool
+    # the package imports none of its modules, so a fresh interpreter
+    # that imports only the objectives loads neither the experiment
+    # harness nor its process pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -467,11 +467,6 @@ def test_expected_slope_monotone_in_level():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_expected_slope_rejects_zero_alpha():
-    with pytest.raises(ValueError):
-        sp.expected_slope(1.0, 0.0, 1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # exact conditional slope law: reciprocal wait and mean improvement
 # ---------------------------------------------------------------------------
