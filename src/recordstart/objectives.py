@@ -16,10 +16,11 @@ Every kernel works over the last axis, so one code path serves a point
 takes the bits of its point alone.  That holds because rows never mix and
 because of two rules: every dot product and matrix-vector product is a
 stacked matmul (:func:`dot`, ``H @ v[..., None]``), whose rows round as the
-1-d products do where ``einsum`` or ``(a * b).sum(-1)`` may not; and a power
-of a per-row scalar (Zakharov's ``q**3``, ``q**4``) is taken with the C
-library's ``pow`` (:func:`_pow`), as Python floats take it, because numpy's
-vectorized ``power`` may differ in the last bit.
+1-d products do where ``einsum`` or ``(a * b).sum(-1)`` may not; and every
+power above 2 is the C library's ``pow`` through ``np.float_power``,
+elementwise, so a row keeps its bits alone and on any SIMD level (numpy's
+vectorized ``power`` follows the CPU's dispatch and may differ in the last
+bit).  Squares stay ``x**2``, numpy's exact square.
 
 Each sinusoid sums a ``sin u`` and a ``sin 5u`` product.  Its kernels stack
 the two families as the rows of one (..., 2, d) angle array, so that every
@@ -70,12 +71,6 @@ def dot(a: np.ndarray, b: np.ndarray):
     matmul: each row takes the bits of the 1-d product, where ``einsum``
     and ``(a * b).sum(-1)`` may round differently."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _pow(q, e: int):
-    """``q**e`` elementwise with the C library's ``pow``, as Python floats
-    take it; numpy's vectorized ``power`` may differ in the last bit."""
-    return np.reshape([v**e for v in np.ravel(q).tolist()], np.shape(q))
 
 
 def _check_dim(spec: ObjectiveSpec, x, what: str = "point") -> np.ndarray:
@@ -170,11 +165,11 @@ def _zakharov(d: int) -> ObjectiveSpec:
 
     def f(x):
         q = dot(x, w)
-        return dot(x, x) + q * q + _pow(q, 4)
+        return dot(x, x) + q * q + np.float_power(q, 4)
 
     def grad(x):
         q = dot(x, w)
-        return 2.0 * x + (2.0 * q + 4.0 * _pow(q, 3))[..., None] * w
+        return 2.0 * x + (2.0 * q + 4.0 * np.float_power(q, 3))[..., None] * w
 
     def hvp_at(x):
         q = dot(x, w)
@@ -244,10 +239,10 @@ _ST_XMIN, _ST_FMIN = _st_minimum()
 
 def _styblinski_tang(d: int) -> ObjectiveSpec:
     def f(x):
-        return 0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum(-1)
+        return 0.5 * (np.float_power(x, 4) - 16.0 * x**2 + 5.0 * x).sum(-1)
 
     def grad(x):
-        return 2.0 * x**3 - 16.0 * x + 2.5
+        return 2.0 * np.float_power(x, 3) - 16.0 * x + 2.5
 
     def hvp_at(x):
         curv = 6.0 * x**2 - 16.0

@@ -259,9 +259,11 @@ def expected_records(j: float, zeta: float) -> float:
 
 def ptilde(y: float, scale: float) -> float:
     """Surrogate range CDF ``1 - exp(-y/scale)`` clamped to
-    ``[PTILDE_FLOOR, 1 - PTILDE_FLOOR]``."""
-    raw = 1.0 - math.exp(-y / scale) if y / scale > -700 else -math.inf
-    return min(max(raw, PTILDE_FLOOR), 1.0 - PTILDE_FLOOR)
+    ``[PTILDE_FLOOR, 1 - PTILDE_FLOOR]``; a level that is not positive
+    (NaN included) takes the floor without an ``exp``."""
+    if not y > 0.0:
+        return PTILDE_FLOOR
+    return min(max(1.0 - math.exp(-y / scale), PTILDE_FLOOR), 1.0 - PTILDE_FLOOR)
 
 
 def expected_slope(y_record: float, alpha: float, zeta: float, scale: float) -> float:

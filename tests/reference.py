@@ -20,8 +20,9 @@ name.
   from them, the forms that the stacked kernels of
   :mod:`recordstart.objectives` reproduce bit for bit;
 * :data:`ANALYTIC_VALUE_GRADIENT` holds the one-point values and
-  gradients of the four analytic objectives, Zakharov's with Python-float
-  powers, and :data:`ANALYTIC_HVP` their per-call Hessian-vector products
+  gradients of the four analytic objectives, with every power above 2
+  taken as Python floats take it (the C library's ``pow``), and
+  :data:`ANALYTIC_HVP` their per-call Hessian-vector products
   ``hvp(x, v)``, each evaluated from scratch; the kernels of
   :mod:`recordstart.objectives` reproduce them bit for bit, on every row
   of a block;
@@ -258,11 +259,15 @@ def rhe_gradient(x: np.ndarray) -> np.ndarray:
 
 
 def styblinski_tang_value(x: np.ndarray) -> float:
-    return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
+    # powers as Python floats take them (the C library's pow), summed in
+    # the kernel's order
+    x4 = np.array([v**4 for v in x.tolist()])
+    return float(0.5 * (x4 - 16.0 * x**2 + 5.0 * x).sum())
 
 
 def styblinski_tang_gradient(x: np.ndarray) -> np.ndarray:
-    return 2.0 * x**3 - 16.0 * x + 2.5
+    x3 = np.array([v**3 for v in x.tolist()])
+    return 2.0 * x3 - 16.0 * x + 2.5
 
 
 def zakharov_hvp(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -219,7 +219,12 @@ def test_ncg_experiment_runs_the_shared_driver():
 # the engine step of the one-point engine that the block engine replaced.
 # The "deep" entries are the first 2 runs of the deep-confidence configs
 # of tests/test_golden.py (delta=1e-30, ~100 restarts per run), recorded
-# from the block engine before restarts were descended in waves
+# from the block engine before restarts were descended in waves.  The
+# styblinski_tang dmss, rdmss and deep entries were re-recorded from these
+# RestartCost sums when its powers moved onto the C library's pow, which
+# moves its values in the last bits and lengthens a few restarts by an
+# iterate; test_newton_cg holds the block engine's counts to the one-point
+# engine's.
 COST_TOTALS = {
     ("centered_sinusoidal", "dmss"): (602, 373, 884, 329, 229),
     ("centered_sinusoidal", "rdmss"): (593, 366, 865, 322, 227),
@@ -233,13 +238,13 @@ COST_TOTALS = {
     ("shifted_sinusoidal", "dmss"): (731, 413, 969, 369, 318),
     ("shifted_sinusoidal", "rdmss"): (568, 397, 930, 350, 171),
     ("shifted_sinusoidal", "ncg"): (93, 40, 92, 36, 53),
-    ("styblinski_tang", "dmss"): (1433, 450, 1410, 420, 983),
-    ("styblinski_tang", "rdmss"): (1103, 450, 1394, 409, 653),
+    ("styblinski_tang", "dmss"): (1438, 451, 1412, 421, 987),
+    ("styblinski_tang", "rdmss"): (1078, 451, 1394, 409, 627),
     ("styblinski_tang", "ncg"): (87, 42, 127, 38, 45),
     ("zakharov", "dmss"): (620, 620, 676, 571, 0),
     ("zakharov", "rdmss"): (574, 574, 629, 524, 0),
     ("zakharov", "ncg"): (66, 66, 73, 61, 0),
-    ("styblinski_tang", "rdmss", "deep"): (4086, 1684, 5300, 1531, 2402),
+    ("styblinski_tang", "rdmss", "deep"): (4033, 1686, 5300, 1531, 2347),
     ("zakharov", "dmss", "deep"): (2443, 2443, 2690, 2251, 0),
 }
 

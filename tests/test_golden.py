@@ -18,6 +18,13 @@ flagging records with ``RECORD_TOL``: rows that improve on the last record
 by less than that tolerance are no longer records.  No value, index or
 restart changed.
 
+The styblinski_tang digests were re-recorded when its ``x**4`` and
+``x**3`` moved from numpy's vectorized ``power``, whose last bit follows
+the CPU's SIMD dispatch, onto the C library's ``pow``.  Values move in
+the last bits, and one restart of the dmss and of the rdmss history, and
+two of the deep one, reach the same floor value one iterate later.  No
+run pinned here changed its restart count.
+
 The lab digests cover every statistic, closed-form value and pass flag
 of the report, and the design it states (range model, target level,
 slope window, horizons).  They were re-recorded when the exact slope
@@ -45,9 +52,9 @@ CANONICAL = {
     ("shifted_sinusoidal", "dmss"): "55e95cec1beb11d3678593dc4779061ccb0c71133f814d5c6d3a093ddfa5f2e4",
     ("shifted_sinusoidal", "rdmss"): "c4507cd56ee9f46da492da7eb5fe375508f3cbee6e455dec362dc0814ae79747",
     ("shifted_sinusoidal", "ncg"): "8da2ac38dc0b26caf19b89d6b6e6b48320be111043b4a0103fcf11081d25a6a3",
-    ("styblinski_tang", "dmss"): "629fe52d8ed329051b9b4e4f80606588a0df05f62f4f7ace67bc6e703bcef825",
-    ("styblinski_tang", "rdmss"): "6b3449198ee7aa2e4d91baf91016588ab14f272bca36a82767ed36c1b3e090a8",
-    ("styblinski_tang", "ncg"): "52711a2a7347353ee459a6f43588cebad854cd5f22c8d1b0f92ac983be30274a",
+    ("styblinski_tang", "dmss"): "3f8de4569d777c7eacfef1954817740320cc94ce858aa65500218f7448854cd1",
+    ("styblinski_tang", "rdmss"): "aa330cfda9682fadeeb761f3803e26b70a9c20c13446d15362ca19c1b5a3e9be",
+    ("styblinski_tang", "ncg"): "c05462c0a24471d1906740f15066137f23c58a18b9f9d93680d840d3bf7f7cae",
     ("zakharov", "dmss"): "d29c5428d5ce8a6c771994212879d4d01718d5c8cea48d3217552190c863392a",
     ("zakharov", "rdmss"): "fb9c3047ef01c546efcc9e635e77811cd517a8760b2c5859c0aa094a4d245d7a",
     ("zakharov", "ncg"): "1ad8d7528d714f2801832333ce471def6e9d6ecd37d12b5acbd51c58777036fb",
@@ -55,7 +62,7 @@ CANONICAL = {
 
 DEEP = {
     ("zakharov", "dmss"): "b2cb6ccab7e34ae3cafb72536d9d5a9decac7a13c06452628dec4702f9979680",
-    ("styblinski_tang", "rdmss"): "ce750081c5cbe6f0b45abcb19db3216e8aa12d58bec400967c5132b5a6bf9e13",
+    ("styblinski_tang", "rdmss"): "71fa7fe4ee5658246d6f7054cfda3628cebf2e8e0c96cb211f56a6956144de5e",
 }
 
 LAB = {

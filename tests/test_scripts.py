@@ -33,10 +33,10 @@ SORTED_HISTORY_DIGESTS = {
     "rhe_d15_sorted.csv": "44c516fae5d8f8e61e3c4d59e2b23bdabb0c8dc3368d2c3a96e8bea1bc02f217",
     "rhe_d25_sorted.csv": "ef8c4ada3d8be0c0caddcd1e58b89bdc51bc3a2b857b80459b722ae1a6e92066",
     "rhe_d50_sorted.csv": "1f7a933e3c9ca6057d9f44396aca2acd6f7349ee06db7a51d600a4dbb98dbc03",
-    "styblinski_tang_d5_sorted.csv": "600bca7bffb16e22a7109dff39fe1828a5dbaf4f6dddbed6c6c27a0e96a220e9",
-    "styblinski_tang_d15_sorted.csv": "05f1c70cdfe76546cd0d501bdacfc447c944019901a33daeb765cfc62c4f918f",
-    "styblinski_tang_d25_sorted.csv": "de0cad83f401b91936cc31e4850e35b9628cc129e030e11d52f3ec0b111f87e2",
-    "styblinski_tang_d50_sorted.csv": "334652e8b2c2a5b3a83969f9efb2cf6424680804e02998e424c5f6c4f8437295",
+    "styblinski_tang_d5_sorted.csv": "f78ef83b738516de69b28b4334351ed2680e350d54f203740fb6b421636f889e",
+    "styblinski_tang_d15_sorted.csv": "f6d70b9029f104dcce0bc12b76ee1302f62e83befa6263c8baca4c0463de0fa5",
+    "styblinski_tang_d25_sorted.csv": "ba7610de42822de319432226749e0119240b5f9a9db93b432769ed0373ed66bb",
+    "styblinski_tang_d50_sorted.csv": "bab28fb752bf43ae67ad7e1abe238f849a4c952c1d99fb98867d01841e76862a",
 }
 
 

@@ -438,6 +438,21 @@ def test_ptilde_scaling_identity():
 def test_ptilde_clamps_negatives():
     assert sp.ptilde(-5.0, 1.0) == 1e-12
     assert sp.ptilde(-1e9, 1.0) == 1e-12
+    # a level that is not positive takes the floor, a NaN level included
+    for y in (0.0, -0.0, -1e308, math.nan):
+        assert sp.ptilde(y, 1.0) == 1e-12
+        assert sp.ptilde(y, 1e-300) == 1e-12
+
+
+@given(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_ptilde_at_positive_levels_is_the_clamped_closed_form(y, scale):
+    # the form before the early floor; both are positive floats, so ==
+    # compares their bits
+    raw = 1.0 - math.exp(-y / scale) if y / scale > -700 else -math.inf
+    assert sp.ptilde(y, scale) == min(max(raw, 1e-12), 1.0 - 1e-12)
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=0.0, max_value=10.0))
