@@ -156,8 +156,8 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     * mean inter-record time for records near the window center
       (geometric with success probability ``center**alpha``),
     * record-count frequencies at a short horizon and the mean record
-      count at a long horizon (Stirling pmf / digamma curve with
-      ``zeta = lam/alpha``),
+      count at a long horizon (the record law's pmf and expected count
+      with ``zeta = lam/alpha``),
     * conditional mean of slope samples near the window center, twice:
       ``conditional_slope_mean`` against the stated closed form
       ``alpha * center**alpha / lam`` (the RDMSS cut threshold of

@@ -43,7 +43,7 @@ flag are read off these lists.  ``inner_loop`` gets the evaluations left
 in the budget and stops there, so the evaluation count cannot overshoot
 ``max_total_evals``.
 
-Two guards keep the conceptual-model statistics usable with a
+Three guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
 essentially every iterate, a regime where the raw estimators degenerate):
 
@@ -57,7 +57,9 @@ essentially every iterate, a regime where the raw estimators degenerate):
   ``p_fail`` is capped at the mean observed record count (the model's own
   moment identity: a run that explored to depth x accrues Poisson(x)
   records), keeping the failure probability responsive at target sizes
-  many orders below the per-run record counts.
+  many orders below the per-run record counts,
+* ``zeta_w`` and ``p_fail`` keep their prior 1.0 until some restart holds
+  a record past its start point; before that the MLE is a boundary value.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import newton_cg
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, sample_uniform
 from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
 
 __all__ = [
@@ -187,10 +189,10 @@ def inner_loop(
     ``rejected``.
 
     The start point counts as iterate 1 and record 1.  The next record is
-    overdue once the expected record count of the iterates so far,
-    ``zeta*(psi(j+zeta) - psi(zeta))``, reaches one more than the records
-    held; the check is skipped until two iterates exist.  The slope check
-    needs at least two records and is evaluated at the previous record's
+    overdue once the expected record count of the iterates so far
+    (:func:`recordstart.special.expected_records`) reaches one more than
+    the records held; the check is skipped until two iterates exist.  The
+    slope check needs two records and is evaluated at the previous record's
     value.  Returns the restart's ``RunStats``, the record flags of the
     ``j`` iterates it read, ``values[:j]``, and the engine steps read to
     decide them: ``j - 1``, or ``j`` when the loop asked for the step
@@ -200,8 +202,7 @@ def inner_loop(
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
     j, k = 1, 1
-    # expected records among the first j iterates, one term per iterate:
-    # zeta*(psi(j+zeta) - psi(zeta)) = 1 + sum_{i<j} zeta/(i+zeta)
+    # special.expected_records(j, zeta), one term per iterate
     expected = 1.0
     best = values[0]
     best_t = 1
@@ -267,18 +268,19 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     cap changes a decision.  It is sent the wave's
     :func:`newton_cg.descend` columns and reads the restarts in order,
     each up to where :func:`inner_loop` stops it; a restart is charged
-    the descent's counts at the last step it read.  It returns once ncg
-    has read its restart, ``p_fail`` drops below ``delta`` or the budget
-    is spent; the steps past its stops and the restarts it never read
-    are dropped."""
+    the descent's counts at the last step it read, and a DMSS/RDMSS
+    restart refreshes ``zeta_w`` and ``p_fail`` once some restart holds
+    a record past its start point (until then both stay 1.0, so the prior
+    wave rule applies).  It returns once ncg has read its restart,
+    ``p_fail`` drops below ``delta`` or the budget is spent; the steps
+    past its stops and the restarts it never read are dropped."""
     algorithm = report.algorithm
     # sufficient statistics of report.run_stats: a restart adds O(j) work
     tally = RunTally()
     while True:
         left = params.max_total_evals - report.total_evals
         n = _wave_size(params, report, left)
-        # one draw for the wave: the bits of n objectives.sample_uniform calls
-        x0 = spec.lower + (spec.upper - spec.lower) * rng.random((n, spec.dim))
+        x0 = sample_uniform(spec, rng, n)
         fx, counts, accepted, rejected = yield x0, range(left - 1, left - 1 - n, -1)
         for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):
             values = fx[: a + 1, r].tolist()
@@ -291,9 +293,10 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             report.budget_exhausted = report.total_evals >= params.max_total_evals
             if algorithm != "ncg":
                 tally.add(stats)
-                report.zeta_w = _working_zeta(tally)
-                x = min(params.alpha * report.zeta_w * -math.log(params.epsilon), tally.record_sum / tally.runs)
-                report.p_fail = p_fail_histogram(tally.record_hist, x)
+                if tally.record_sum > tally.runs:
+                    report.zeta_w = _working_zeta(tally)
+                    x = min(params.alpha * report.zeta_w * -math.log(params.epsilon), tally.record_sum / tally.runs)
+                    report.p_fail = p_fail_histogram(tally.record_hist, x)
             if algorithm == "ncg" or report.p_fail < params.delta or report.budget_exhausted:
                 report.evals_to_target = check_success(report.values, spec, params.epsilon)
                 return

@@ -149,9 +149,10 @@ class Oracle:
         return op(v)
 
 
-def sample_uniform(spec: ObjectiveSpec, rng) -> np.ndarray:
-    """Uniform draw over the box; deterministic given the generator state."""
-    return spec.lower + (spec.upper - spec.lower) * rng.random(spec.dim)
+def sample_uniform(spec: ObjectiveSpec, rng, n: int) -> np.ndarray:
+    """``n`` uniform draws over the box, one per row, from one generator
+    call: the rows that ``n`` calls for one draw would give."""
+    return spec.lower + (spec.upper - spec.lower) * rng.random((n, spec.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,31 @@
 """Closed-form record statistics and the special functions behind them.
 
-Everything in this module is pure and stateless, apart from a table of
-log factorials that :func:`p_fail_histogram` grows as it needs and
-:class:`RunTally`, the running sufficient statistics of completed runs from
-which :func:`zeta_score`, :func:`solve_zeta_tally` and
-:func:`p_fail_histogram` evaluate the drivers' cross-run statistics without
-digamma.  The drivers also use the surrogate slope law (:func:`ptilde`,
-:func:`expected_slope`); the closed forms below are what the lab in
-:mod:`recordstart.hasplid` checks.  The quantities all live in
-the record-value model of hesitant adaptive search with a power-law
-improvement distribution: a run of an iterative minimizer produces ``j``
-raw iterates of which ``k`` are records (strict improvements of the running
-best, the initial point counting as record 1).  Under that model
+Everything in this module is pure and stateless.  :class:`RunTally` holds
+the running sufficient statistics of completed runs, from which
+:func:`zeta_score`, :func:`solve_zeta_tally` and :func:`p_fail_histogram`
+evaluate the drivers' cross-run statistics without digamma.  The drivers
+also use the surrogate slope law (:func:`ptilde`, :func:`expected_slope`);
+the closed forms below are what the lab in :mod:`recordstart.hasplid`
+checks.  The quantities all live in the record-value model of hesitant
+adaptive search with a power-law improvement distribution: a run of an
+iterative minimizer produces ``j`` raw iterates of which ``k`` are records
+(strict improvements of the running best).  Its record law: the start
+point is record 1, and iterate ``i + 1`` is a record with probability
+``zeta/(i+zeta)``, independently, with ``zeta`` the ratio of the
+improvement-rate parameter to the bettering exponent.  From that law, one
+iterate at a time as the drivers' overdue rule does, this module computes
 
-* the number of records in ``j`` iterates has pmf
-  ``|s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)``
-  where ``s`` are Stirling numbers of the first kind and ``zeta`` is the
-  ratio of the improvement-rate parameter to the bettering exponent,
-* the expected number of records in ``j`` iterates is
-  ``zeta * (psi(j+zeta) - psi(zeta))``,
-* the probability that a run with ``k`` records never came within the
-  target tail of mass ``eps`` is ``G(k, -lam*log(eps))`` with ``G`` the
-  regularized lower incomplete gamma function at integer order, a plain
-  sum of Poisson terms (:func:`p_fail_histogram`).
+* the expected number of records in ``j`` iterates,
+  ``1 + sum_{i<j} zeta/(i+zeta) = zeta * (psi(j+zeta) - psi(zeta))``
+  (:func:`expected_records`),
+* their pmf ``|s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)``,
+  with ``s`` the Stirling numbers of the first kind
+  (:func:`record_count_pmf`).
+
+The probability that a run with ``k`` records never came within the target
+tail of mass ``eps`` is ``G(k, -lam*log(eps))``, with ``G`` the regularized
+lower incomplete gamma function at integer order, a plain sum of Poisson
+terms (:func:`p_fail_histogram`).
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ __all__ = [
     "ZETA_MIN",
     "ZETA_MAX",
     "PTILDE_FLOOR",
-    "digamma",
-    "stirling1_abs",
     "record_count_pmf",
     "zeta_score",
     "solve_zeta_tally",
@@ -53,11 +54,6 @@ ZETA_MAX = 1e6
 # ptilde is clamped to [PTILDE_FLOOR, 1 - PTILDE_FLOOR]: its raw form is
 # negative below y = 0, where several benchmark objectives take values
 PTILDE_FLOOR = 1e-12
-_STIRLING_MAX_N = 20
-# _LOG_FACTORIAL[s] = lgamma(s + 1), grown by p_fail_histogram as needed;
-# it saves an lgamma per term: 8 % of p_fail_histogram's time, and about
-# 1 % of a run, at the deep configuration's record counts
-_LOG_FACTORIAL: list[float] = []
 
 
 @dataclass(frozen=True)
@@ -100,55 +96,11 @@ class RunTally:
             survivors[i] += 1
 
 
-def digamma(x: float) -> float:
-    """Digamma function for x > 0, accurate to well below 1e-10.
-
-    Recurrence-shifts the argument above 10 and applies the asymptotic
-    expansion ln(x) - 1/(2x) - sum B_{2n}/(2n x^{2n}).
-    """
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    value = 0.0
-    while x < 10.0:
-        value -= 1.0 / x
-        x += 1.0
-    r = 1.0 / x
-    value += math.log(x) - 0.5 * r
-    r2 = r * r
-    # Bernoulli coefficients B_2/2 .. B_12/12
-    value -= r2 * (
-        1.0 / 12.0
-        - r2 * (1.0 / 120.0 - r2 * (1.0 / 252.0 - r2 * (1.0 / 240.0 - r2 * (1.0 / 132.0 - r2 * 691.0 / 32760.0))))
-    )
-    return value
-
-
-def stirling1_abs(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind, exact integer arithmetic.
-
-    Counts permutations of n elements with k cycles; n is capped at 20.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n > _STIRLING_MAX_N:
-        raise ValueError(f"n={n} exceeds supported size {_STIRLING_MAX_N}")
-    if k > n:
-        return 0
-    row = [1]  # row for n=0
-    for m in range(n):
-        nxt = [0] * (m + 2)
-        for i, v in enumerate(row):
-            nxt[i] += m * v
-            nxt[i + 1] += v
-        row = nxt
-    return row[k]
-
-
 def record_count_pmf(j: int, k: int, zeta: float) -> float:
-    """Probability of exactly k records in the first j iterates.
-
-    ``|s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)``; rows sum
-    to one over k = 1..j.  Returns 0 for k > j.
+    """Probability of exactly k records in the first j iterates (0 for
+    k > j): the pmf of 1 plus independent Bernoulli(``zeta/(i+zeta)``)
+    records for ``i = 1 .. j-1``, convolved one iterate at a time, which
+    is ``|s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)``.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -156,13 +108,11 @@ def record_count_pmf(j: int, k: int, zeta: float) -> float:
         raise ValueError("zeta must be positive")
     if k > j or k < 1:
         return 0.0
-    log_p = (
-        math.log(stirling1_abs(j, k))
-        + (k - 1) * math.log(zeta)
-        + math.lgamma(1.0 + zeta)
-        - math.lgamma(j + zeta)
-    )
-    return math.exp(log_p)
+    pmf = [1.0]  # pmf[m]: probability of m + 1 records so far
+    for i in range(1, j):
+        hit, miss = zeta / (i + zeta), i / (i + zeta)
+        pmf = [a * miss + b * hit for a, b in zip(pmf + [0.0], [0.0] + pmf)]
+    return pmf[k - 1]
 
 
 def zeta_score(zeta: float, tally: RunTally) -> float:
@@ -235,26 +185,29 @@ def p_fail_histogram(record_hist: dict[int, int], x: float) -> float:
     if ks and ks[0] < 1:
         raise ValueError("record counts must be >= 1")
     log_x = math.log(x)
-    log_fact = _LOG_FACTORIAL
-    log_fact += [math.lgamma(s + 1) for s in range(len(log_fact), max(ks, default=0))]
     out, acc, done = 1.0, 0.0, 0
     for k in ks:
         for s in range(done, k):
-            acc += math.exp(s * log_x - x - log_fact[s])
+            acc += math.exp(s * log_x - x - math.lgamma(s + 1))
         done = k
         out *= max(0.0, 1.0 - acc) ** record_hist[k]
     return out
 
 
-def expected_records(j: float, zeta: float) -> float:
-    """Expected number of records in the first j iterates:
-    ``zeta * (psi(j+zeta) - psi(zeta))``.
+def expected_records(j: int, zeta: float) -> float:
+    """Expected number of records in the first j iterates,
+    ``1 + sum_{i<j} zeta/(i+zeta)`` summed left to right, which is
+    ``zeta * (psi(j+zeta) - psi(zeta))``: bit for bit the running sum
+    that :func:`recordstart.multistart.inner_loop` holds at iterate j.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    return zeta * (digamma(j + zeta) - digamma(zeta))
+    expected = 1.0
+    for i in range(1, j):
+        expected += zeta / (i + zeta)
+    return expected
 
 
 def ptilde(y: float, scale: float) -> float:

@@ -3,9 +3,12 @@
 Not a test module: pytest does not collect it, and the tests import it by
 name.
 
-* :func:`zeta_equation` and :func:`n_record_threshold` are the digamma
-  forms of the zeta score and of the record-overdue rule, which the
-  drivers evaluate from running sums instead;
+* :func:`expected_records_curve`, :func:`zeta_equation` and
+  :func:`n_record_threshold` are the digamma forms of the expected
+  record count, of the zeta score and of the record-overdue rule, which
+  the program evaluates from running sums instead; they take digamma
+  from mpmath at 30 digits, set locally, so no other module's mpmath
+  precision changes them;
 * :func:`incomplete_gamma_g` is ``G(n, x)`` one order at a time, which
   every factor of :func:`recordstart.special.p_fail_histogram` reproduces
   bit for bit;
@@ -43,12 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
 from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
 from recordstart.objectives import Oracle
-from recordstart.special import RunStats, RunTally, digamma, expected_records
+from recordstart.special import RunStats, RunTally
 
 # completed-run histories: 1 to 40 runs of 1 to 80 iterates each
 run_histories = st.lists(
@@ -77,17 +81,24 @@ def tally_of(history: list[RunStats]) -> RunTally:
     return tally
 
 
+def expected_records_curve(j: float, zeta: float) -> float:
+    """Expected number of records in the first ``j`` iterates,
+    ``zeta*(psi(j+zeta) - psi(zeta))``, continuous in ``j``: the digamma
+    form of :func:`recordstart.special.expected_records`."""
+    with mpmath.workdps(30):
+        return float(zeta * (mpmath.digamma(j + zeta) - mpmath.digamma(zeta)))
+
+
 def zeta_equation(zeta: float, history: list[RunStats]) -> float:
     """Likelihood score whose root is the record-rate ratio estimate:
     ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``.
 
     The digamma form of :func:`recordstart.special.zeta_score`.
     """
-    r = len(history)
-    acc = 0.0
-    for run in history:
-        acc += run.records - 1
-    return acc + zeta * (r * digamma(1.0 + zeta) - sum(digamma(run.iterates + zeta) for run in history))
+    with mpmath.workdps(30):
+        psi_sum = mpmath.fsum(mpmath.digamma(run.iterates + zeta) for run in history)
+        score = sum(run.records - 1 for run in history) + zeta * (len(history) * mpmath.digamma(1 + zeta) - psi_sum)
+        return float(score)
 
 
 def n_record_threshold(records_so_far: int, zeta: float) -> float:
@@ -101,23 +112,29 @@ def n_record_threshold(records_so_far: int, zeta: float) -> float:
     """
     if records_so_far < 0:
         raise ValueError("records_so_far must be nonnegative")
-    target = records_so_far + 1.0
-    if expected_records(1.0, zeta) >= target:
+    target = records_so_far + 1
+    if target == 1:  # the curve starts at 1
         return 1.0
-    lo, hi = 1.0, 2.0
-    while expected_records(hi, zeta) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expected_records(mid, zeta) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
+    with mpmath.workdps(30):
+        psi_zeta = mpmath.digamma(zeta)
+
+        def below(j: float) -> bool:
+            return zeta * (mpmath.digamma(j + zeta) - psi_zeta) < target
+
+        lo, hi = 1.0, 2.0
+        while below(hi):
+            lo = hi
+            hi *= 2.0
+            if hi > 1e18:
+                return hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12 * hi:
+                break
     return 0.5 * (lo + hi)
 
 

@@ -173,7 +173,7 @@ def test_criterion_06_derivatives_match_finite_differences():
             oracle = objectives.Oracle(spec)
             rng = np.random.default_rng(zlib.crc32(f"{name}:{dim}".encode()))
             for _ in range(20):
-                x = objectives.sample_uniform(spec, rng)
+                x = objectives.sample_uniform(spec, rng, 1)[0]
                 g = oracle.grad(x)
                 fd = np.zeros(dim)
                 for i in range(dim):
@@ -198,7 +198,7 @@ def test_criterion_07_one_step_newton_on_quadratic():
     for dim in (5, 25):
         spec = objectives.make("rhe", dim)
         rng = np.random.default_rng(dim)
-        state = newton_cg.init(spec, [objectives.sample_uniform(spec, rng) for _ in range(10)])
+        state = newton_cg.init(spec, objectives.sample_uniform(spec, rng, 10))
         newton_cg.step(state)
         worst = max(worst, float(np.linalg.norm(state.gx, axis=1).max()))
     report(7, worst <= 1e-8, f"max gradient norm after one step {worst:.2e} (<=1e-8)")

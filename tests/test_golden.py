@@ -31,6 +31,12 @@ slope window, horizons).  They were re-recorded when the exact slope
 law's mean improvement became ``y/(lam+1)`` in closed form instead of a
 64-point quadrature: ``conditional_slope_mean_exact.theoretical`` moved
 by one ulp at both exponents, and no statistic or pass flag changed.
+They were re-recorded again when ``special.expected_records`` and
+``special.record_count_pmf`` moved from digamma and Stirling-number
+forms onto the record law's per-iterate probabilities ``zeta/(i+zeta)``:
+in each report ``record_count_pmf_short_horizon.statistic`` (a deviation
+from the pmf) and ``expected_records_long_horizon.theoretical`` moved in
+the last digits, and no other number or pass flag changed.
 """
 
 import hashlib
@@ -66,8 +72,8 @@ DEEP = {
 }
 
 LAB = {
-    0.5: "193cef6c2e0c14ddfd01395a0161ef05204c88d672e8bd0bf6ce857a99517cc1",
-    1.0: "5880c8b4f03f601677dd7510484bd06d90192280e1557e34010ee0b5374bbccd",
+    0.5: "e99f9a49b5fa1905b5caf157f4432a9884b50d3b5a5ec108878fa70e11f2711a",
+    1.0: "6ce0d55d0358c32bb5f9decede9784e0d31a0d76c90e4c52754c57383512fcd4",
 }
 
 

@@ -115,23 +115,23 @@ def test_inner_loop_native_stop_reads_the_rejected_step():
 )
 @settings(max_examples=200, deadline=None)
 def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
-    # k records, then a plateau up to iterate 200: the loop must stop at the
-    # first j >= 2 with j >= n_record_threshold(records - 1, zeta), the rule
-    # the running expected-records sum replaces
+    # k records, then a plateau up to iterate 200: the loop stops at the
+    # first j >= 2 whose expected record count reaches the records held,
+    # which is j >= n_record_threshold(records - 1, zeta), the rule the
+    # running expected-records sum replaces
     zeta = math.exp(log_zeta)
     horizon = 200
     script = [10.0 - i for i in range(1, k)] + [11.0 - k] * (horizon - k)
-    thresholds = [n_record_threshold(r - 1, zeta) for r in range(1, k + 1)]
-    stop = horizon
-    for j in range(2, horizon + 1):
-        held = min(j, k)
-        # a tie at an integer j is decided by rounding, not by the rule
-        assume(abs(special.expected_records(j, zeta) - held) >= 1e-9)
-        if j >= thresholds[held - 1]:
-            stop = j
-            break
+    overdue = [j for j in range(2, horizon + 1) if special.expected_records(j, zeta) >= min(j, k)]
+    stop = overdue[0] if overdue else horizon
     log, _, _ = run_inner(10.0, script, zeta=zeta)
     assert (log.iterates, log.records) == (stop, min(stop, k))
+    # the stop and the iterate before it against the bisection; a tie at an
+    # integer j is decided by rounding, not by the rule
+    for j in range(max(2, stop - 1), stop + 1):
+        held = min(j, k)
+        assume(abs(special.expected_records(j, zeta) - held) >= 1e-9)
+        assert (j >= n_record_threshold(held - 1, zeta)) == (j in overdue[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +374,34 @@ def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
     assert report == ms.run_block(spec, p, [7], "dmss")[0]
 
 
+def fake_wave(n, descent):
+    """The columns :func:`newton_cg.descend` sends for ``n`` restarts that
+    each take the values ``descent`` and then converge, at no cost."""
+    fx = np.tile(np.array(descent)[:, None], (1, n))
+    return fx, np.zeros((len(descent), n, 3), dtype=int), np.full(n, len(descent) - 1), np.zeros(n, dtype=bool)
+
+
+@pytest.mark.parametrize("descent", [[1.0, 1.0], [1.0]], ids=["hesitation", "unmoved-start"])
+def test_no_record_past_a_start_point_keeps_the_prior(descent):
+    # restarts without a record past their start point put the zeta MLE
+    # at its boundary; zeta_w and p_fail keep their prior 1.0, so the run
+    # reads each wave whole, draws the next at the prior's size and ends
+    # only on its budget
+    spec = objectives.make("zakharov", 5)
+    p = params(max_total_evals=60)
+    report = ms.RunReport("dmss")
+    run = ms._drive(spec, p, report, np.random.default_rng(0))
+    waves = []
+    x0, _ = next(run)
+    with pytest.raises(StopIteration):
+        while True:
+            waves.append(len(x0))
+            x0, _ = run.send(fake_wave(len(x0), descent))
+    assert waves[:2] == [PRIOR_WAVE[p.delta]] * 2
+    assert report.budget_exhausted and report.total_evals == p.max_total_evals
+    assert (report.zeta_w, report.p_fail) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("algorithm", ["dmss", "rdmss"])
 @pytest.mark.parametrize("name, budget", [("styblinski_tang", 7), ("rosenbrock", 12)])
 def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, algorithm):
@@ -387,8 +415,8 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
     draws = {}  # start point -> (run, restart)
     for i, seed in enumerate(BUDGET_SEEDS):
         rng = np.random.default_rng(seed)
-        for r in range(budget):
-            draws[tuple(objectives.sample_uniform(spec, rng))] = (i, r)
+        for r, x in enumerate(objectives.sample_uniform(spec, rng, budget)):
+            draws[tuple(x)] = (i, r)
     waves, row_steps = [], [0]
     descend, step = newton_cg.descend, newton_cg.step
 
@@ -438,7 +466,7 @@ def test_restart_i_starts_at_the_runs_ith_draw(monkeypatch, name, algorithm):
             firsts.setdefault(restart, f)
         assert list(firsts) == list(range(1, report.restarts + 1))
         rng = np.random.default_rng(seed)
-        draws = np.array([objectives.sample_uniform(spec, rng) for _ in firsts])
+        draws = objectives.sample_uniform(spec, rng, len(firsts))
         values = objectives.Oracle(spec, len(draws)).f(draws, np.arange(len(draws)))
         assert list(firsts.values()) == values.tolist()
 
@@ -477,7 +505,7 @@ def ncg_reports():
 def test_ncg_is_one_plain_descent(ncg_reports):
     for name, seed, report in ncg_reports:
         spec = objectives.make(name, 5)
-        engine = reference.init(spec, objectives.sample_uniform(spec, np.random.default_rng(seed)))
+        engine = reference.init(spec, objectives.sample_uniform(spec, np.random.default_rng(seed), 1)[0])
         values = [engine.fx]
         while not engine.converged:
             fn = reference.step(engine)

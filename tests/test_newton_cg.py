@@ -69,7 +69,7 @@ def test_init_rejects_non_finite_value():
 def test_quadratic_converges_in_one_step(dim):
     spec = ob.make("rhe", dim)
     rng = np.random.default_rng(dim)
-    state = ncg.init(spec, [ob.sample_uniform(spec, rng) for _ in range(10)])
+    state = ncg.init(spec, ob.sample_uniform(spec, rng, 10))
     assert ncg.step(state).all()
     assert np.linalg.norm(state.gx, axis=1).max() <= 1e-8
     assert state.converged.all()
@@ -86,7 +86,7 @@ def test_step_on_converged_engine_raises():
 def test_monotone_descent(name):
     spec = ob.make(name, 5)
     rng = np.random.default_rng(17)
-    for history in descend(spec, [ob.sample_uniform(spec, rng) for _ in range(3)], max_iters=400)[0]:
+    for history in descend(spec, ob.sample_uniform(spec, rng, 3), max_iters=400)[0]:
         values = [f for _, f in history]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -115,7 +115,7 @@ def test_native_stop_at_floating_point_floor():
     # tolerance at a value whose float resolution exceeds it
     spec = ob.make("rosenbrock", 5)
     rng = np.random.default_rng(1)
-    histories, _ = descend(spec, [ob.sample_uniform(spec, rng) for _ in range(30)], max_iters=2000)
+    histories, _ = descend(spec, ob.sample_uniform(spec, rng, 30), max_iters=2000)
     assert all(len(history) < 500 for history in histories)
     assert any(history[-1][1] > 1.0 for history in histories)
 
@@ -146,7 +146,7 @@ def test_oracle_accounting_covers_all_calls():
 def test_one_hessian_operator_per_step_and_every_application_counted():
     spec = ob.make("shifted_sinusoidal", 5)
     rng = np.random.default_rng(4)
-    state = ncg.init(spec, [ob.sample_uniform(spec, rng) for _ in range(4)])
+    state = ncg.init(spec, ob.sample_uniform(spec, rng, 4))
     oracle = state.oracle
     builds, charged = [], [0]
     hvp_at = oracle.hvp_at
@@ -190,7 +190,7 @@ def test_one_hessian_operator_per_step_and_every_application_counted():
 def face_point(spec, rng):
     """A uniform point with some coordinates moved onto a box face where
     the gradient pulls outward, so that the direction pins them."""
-    x = ob.sample_uniform(spec, rng)
+    x = ob.sample_uniform(spec, rng, 1)[0]
     grad = ob.Oracle(spec).grad
     for i in rng.permutation(spec.dim)[: max(1, spec.dim // 2)]:
         for bound, outward in ((spec.lower, 1.0), (spec.upper, -1.0)):
@@ -214,7 +214,7 @@ def tolerance_points(spec, rng):
     for face, edge, outward in ((spec.lower, spec.lower + pin_tol, 1.0), (spec.upper, spec.upper - pin_tol, -1.0)):
         for at in (np.nextafter(edge, face), edge, np.nextafter(edge, middle)):
             for pull in (outward, -outward):
-                x = ob.sample_uniform(spec, rng)
+                x = ob.sample_uniform(spec, rng, 1)[0]
                 i = rng.integers(spec.dim)
                 x[i] = at
                 g = grad(x)
@@ -250,7 +250,7 @@ def block_directions(spec, xs, gs=None):
 def test_direction_matches_the_reference_bitwise(name):
     spec = ob.make(name, 5)
     rng = np.random.default_rng(23)
-    xs = [face_point(spec, rng) if trial % 2 else ob.sample_uniform(spec, rng) for trial in range(40)]
+    xs = [face_point(spec, rng) if trial % 2 else ob.sample_uniform(spec, rng, 1)[0] for trial in range(40)]
     pinned = block_directions(spec, xs)
     # separable, with each coordinate's minimum inside the box: every face
     # gradient points inward, so nothing is ever pinned
@@ -295,7 +295,7 @@ def saddle_points(spec, rng, count):
     middle = 0.5 * (spec.lower + spec.upper)
     found = []
     for draw in range(200):
-        x = ob.sample_uniform(spec, rng)
+        x = ob.sample_uniform(spec, rng, 1)[0]
         if draw % 2:
             x = middle + 0.3 * (x - middle)
         g = oracle.grad(x)
@@ -326,7 +326,7 @@ def test_a_block_of_rows_equals_blocks_of_one_row_bitwise(name, d):
     # meets positive curvature at every draw
     assert saddles or name in ("rhe", "zakharov", "rosenbrock")
     xs = np.array(
-        [ob.sample_uniform(spec, rng) for _ in range(6)]
+        [*ob.sample_uniform(spec, rng, 6)]
         + [face_point(spec, rng) for _ in range(6)]
         + saddles
         + list(tol_x)
@@ -363,7 +363,7 @@ def test_a_block_of_rows_equals_blocks_of_one_row_bitwise(name, d):
 def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
     spec = ob.make(name, d)
     rng = np.random.default_rng(100 + d)
-    xs = [ob.sample_uniform(spec, rng) for _ in range(5)] + [face_point(spec, rng) for _ in range(3)]
+    xs = [*ob.sample_uniform(spec, rng, 5)] + [face_point(spec, rng) for _ in range(3)]
     histories, block = descend(spec, xs)
     assert block.converged.all()
     # the same descents kept as tables: values up to the last accepted
@@ -391,7 +391,7 @@ def visited_points(spec, rng, draws):
     the line search fails) included."""
     points = []
     for _ in range(draws):
-        state = reference.init(spec, ob.sample_uniform(spec, rng))
+        state = reference.init(spec, ob.sample_uniform(spec, rng, 1)[0])
         while not state.converged:
             points.append(state.x.copy())
             reference.step(state)

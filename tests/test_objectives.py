@@ -91,7 +91,7 @@ def test_uniform_samples_never_beat_the_minimum(every_spec):
     spec = every_spec
     rng = np.random.default_rng(123)
     for _ in range(10_000):
-        x = ob.sample_uniform(spec, rng)
+        x = ob.sample_uniform(spec, rng, 1)[0]
         assert ob.Oracle(spec).f(x) >= spec.f_star - 1e-9
 
 
@@ -106,7 +106,7 @@ def test_gradient_matches_finite_differences(dim):
     for name in ob.OBJECTIVE_IDS:
         spec = ob.make(name, dim)
         for _ in range(5):
-            x = ob.sample_uniform(spec, rng)
+            x = ob.sample_uniform(spec, rng, 1)[0]
             assert rel_err(ob.Oracle(spec).grad(x), fd_gradient(spec, x)) <= 1e-5, name
 
 
@@ -116,7 +116,7 @@ def test_hvp_matches_gradient_differences(dim):
     for name in ob.OBJECTIVE_IDS:
         spec = ob.make(name, dim)
         for _ in range(5):
-            x = ob.sample_uniform(spec, rng)
+            x = ob.sample_uniform(spec, rng, 1)[0]
             v = rng.standard_normal(dim)
             assert rel_err(ob.Oracle(spec).hvp_at(x)(v), fd_hvp(spec, x, v)) <= 1e-4, name
 
@@ -129,7 +129,7 @@ def test_zakharov_gradient_zero_at_origin():
 def test_rhe_gradient_closed_form():
     spec = ob.make("rhe", 5)
     rng = np.random.default_rng(3)
-    x = ob.sample_uniform(spec, rng)
+    x = ob.sample_uniform(spec, rng, 1)[0]
     expected = 2.0 * np.array([5 - i for i in range(5)]) * x  # 2*(d-i+1)*x_i, one-indexed
     assert np.allclose(ob.Oracle(spec).grad(x), expected, rtol=1e-14)
 
@@ -145,7 +145,7 @@ def test_rhe_hvp_independent_of_point():
 def test_hvp_linear_in_v_and_zero_at_zero(every_spec):
     spec = every_spec
     rng = np.random.default_rng(5)
-    x = ob.sample_uniform(spec, rng)
+    x = ob.sample_uniform(spec, rng, 1)[0]
     assert np.all(ob.Oracle(spec).hvp_at(x)(np.zeros(5)) == 0.0)
     v = rng.standard_normal(5)
     two = ob.Oracle(spec).hvp_at(x)(2.0 * v)
@@ -206,7 +206,7 @@ def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d
     rng = np.random.default_rng(d)
     xs, vs = [], []
     for trial in range(20):
-        x = ob.sample_uniform(spec, rng)
+        x = ob.sample_uniform(spec, rng, 1)[0]
         if trial % 2:
             # exact zeros in the point, +0.0 or -0.0 by trial
             x[rng.random(d) < 0.3] = rng.choice([0.0, -0.0])
@@ -230,7 +230,7 @@ def test_analytic_values_and_gradients_match_the_one_point_reference_bitwise(nam
     # uniform points, points closing in on the minimum (where a descent
     # spends its last steps), and points with signed zeros or coordinates
     # on a face
-    xs = np.array([ob.sample_uniform(spec, rng) for _ in range(60)])
+    xs = ob.sample_uniform(spec, rng, 60)
     xs[20:40] = spec.x_star + (xs[20:40] - spec.x_star) * 10.0 ** rng.uniform(-9, 0, (20, 1))
     xs[40:, rng.integers(d)] = rng.choice([0.0, -0.0, spec.lower, spec.upper], size=20)
     oracle = ob.Oracle(spec)
@@ -250,7 +250,7 @@ def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d)
     rng = np.random.default_rng(d)
     xs, vs = [], []
     for trial in range(20):
-        x = ob.sample_uniform(spec, rng)
+        x = ob.sample_uniform(spec, rng, 1)[0]
         if trial % 2:
             # sin(u) is an exact zero at x = -shift
             x[rng.random(d) < 0.3] = -shift
@@ -278,7 +278,7 @@ def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name
     specials = [(-shift,), five_zeros, (0.0, -0.0)]
     xs = []
     for trial in range(30):
-        x = ob.sample_uniform(spec, rng)
+        x = ob.sample_uniform(spec, rng, 1)[0]
         if trial % 4:
             hit = rng.random(d) < 0.3
             x[hit] = rng.choice(specials[trial % 4 - 1], size=hit.sum())
@@ -303,7 +303,7 @@ def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name
 def test_sample_uniform_bounds_and_mean():
     spec = ob.make("shifted_sinusoidal", 3)
     rng = np.random.default_rng(0)
-    xs = np.array([ob.sample_uniform(spec, rng) for _ in range(20_000)])
+    xs = ob.sample_uniform(spec, rng, 20_000)
     assert xs.min() >= -90.0 and xs.max() <= 90.0
     midpoint = 0.0
     se = (spec.upper - spec.lower) / np.sqrt(12.0 * len(xs))
@@ -312,9 +312,12 @@ def test_sample_uniform_bounds_and_mean():
 
 def test_sample_uniform_deterministic():
     spec = ob.make("zakharov", 5)
-    a = ob.sample_uniform(spec, np.random.default_rng(9))
-    b = ob.sample_uniform(spec, np.random.default_rng(9))
+    a = ob.sample_uniform(spec, np.random.default_rng(9), 3)
+    b = ob.sample_uniform(spec, np.random.default_rng(9), 3)
     assert np.array_equal(a, b)
+    # a batch holds the points that one draw at a time gives
+    rng = np.random.default_rng(9)
+    assert np.array_equal(a, [ob.sample_uniform(spec, rng, 1)[0] for _ in range(3)])
 
 
 def test_oracle_counts_calls():

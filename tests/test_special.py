@@ -13,11 +13,16 @@ from hypothesis import strategies as st
 
 from recordstart import hasplid
 from recordstart import special as sp
-from reference import incomplete_gamma_g, n_record_threshold, run_histories, tally_of, zeta_equation
+from reference import (
+    expected_records_curve,
+    incomplete_gamma_g,
+    n_record_threshold,
+    run_histories,
+    tally_of,
+    zeta_equation,
+)
 
 mpmath.mp.dps = 40
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
@@ -65,41 +70,6 @@ def solve_zeta_oracle_k2_j5() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# digamma
-# ---------------------------------------------------------------------------
-
-
-def test_digamma_euler_mascheroni():
-    assert sp.digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-
-
-def test_digamma_at_ten_matches_harmonic_oracle():
-    assert sp.digamma(10.0) == pytest.approx(harmonic(9) - EULER_GAMMA, abs=1e-12)
-
-
-def test_digamma_against_mpmath():
-    for x in (0.003, 0.25, 0.5, 1.5, 3.7, 11.0, 123.456, 9876.5):
-        assert sp.digamma(x) == pytest.approx(float(mpmath.digamma(x)), abs=1e-11)
-
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0, 100.0])
-def test_digamma_recurrence_pinned_points(x):
-    assert sp.digamma(x + 1.0) - sp.digamma(x) == pytest.approx(1.0 / x, abs=1e-12)
-
-
-@given(st.floats(min_value=0.01, max_value=500.0, allow_nan=False))
-def test_digamma_recurrence_property(x):
-    assert sp.digamma(x + 1.0) - sp.digamma(x) == pytest.approx(1.0 / x, rel=1e-9)
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sp.digamma(0.0)
-    with pytest.raises(ValueError):
-        sp.digamma(-1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,28 +127,28 @@ def test_gamma_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# Stirling numbers and the record-count pmf
+# the record law: expected record count and record-count pmf
 # ---------------------------------------------------------------------------
 
 
-def test_stirling_matches_record_enumeration():
-    for j in range(1, 7):
-        freq = record_pmf_by_enumeration(j)
-        total = math.factorial(j)
-        for k in range(1, j + 1):
-            assert sp.stirling1_abs(j, k) == round(freq[k] * total)
+@given(
+    st.integers(min_value=1, max_value=500),
+    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(sp.ZETA_MAX)),
+)
+@settings(max_examples=200, deadline=None)
+def test_expected_records_is_the_digamma_curve(j, log_zeta):
+    zeta = math.exp(log_zeta)
+    assert sp.expected_records(j, zeta) == pytest.approx(expected_records_curve(j, zeta), rel=1e-13)
 
 
-def test_stirling_known_values():
-    assert sp.stirling1_abs(3, 2) == 3
-    assert sp.stirling1_abs(5, 1) == 24
-    assert sp.stirling1_abs(20, 20) == 1
-    assert sp.stirling1_abs(4, 7) == 0
-
-
-def test_stirling_size_cap():
-    with pytest.raises(ValueError):
-        sp.stirling1_abs(21, 3)
+@pytest.mark.parametrize("zeta", [0.3, 1.0, 2.0, 7.5, 25.0])
+@pytest.mark.parametrize("j", [1, 2, 3, 10, 20, 40])
+def test_pmf_is_the_stirling_form(j, zeta):
+    # |s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)
+    ratio = mpmath.gamma(1 + zeta) / mpmath.gamma(j + zeta)
+    for k in range(1, j + 1):
+        exact = abs(mpmath.stirling1(j, k)) * mpmath.mpf(zeta) ** (k - 1) * ratio
+        assert sp.record_count_pmf(j, k, zeta) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_pmf_first_iterate_always_record():
@@ -187,10 +157,23 @@ def test_pmf_first_iterate_always_record():
 
 
 def test_pmf_matches_permutation_oracle_at_unit_zeta():
-    freq = record_pmf_by_enumeration(3)
-    for k in (1, 2, 3):
-        assert sp.record_count_pmf(3, k, 1.0) == pytest.approx(freq[k], abs=1e-12)
+    for j in range(1, 7):
+        freq = record_pmf_by_enumeration(j)
+        for k in range(1, j + 1):
+            assert sp.record_count_pmf(j, k, 1.0) == pytest.approx(freq[k], abs=1e-12)
     assert sp.record_count_pmf(3, 2, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_stirling_matches_record_enumeration():
+    # At zeta = 1, j! * pmf(j, k) is |s(j, k)|: the number of permutations of
+    # j values with k records, which mpmath's Stirling numbers must also give.
+    for j in range(1, 7):
+        freq = record_pmf_by_enumeration(j)
+        total = math.factorial(j)
+        for k in range(1, j + 1):
+            count = round(freq[k] * total)
+            assert round(sp.record_count_pmf(j, k, 1.0) * total) == count
+            assert abs(int(mpmath.stirling1(j, k))) == count
 
 
 @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
@@ -253,9 +236,7 @@ def test_zeta_empty_history_rejected():
 @given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
 @settings(max_examples=200, deadline=None)
 def test_survival_count_score_matches_digamma_form(history, log_zeta):
-    # relative to the size of the score's two parts, which cancel at the
-    # root; above zeta ~ 100 the digamma form itself loses more than 1e-12
-    # to the cancellation of R*psi(1+zeta) against sum_r psi(j_r+zeta)
+    # relative to the size of the score's two parts, which cancel at the root
     zeta = math.exp(log_zeta)
     tally = tally_of(history)
     survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(tally.survivors, start=1))
@@ -417,9 +398,13 @@ def test_threshold_monotone_in_record_count(zeta):
 
 
 def test_threshold_inverts_expected_records():
+    # the continuous root falls between the two iterates whose record
+    # sums bracket k + 1
     for k, zeta in [(2, 0.7), (5, 1.0), (3, 12.0)]:
         j_star = n_record_threshold(k, zeta)
-        assert sp.expected_records(j_star, zeta) == pytest.approx(k + 1, abs=1e-8)
+        assert expected_records_curve(j_star, zeta) == pytest.approx(k + 1, abs=1e-8)
+        j = math.floor(j_star)
+        assert sp.expected_records(j, zeta) < k + 1 <= sp.expected_records(j + 1, zeta)
 
 
 # ---------------------------------------------------------------------------
