@@ -47,35 +47,35 @@ Three guards keep the conceptual-model statistics usable with a
 deterministic gradient-based inner search (which produces a record on
 essentially every iterate, a regime where the raw estimators degenerate):
 
-* the working ``zeta_w`` consumed by the inner thresholds is the MLE
-  clamped to ``ZETA_GUARD`` (the MLE diverges to the bracket edge on
-  record-saturated histories, which would disable both inner criteria and
-  freeze ``p_fail`` at 1); the score falls as ``zeta`` grows, so one
-  evaluation at the guard tells whether the clamp applies before any
-  bisection runs,
+* the working ``zeta_w`` consumed by the inner thresholds is
+  :func:`special.solve_zeta_tally`'s MLE, clamped to
+  ``special.ZETA_GUARD`` (the MLE diverges on record-saturated
+  histories, which would disable both inner criteria and freeze
+  ``p_fail`` at 1),
 * the tail depth ``x = alpha * zeta_w * -log(epsilon)`` fed to
   ``p_fail`` is capped at the mean observed record count (the model's own
   moment identity: a run that explored to depth x accrues Poisson(x)
   records), keeping the failure probability responsive at target sizes
   many orders below the per-run record counts,
 * ``zeta_w`` and ``p_fail`` keep their prior 1.0 until some restart holds
-  a record past its start point; before that the MLE is a boundary value.
+  a record past its start point; before that the likelihood has no
+  finite positive root, and ``solve_zeta_tally`` rejects the history.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import newton_cg
 from .objectives import ObjectiveSpec, sample_uniform
-from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally, zeta_score
+from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally
 
 __all__ = [
     "ALGORITHMS",
-    "ZETA_GUARD",
     "RECORD_TOL",
     "AlgoParams",
     "RestartCost",
@@ -88,7 +88,6 @@ __all__ = [
 
 # the names inner_loop, _wave_size and _drive branch on
 ALGORITHMS = ("dmss", "rdmss", "ncg")
-ZETA_GUARD = 25.0
 RECORD_TOL = 1e-14
 
 
@@ -110,10 +109,10 @@ class AlgoParams:
             raise ValueError("delta must be in (0, 1)")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.ptilde_scale <= 0:
-            raise ValueError("ptilde_scale must be positive")
-        if self.max_total_evals < 1:
-            raise ValueError("max_total_evals must be >= 1")
+        if not 0.0 < self.ptilde_scale < math.inf:
+            raise ValueError("ptilde_scale must be positive and finite")
+        if not (isinstance(self.max_total_evals, numbers.Integral) and self.max_total_evals >= 1):
+            raise ValueError("max_total_evals must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -226,13 +225,6 @@ def inner_loop(
     return RunStats(records=k, iterates=j), flags, j - 1
 
 
-def _working_zeta(tally: RunTally) -> float:
-    """``min(solve_zeta_tally(tally), ZETA_GUARD)``: the score falls as
-    zeta grows, so a positive score at the guard puts the root above it
-    and the bisection is skipped."""
-    return ZETA_GUARD if zeta_score(ZETA_GUARD, tally) > 0 else solve_zeta_tally(tally)
-
-
 def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
     """How many restarts a run draws next, with ``left`` evaluations left.
 
@@ -294,7 +286,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             if algorithm != "ncg":
                 tally.add(stats)
                 if tally.record_sum > tally.runs:
-                    report.zeta_w = _working_zeta(tally)
+                    report.zeta_w = solve_zeta_tally(tally)
                     x = min(params.alpha * report.zeta_w * -math.log(params.epsilon), tally.record_sum / tally.runs)
                     report.p_fail = p_fail_histogram(tally.record_hist, x)
             if algorithm == "ncg" or report.p_fail < params.delta or report.budget_exhausted:

@@ -37,7 +37,7 @@ __all__ = [
     "RunStats",
     "RunTally",
     "ZETA_MIN",
-    "ZETA_MAX",
+    "ZETA_GUARD",
     "PTILDE_FLOOR",
     "record_count_pmf",
     "zeta_score",
@@ -50,7 +50,8 @@ __all__ = [
 ]
 
 ZETA_MIN = 1e-6
-ZETA_MAX = 1e6
+# the MLE's upper clamp: it diverges when almost every iterate is a record
+ZETA_GUARD = 25.0
 # ptilde is clamped to [PTILDE_FLOOR, 1 - PTILDE_FLOOR]: its raw form is
 # negative below y = 0, where several benchmark objectives take values
 PTILDE_FLOOR = 1e-12
@@ -131,36 +132,25 @@ def zeta_score(zeta: float, tally: RunTally) -> float:
 
 def solve_zeta_tally(tally: RunTally) -> float:
     """Maximum-likelihood estimate of zeta from the runs' sufficient
-    statistics.
+    statistics, clamped to ``[ZETA_MIN, ZETA_GUARD]``.
 
-    Bracketed bisection on ``[ZETA_MIN, ZETA_MAX]`` (geometric midpoints,
-    relative tolerance 1e-10).  Degenerate histories:
-
-    * every run has k = j = 1: the score vanishes identically, return 1.0;
-    * score positive on the whole bracket (record-saturated runs, k ~ j):
-      the root lies beyond ZETA_MAX, return ZETA_MAX;
-    * score negative everywhere (all single-record runs): return ZETA_MIN.
+    The score falls as zeta grows, so a positive score at ``ZETA_GUARD``
+    puts the root above it; otherwise bisection on ``[ZETA_MIN,
+    ZETA_GUARD]`` (geometric midpoints, relative width 1e-10) steps on the
+    score's sign.  Only a history with a record past some run's start
+    point has a finite positive root: any other raises ``ValueError``.
     """
-    if not tally.runs:
-        raise ValueError("history must be non-empty")
-    if not tally.survivors:
-        return 1.0
-    f_lo = zeta_score(ZETA_MIN, tally)
-    f_hi = zeta_score(ZETA_MAX, tally)
-    if f_lo > 0 and f_hi > 0:
-        return ZETA_MAX
-    if f_lo < 0 and f_hi < 0:
-        return ZETA_MIN
-    lo, hi = ZETA_MIN, ZETA_MAX
-    for _ in range(200):
+    if not tally.record_sum > tally.runs:
+        raise ValueError("need a record past some run's start point")
+    if zeta_score(ZETA_GUARD, tally) > 0:
+        return ZETA_GUARD
+    lo, hi = ZETA_MIN, ZETA_GUARD
+    while hi - lo > 1e-10 * lo:
         mid = math.sqrt(lo * hi)
-        f_mid = zeta_score(mid, tally)
-        if f_mid * f_lo <= 0:
-            hi = mid
+        if zeta_score(mid, tally) > 0:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-10 * lo:
-            break
+            hi = mid
     return math.sqrt(lo * hi)
 
 
@@ -222,8 +212,9 @@ def ptilde(y: float, scale: float) -> float:
 def expected_slope(y_record: float, alpha: float, zeta: float, scale: float) -> float:
     """Model expectation of the record-improvement slope at level y:
     ``ptilde(y)**alpha / zeta``.  Unchecked: the drivers pass an ``alpha``
-    in (0, 1], which ``AlgoParams`` enforces, and a ``zeta`` of at least
-    ``ZETA_MIN``.
+    in (0, 1], which ``AlgoParams`` enforces, and a ``zeta`` in
+    ``[ZETA_MIN, ZETA_GUARD]``: the prior 1.0 or a :func:`solve_zeta_tally`
+    estimate.
     """
     return ptilde(y_record, scale) ** alpha / zeta
 

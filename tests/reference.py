@@ -35,9 +35,9 @@ name.
   engine :mod:`recordstart.newton_cg` reproduces them bit for bit, its
   counts included.
 
-:func:`tally_of` and the ``run_histories`` strategy build the run
-statistics that the record-statistics tests share, and
-:func:`history_rows` lays a run's evaluations out as the rows of
+:func:`tally_of` and the ``run_histories`` and ``recorded_histories``
+strategies build the run statistics that the record-statistics tests
+share, and :func:`history_rows` lays a run's evaluations out as the rows of
 ``history.csv``.
 """
 
@@ -62,6 +62,8 @@ run_histories = st.lists(
     min_size=1,
     max_size=40,
 )
+# the histories whose zeta MLE exists: some run holds a record past its start
+recorded_histories = run_histories.filter(lambda h: any(s.records > 1 for s in h))
 
 
 def history_rows(report) -> list[tuple[float, bool, int]]:

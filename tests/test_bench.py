@@ -4,6 +4,7 @@ equivalence, comparison output, CLI plumbing."""
 
 import csv
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import asdict
@@ -375,6 +376,10 @@ def test_config_validation():
     for bad, message in (
         ({"alpha": 2.0}, "alpha"),
         ({"max_total_evals": 0}, "max_total_evals"),
+        ({"max_total_evals": 2.5}, "max_total_evals"),
+        ({"max_total_evals": math.inf}, "max_total_evals"),
+        ({"ptilde_scale": math.nan}, "ptilde_scale"),
+        ({"ptilde_scale": math.inf}, "ptilde_scale"),
         ({"eps_base": 0.01, "dim": 200}, "epsilon"),  # 0.01**200 underflows to 0
         ({"dim": 1}, "dimension"),
         ({"dim": 0}, "dimension"),  # not the epsilon check that 0.01**0 = 1 fails

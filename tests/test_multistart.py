@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference
 from recordstart import bench, newton_cg, objectives, special
 from recordstart import multistart as ms
-from reference import history_rows, n_record_threshold, run_histories, tally_of
+from reference import history_rows, n_record_threshold, tally_of
 
 
 def run_inner(f0, script, converged=False, **kw):
@@ -110,7 +110,7 @@ def test_inner_loop_native_stop_reads_the_rejected_step():
 
 
 @given(
-    st.floats(min_value=math.log(1e-3), max_value=math.log(ms.ZETA_GUARD)),
+    st.floats(min_value=math.log(1e-3), max_value=math.log(special.ZETA_GUARD)),
     st.integers(min_value=1, max_value=30),
 )
 @settings(max_examples=200, deadline=None)
@@ -163,20 +163,11 @@ def test_every_run_satisfies_record_bounds(zakharov_reports):
 def test_p_fail_matches_declared_relation(zakharov_reports):
     for report in zakharov_reports:
         tally = tally_of(report.run_stats)
-        assert report.zeta_w == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
+        assert report.zeta_w == special.solve_zeta_tally(tally)
         counts = [s.records for s in report.run_stats]
         x = min(0.5 * report.zeta_w * -math.log(0.01**5), float(np.mean(counts)))
         assert report.p_fail == special.p_fail_histogram(tally.record_hist, x)
         assert report.p_fail < 1e-3  # loop exit condition
-
-
-@given(run_histories)
-@settings(max_examples=200, deadline=None)
-def test_working_zeta_is_the_guarded_mle(history):
-    # one score evaluation at the guard stands in for the bisection when
-    # the root lies above it
-    tally = tally_of(history)
-    assert ms._working_zeta(tally) == min(special.solve_zeta_tally(tally), ms.ZETA_GUARD)
 
 
 def test_history_rows_are_chronological_and_flagged(zakharov_reports):
@@ -557,9 +548,12 @@ def test_params_validation():
         ms.AlgoParams(epsilon=1.0)
     with pytest.raises(ValueError):
         ms.AlgoParams(delta=0.0)
-    with pytest.raises(ValueError):
-        ms.AlgoParams(ptilde_scale=-1.0)
-    for budget in (0, -5):
+    # a NaN scale makes ptilde NaN, so the slope cut never fires and RDMSS
+    # runs as DMSS; a budget that is not an integer fails only in a run
+    for scale in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ptilde_scale"):
+            ms.AlgoParams(ptilde_scale=scale)
+    for budget in (0, -5, 2.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="max_total_evals"):
             ms.AlgoParams(max_total_evals=budget)
 

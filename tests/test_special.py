@@ -17,6 +17,7 @@ from reference import (
     expected_records_curve,
     incomplete_gamma_g,
     n_record_threshold,
+    recorded_histories,
     run_histories,
     tally_of,
     zeta_equation,
@@ -133,7 +134,7 @@ def test_gamma_domain_errors():
 
 @given(
     st.integers(min_value=1, max_value=500),
-    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(sp.ZETA_MAX)),
+    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(1e6)),
 )
 @settings(max_examples=200, deadline=None)
 def test_expected_records_is_the_digamma_curve(j, log_zeta):
@@ -198,10 +199,6 @@ def solve_zeta(history):
     return sp.solve_zeta_tally(tally_of(history))
 
 
-def test_zeta_degenerate_single_point_history():
-    assert solve_zeta([sp.RunStats(1, 1), sp.RunStats(1, 1)]) == 1.0
-
-
 def test_zeta_matches_independent_bisection():
     oracle = solve_zeta_oracle_k2_j5()
     assert solve_zeta([sp.RunStats(2, 5)]) == pytest.approx(oracle, abs=1e-6)
@@ -221,16 +218,54 @@ def test_zeta_residual_small_when_bracketed():
 
 
 def test_zeta_record_saturated_history_clamps_high():
-    assert solve_zeta([sp.RunStats(5, 5)]) == sp.ZETA_MAX
+    assert solve_zeta([sp.RunStats(5, 5)]) == sp.ZETA_GUARD
 
 
-def test_zeta_single_record_history_clamps_low():
-    assert solve_zeta([sp.RunStats(1, 9)]) == sp.ZETA_MIN
-
-
-def test_zeta_empty_history_rejected():
+@pytest.mark.parametrize(
+    "history",
+    [[], [sp.RunStats(1, 1), sp.RunStats(1, 1)], [sp.RunStats(1, 9)]],
+    ids=["empty", "single_point_runs", "single_record_run"],
+)
+def test_zeta_rejects_history_without_a_record_past_the_start(history):
+    # the score is 0 everywhere or negative on (0, inf): no MLE to clamp
     with pytest.raises(ValueError):
-        sp.solve_zeta_tally(sp.RunTally())
+        solve_zeta(history)
+
+
+def digamma_root(history) -> float:
+    """Root of :func:`reference.zeta_equation` on ``[ZETA_MIN, ZETA_GUARD]``
+    by mpmath's bracketing Anderson solver; the score is positive at
+    ``ZETA_MIN`` for a history with a record past some start point."""
+    with mpmath.workdps(30):
+        bracket = (sp.ZETA_MIN, sp.ZETA_GUARD)
+        return float(mpmath.findroot(lambda z: zeta_equation(z, history), bracket, solver="anderson", verify=False))
+
+
+@given(recorded_histories)
+@settings(max_examples=100, deadline=None)
+def test_zeta_is_the_guarded_root_of_the_digamma_form(history):
+    guarded = sp.ZETA_GUARD if zeta_equation(sp.ZETA_GUARD, history) > 0 else digamma_root(history)
+    assert solve_zeta(history) == pytest.approx(guarded, rel=1e-9)
+
+
+@given(recorded_histories)
+@settings(max_examples=200, deadline=None)
+def test_zeta_below_the_guard_matches_expected_to_held_records(history):
+    # the score is sum_r k_r - sum_r expected_records(j_r, zeta), so at an
+    # unclamped root the expected record counts add up to the records held
+    # and a later restart's overdue check can tie to the last bits
+    z = solve_zeta(history)
+    if z < sp.ZETA_GUARD:
+        expected = math.fsum(sp.expected_records(s.iterates, z) for s in history)
+        assert expected == pytest.approx(sum(s.records for s in history), rel=1e-9)
+
+
+def test_zeta_of_one_restart_puts_its_records_on_the_overdue_tie():
+    # a restart with 6 records in 7 iterates: a second one holding 6
+    # records at iterate 7 is overdue or not by rounding alone
+    z = solve_zeta([sp.RunStats(6, 7)])
+    assert z == pytest.approx(16.777028167442428, rel=1e-9)
+    assert sp.expected_records(7, z) == pytest.approx(6.0, rel=1e-9)
 
 
 @given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
@@ -246,7 +281,7 @@ def test_survival_count_score_matches_digamma_form(history, log_zeta):
 
 @given(
     run_histories,
-    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(sp.ZETA_MAX)),
+    st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(1e6)),
     st.floats(min_value=0.01, max_value=10.0),
 )
 @settings(max_examples=200, deadline=None)
@@ -268,7 +303,7 @@ def test_run_tally_survival_counts():
     assert (tally.record_sum, tally.record_hist) == (6, {2: 1, 1: 1, 3: 1})
 
 
-@given(run_histories, st.randoms(use_true_random=False))
+@given(recorded_histories, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_zeta_does_not_depend_on_history_order(history, rnd):
     shuffled = list(history)
