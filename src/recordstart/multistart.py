@@ -43,23 +43,16 @@ flag are read off these lists.  ``inner_loop`` gets the evaluations left
 in the budget and stops there, so the evaluation count cannot overshoot
 ``max_total_evals``.
 
-Three guards keep the conceptual-model statistics usable with a
-deterministic gradient-based inner search (which produces a record on
-essentially every iterate, a regime where the raw estimators degenerate):
-
-* the working ``zeta_w`` consumed by the inner thresholds is
-  :func:`special.solve_zeta_tally`'s MLE, clamped to
-  ``special.ZETA_GUARD`` (the MLE diverges on record-saturated
-  histories, which would disable both inner criteria and freeze
-  ``p_fail`` at 1),
-* the tail depth ``x = alpha * zeta_w * -log(epsilon)`` fed to
-  ``p_fail`` is capped at the mean observed record count (the model's own
-  moment identity: a run that explored to depth x accrues Poisson(x)
-  records), keeping the failure probability responsive at target sizes
-  many orders below the per-run record counts,
-* ``zeta_w`` and ``p_fail`` keep their prior 1.0 until some restart holds
-  a record past its start point; before that the likelihood has no
-  finite positive root, and ``solve_zeta_tally`` rejects the history.
+Three guards (README "Stabilization guards") keep the model's statistics
+usable with a deterministic gradient-based inner search, which makes a
+record of almost every iterate, where the raw estimators degenerate:
+``zeta_w`` is :func:`special.solve_zeta_tally`'s MLE, clamped to
+``special.ZETA_GUARD`` as it diverges on record-saturated histories; the
+tail depth ``x = alpha * zeta_w * -log(epsilon)`` fed to ``p_fail`` is
+capped at the mean record count (a run that explored to depth x accrues
+Poisson(x) records), so ``p_fail`` does not freeze at 1; and ``zeta_w``
+and ``p_fail`` keep their prior 1.0 until some restart holds a record
+past its start point, before which the likelihood has no finite root.
 """
 
 from __future__ import annotations
@@ -189,38 +182,42 @@ def inner_loop(
 
     The start point counts as iterate 1 and record 1.  The next record is
     overdue once the expected record count of the iterates so far
-    (:func:`recordstart.special.expected_records`) reaches one more than
-    the records held; the check is skipped until two iterates exist.  The
-    slope check needs two records and is evaluated at the previous record's
-    value.  Returns the restart's ``RunStats``, the record flags of the
-    ``j`` iterates it read, ``values[:j]``, and the engine steps read to
-    decide them: ``j - 1``, or ``j`` when the loop asked for the step
-    after the last value and it was rejected.
+    (:func:`recordstart.special.expected_records`) reaches the records
+    held.  An iterate adds less than one to that count, so a record never
+    makes the next one overdue: the check waits for a non-record, which
+    brings the running sum up to date in order, with the bits of
+    ``expected_records``.  The slope check (``rdmss``) needs two records
+    and is evaluated at the previous record's value.  Returns the
+    restart's ``RunStats``, the record flags of the ``j`` iterates it
+    read, ``values[:j]``, and the engine steps read to decide them: ``j -
+    1``, or ``j`` when the loop asked for the step after the last value
+    and it was rejected.
     """
     check_algorithm(algorithm)
     overdue = algorithm != "ncg"
     use_slope = algorithm == "rdmss"
     j, k = 1, 1
-    # special.expected_records(j, zeta), one term per iterate
-    expected = 1.0
-    best = values[0]
-    best_t = 1
+    expected, done = 1.0, 1  # special.expected_records(done, zeta)
+    best, best_t = values[0], 1
     flags = [True]
-    while j < budget and not (overdue and j >= 2 and expected >= k):
+    while j < budget:
         if j == len(values):  # converged, or the next step is rejected
             return RunStats(records=k, iterates=j), flags, j - 1 + rejected
         fn = values[j]
-        expected += zeta / (j + zeta)
         j += 1
         is_record = fn < best - RECORD_TOL
         flags.append(is_record)
         if is_record:
             k += 1
-            slope = (best - fn) / (j - best_t)
-            prev_value = best
+            # the realized slope against the model's at the previous record
+            if use_slope and (best - fn) / (j - best_t) < expected_slope(best, params.alpha, zeta, params.ptilde_scale):
+                break
             best, best_t = fn, j
-            # the model's expected slope at the previous record
-            if use_slope and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale):
+        elif overdue:
+            for i in range(done, j):
+                expected += zeta / (i + zeta)
+            done = j
+            if expected >= k:
                 break
     return RunStats(records=k, iterates=j), flags, j - 1
 
@@ -267,8 +264,9 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     ``p_fail`` drops below ``delta`` or the budget is spent; the steps
     past its stops and the restarts it never read are dropped."""
     algorithm = report.algorithm
-    # sufficient statistics of report.run_stats: a restart adds O(j) work
+    # sufficient statistics of report.run_stats: a restart adds O(1) work
     tally = RunTally()
+    neg_log_eps = -math.log(params.epsilon)
     while True:
         left = params.max_total_evals - report.total_evals
         n = _wave_size(params, report, left)
@@ -287,7 +285,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
                 tally.add(stats)
                 if tally.record_sum > tally.runs:
                     report.zeta_w = solve_zeta_tally(tally)
-                    x = min(params.alpha * report.zeta_w * -math.log(params.epsilon), tally.record_sum / tally.runs)
+                    x = min(params.alpha * report.zeta_w * neg_log_eps, tally.record_sum / tally.runs)
                     report.p_fail = p_fail_histogram(tally.record_hist, x)
             if algorithm == "ncg" or report.p_fail < params.delta or report.budget_exhausted:
                 report.evals_to_target = check_success(report.values, spec, params.epsilon)

@@ -1,31 +1,28 @@
 """Closed-form record statistics and the special functions behind them.
 
 Everything in this module is pure and stateless.  :class:`RunTally` holds
-the running sufficient statistics of completed runs, from which
-:func:`zeta_score`, :func:`solve_zeta_tally` and :func:`p_fail_histogram`
-evaluate the drivers' cross-run statistics without digamma.  The drivers
-also use the surrogate slope law (:func:`ptilde`, :func:`expected_slope`);
-the closed forms below are what the lab in :mod:`recordstart.hasplid`
-checks.  The quantities all live in the record-value model of hesitant
-adaptive search with a power-law improvement distribution: a run of an
-iterative minimizer produces ``j`` raw iterates of which ``k`` are records
-(strict improvements of the running best).  Its record law: the start
-point is record 1, and iterate ``i + 1`` is a record with probability
-``zeta/(i+zeta)``, independently, with ``zeta`` the ratio of the
-improvement-rate parameter to the bettering exponent.  From that law, one
-iterate at a time as the drivers' overdue rule does, this module computes
+the running sufficient statistics of completed runs, two sums and two
+histograms that a run updates in O(1), from which :func:`zeta_score`,
+:func:`solve_zeta_tally` and :func:`p_fail_histogram` evaluate the
+drivers' cross-run statistics without digamma.  The drivers also use the
+surrogate slope law (:func:`ptilde`, :func:`expected_slope`); the closed
+forms below are what the lab in :mod:`recordstart.hasplid` checks.
 
-* the expected number of records in ``j`` iterates,
-  ``1 + sum_{i<j} zeta/(i+zeta) = zeta * (psi(j+zeta) - psi(zeta))``
-  (:func:`expected_records`),
-* their pmf ``|s(j, k)| * zeta**(k-1) * Gamma(1+zeta) / Gamma(j+zeta)``,
-  with ``s`` the Stirling numbers of the first kind
-  (:func:`record_count_pmf`).
-
-The probability that a run with ``k`` records never came within the target
-tail of mass ``eps`` is ``G(k, -lam*log(eps))``, with ``G`` the regularized
-lower incomplete gamma function at integer order, a plain sum of Poisson
-terms (:func:`p_fail_histogram`).
+The record-value model of hesitant adaptive search with a power-law
+improvement distribution: a run of an iterative minimizer produces ``j``
+raw iterates of which ``k`` are records (strict improvements of the
+running best).  The start point is record 1, and iterate ``i + 1`` is a
+record with probability ``zeta/(i+zeta)``, independently, with ``zeta``
+the ratio of the improvement-rate parameter to the bettering exponent.
+From that law, one iterate at a time as the drivers' overdue rule does,
+this module computes the expected number of records in ``j`` iterates,
+``1 + sum_{i<j} zeta/(i+zeta) = zeta * (psi(j+zeta) - psi(zeta))``
+(:func:`expected_records`), and their pmf ``|s(j, k)| * zeta**(k-1) *
+Gamma(1+zeta) / Gamma(j+zeta)``, with ``s`` the Stirling numbers of the
+first kind (:func:`record_count_pmf`).  A run with ``k`` records never
+came within the target tail of mass ``eps`` with probability ``G(k,
+-lam*log(eps))``, the regularized lower incomplete gamma function at
+integer order, a sum of Poisson terms (:func:`p_fail_histogram`).
 """
 
 from __future__ import annotations
@@ -66,35 +63,37 @@ class RunStats:
 
     def __post_init__(self):
         if not (self.iterates >= self.records >= 1):
-            raise ValueError(
-                f"need iterates >= records >= 1, got k={self.records} j={self.iterates}"
-            )
+            raise ValueError(f"need iterates >= records >= 1, got k={self.records} j={self.iterates}")
 
 
 @dataclass
 class RunTally:
     """Sufficient statistics of completed runs for :func:`solve_zeta_tally`
-    and :func:`p_fail_histogram`.
-
-    ``survivors[i-1]`` counts the runs with more than ``i`` iterates and
-    ``record_hist`` maps a record count to the number of runs with it.
-    Adding a run with ``j`` iterates costs O(j), however many runs came
-    before it.
+    and :func:`p_fail_histogram`: ``record_hist`` and ``iterate_hist`` map
+    a record and an iterate count to the number of runs with it, and
+    ``record_sum`` and ``iterate_sum`` add them up.  Adding a run is O(1).
     """
 
     runs: int = 0
     record_sum: int = 0
-    survivors: list = field(default_factory=list)
+    iterate_sum: int = 0
     record_hist: dict = field(default_factory=dict)
+    iterate_hist: dict = field(default_factory=dict)
 
     def add(self, st: RunStats) -> None:
         self.runs += 1
         self.record_sum += st.records
+        self.iterate_sum += st.iterates
         self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
-        survivors = self.survivors
-        survivors.extend([0] * (st.iterates - 1 - len(survivors)))
-        for i in range(st.iterates - 1):
-            survivors[i] += 1
+        self.iterate_hist[st.iterates] = self.iterate_hist.get(st.iterates, 0) + 1
+
+    def survival_counts(self) -> list[int]:
+        """``N_i``, the runs with more than ``i`` iterates, for ``i`` below the longest run's."""
+        counts, n = [], self.runs
+        for i in range(1, max(self.iterate_hist, default=1)):
+            n -= self.iterate_hist.get(i, 0)
+            counts.append(n)
+        return counts
 
 
 def record_count_pmf(j: int, k: int, zeta: float) -> float:
@@ -116,38 +115,52 @@ def record_count_pmf(j: int, k: int, zeta: float) -> float:
     return pmf[k - 1]
 
 
+def _score(zeta: float, past: int, survivors: list[int]) -> float:
+    acc = 0.0
+    for i, n in enumerate(survivors, start=1):
+        acc += n * zeta / (i + zeta)
+    return past - acc
+
+
 def zeta_score(zeta: float, tally: RunTally) -> float:
     """Likelihood score whose root is the record-rate ratio estimate,
     ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``,
-    without digamma: since ``psi(j+zeta) - psi(1+zeta) = sum_{i=1}^{j-1}
-    1/(i+zeta)``, it is ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)`` with
-    ``N_i`` the number of runs with more than ``i`` iterates.  It falls as
+    without digamma: as ``psi(j+zeta) - psi(1+zeta) = sum_{i<j}
+    1/(i+zeta)``, ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)``, with
+    :meth:`RunTally.survival_counts` in order of ``i``.  It falls as
     ``zeta`` grows, strictly unless every run has a single iterate.
     """
-    acc = 0.0
-    for i, n in enumerate(tally.survivors, start=1):
-        acc += n * zeta / (i + zeta)
-    return tally.record_sum - tally.runs - acc
+    return _score(zeta, tally.record_sum - tally.runs, tally.survival_counts())
 
 
 def solve_zeta_tally(tally: RunTally) -> float:
     """Maximum-likelihood estimate of zeta from the runs' sufficient
     statistics, clamped to ``[ZETA_MIN, ZETA_GUARD]``.
 
-    The score falls as zeta grows, so a positive score at ``ZETA_GUARD``
-    puts the root above it; otherwise bisection on ``[ZETA_MIN,
-    ZETA_GUARD]`` (geometric midpoints, relative width 1e-10) steps on the
-    score's sign.  Only a history with a record past some run's start
-    point has a finite positive root: any other raises ``ValueError``.
+    The score falls as zeta grows, so a positive score at ``G =
+    ZETA_GUARD`` puts the root above it; otherwise bisection on
+    ``[ZETA_MIN, G]`` (geometric midpoints, relative width 1e-10) steps on
+    the score's sign, over survival counts derived once.  Only a history
+    with a record past some run's start point has a root: any other
+    raises ``ValueError``.  Most histories skip the score: a term
+    ``N_i*G/(i+G)`` is at most ``N_i*G/(1+G)`` and the ``N_i`` add up to
+    ``steps = sum_r (j_r - 1)``, so with ``past = sum_r (k_r - 1)`` the
+    score at G is at least ``(past*(1+G) - G*steps) / (1+G)``.  At the
+    integral guard both products are integers, so once the first exceeds
+    the second the score is at least 1/26, far above its rounding.
     """
-    if not tally.record_sum > tally.runs:
+    past, steps = tally.record_sum - tally.runs, tally.iterate_sum - tally.runs
+    if not past > 0:
         raise ValueError("need a record past some run's start point")
-    if zeta_score(ZETA_GUARD, tally) > 0:
+    if past * (1.0 + ZETA_GUARD) > ZETA_GUARD * steps:
+        return ZETA_GUARD
+    survivors = tally.survival_counts()
+    if _score(ZETA_GUARD, past, survivors) > 0:
         return ZETA_GUARD
     lo, hi = ZETA_MIN, ZETA_GUARD
     while hi - lo > 1e-10 * lo:
         mid = math.sqrt(lo * hi)
-        if zeta_score(mid, tally) > 0:
+        if _score(mid, past, survivors) > 0:
             lo = mid
         else:
             hi = mid
@@ -162,25 +175,31 @@ def p_fail_histogram(record_hist: dict[int, int], x: float) -> float:
 
     ``G(k, x) = 1 - sum_{s<k} exp(-x) * x**s / s!``, the regularized lower
     incomplete gamma at integer order, is one plain left-to-right sum of
-    the Poisson terms that runs on from one k to the next.  A term is at
-    most 1, so none overflows, and ``1 - acc`` keeps an absolute accuracy
-    of about 1e-16 at x = 1, growing with x: 2.4e-15 at the canonical
-    table's deepest x = 43.5, 1e-13 at x = 250.  A factor below that is
-    rounding; the drivers' smallest factors are 1.04e-4 (canonical table)
-    and 0.029 (deep).
+    the Poisson terms that runs on from one k to the next.  Term ``s`` is
+    term ``s - 1`` times ``x/s``, from ``exp(-x)``, or where that is no
+    normal float (x above about 708, or far in the upper tail) its closed
+    form ``exp(s*log(x) - x - lgamma(s+1))``; none exceeds 1.  Against
+    mpmath (orders up to ``x + 12*sqrt(x)``), ``1 - acc`` is accurate to
+    3.1e-16 absolute at x = 8.5, 6.2e-16 at the canonical table's deepest
+    x = 43.5, 1.1e-15 at 250, 3.9e-14 at 1000 and 1.8e-12 at 3000 (every
+    term in closed form: 8.6e-16, 2.4e-15, 9.9e-14, 2.5e-13, 2.7e-12).  A
+    factor below that is rounding; the drivers' smallest are 1.04e-4
+    (canonical) and 0.029 (deep).
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"tail depth x must be positive and finite, got {x}")
     ks = sorted(record_hist)
     if ks and ks[0] < 1:
         raise ValueError("record counts must be >= 1")
-    log_x = math.log(x)
-    out, acc, done = 1.0, 0.0, 0
+    out, acc, s, term = 1.0, 0.0, 0, math.exp(-x)
     for k in ks:
-        for s in range(done, k):
-            acc += math.exp(s * log_x - x - math.lgamma(s + 1))
-        done = k
-        out *= max(0.0, 1.0 - acc) ** record_hist[k]
+        while s < k:
+            if term < 2.2250738585072014e-308:  # the least normal float
+                term = math.exp(s * math.log(x) - x - math.lgamma(s + 1))
+            acc += term
+            s += 1
+            term = term * x / s
+        out *= (1.0 - acc if acc < 1.0 else 0.0) ** record_hist[k]
     return out
 
 
@@ -188,7 +207,7 @@ def expected_records(j: int, zeta: float) -> float:
     """Expected number of records in the first j iterates,
     ``1 + sum_{i<j} zeta/(i+zeta)`` summed left to right, which is
     ``zeta * (psi(j+zeta) - psi(zeta))``: bit for bit the running sum
-    that :func:`recordstart.multistart.inner_loop` holds at iterate j.
+    that :func:`recordstart.multistart.inner_loop` reads at iterate j.
     """
     if j < 1:
         raise ValueError("j must be >= 1")

@@ -9,9 +9,14 @@ name.
   the program evaluates from running sums instead; they take digamma
   from mpmath at 30 digits, set locally, so no other module's mpmath
   precision changes them;
-* :func:`incomplete_gamma_g` is ``G(n, x)`` one order at a time, which
-  every factor of :func:`recordstart.special.p_fail_histogram` reproduces
-  bit for bit;
+* :func:`incomplete_gamma_g` is ``G(n, x)`` one order at a time, each
+  Poisson term in closed form, the form that
+  :func:`recordstart.special.p_fail_histogram` takes only where its ratio
+  recursion leaves the normal floats;
+* :func:`inner_loop` is the drivers' restart loop with the overdue sum
+  brought up to date on every iterate and the slope computed on every
+  record, which :func:`recordstart.multistart.inner_loop` reproduces bit
+  for bit;
 * :func:`per_iterate_values` simulates HASPLID one iterate at a time, the
   brute-force counterpart of the event-driven kernel
   :func:`recordstart.hasplid.record_chain`, and :func:`extract_records`
@@ -37,7 +42,8 @@ name.
 
 :func:`tally_of` and the ``run_histories`` and ``recorded_histories``
 strategies build the run statistics that the record-statistics tests
-share, and :func:`history_rows` lays a run's evaluations out as the rows of
+share, :func:`survival_counts` counts a history's survivors run by run,
+and :func:`history_rows` lays a run's evaluations out as the rows of
 ``history.csv``.
 """
 
@@ -50,9 +56,10 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
+from recordstart.multistart import RECORD_TOL, check_algorithm
 from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
 from recordstart.objectives import Oracle
-from recordstart.special import RunStats, RunTally
+from recordstart.special import RunStats, RunTally, expected_slope
 
 # completed-run histories: 1 to 40 runs of 1 to 80 iterates each
 run_histories = st.lists(
@@ -81,6 +88,43 @@ def tally_of(history: list[RunStats]) -> RunTally:
     for run in history:
         tally.add(run)
     return tally
+
+
+def survival_counts(history: list[RunStats]) -> list[int]:
+    """``N_i``, the number of runs with more than ``i`` iterates, for ``i =
+    1 ..`` the longest run's iterates minus 1, counted run by run."""
+    longest = max((run.iterates for run in history), default=1)
+    return [sum(1 for run in history if run.iterates > i) for i in range(1, longest)]
+
+
+def inner_loop(values, rejected: bool, params, zeta: float, algorithm: str = "dmss", budget: float = math.inf):
+    """:func:`recordstart.multistart.inner_loop` one iterate at a time: the
+    expected record count is summed on every iterate and checked before
+    every step, and the slope is computed on every record."""
+    check_algorithm(algorithm)
+    overdue = algorithm != "ncg"
+    use_slope = algorithm == "rdmss"
+    j, k = 1, 1
+    expected = 1.0  # special.expected_records(j, zeta), one term per iterate
+    best = values[0]
+    best_t = 1
+    flags = [True]
+    while j < budget and not (overdue and j >= 2 and expected >= k):
+        if j == len(values):
+            return RunStats(records=k, iterates=j), flags, j - 1 + rejected
+        fn = values[j]
+        expected += zeta / (j + zeta)
+        j += 1
+        is_record = fn < best - RECORD_TOL
+        flags.append(is_record)
+        if is_record:
+            k += 1
+            slope = (best - fn) / (j - best_t)
+            prev_value = best
+            best, best_t = fn, j
+            if use_slope and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale):
+                break
+    return RunStats(records=k, iterates=j), flags, j - 1
 
 
 def expected_records_curve(j: float, zeta: float) -> float:
@@ -155,7 +199,7 @@ def incomplete_gamma_g(n: int, x: float) -> float:
     if x == 0.0:
         return 0.0
     log_x = math.log(x)
-    acc = 0.0  # left to right, the terms p_fail_histogram sums
+    acc = 0.0  # left to right, each term in closed form
     for s in range(n):
         acc += math.exp(s * log_x - x - math.lgamma(s + 1))
     return max(0.0, 1.0 - acc)

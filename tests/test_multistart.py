@@ -134,6 +134,62 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
         assert (j >= n_record_threshold(held - 1, zeta)) == (j in overdue[:1])
 
 
+# a descent: a start value, then accepted steps that each drop the value by
+# a share of its size, by an absolute amount (which may take it below 0,
+# where ptilde takes its floor) or by less than RECORD_TOL, the last alone or
+# adding up to a record over a plateau
+descents = st.tuples(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("share"), st.floats(min_value=1e-9, max_value=1.0)),
+            st.tuples(st.just("drop"), st.floats(min_value=1e-9, max_value=5.0)),
+            st.tuples(st.just("drop"), st.floats(min_value=0.0, max_value=ms.RECORD_TOL)),
+        ),
+        max_size=60,
+    ),
+)
+# the guarded range's ends, the prior, and any value between the ends
+zetas = st.one_of(
+    st.sampled_from([special.ZETA_MIN, 1.0, special.ZETA_GUARD]),
+    st.floats(min_value=special.ZETA_MIN, max_value=special.ZETA_GUARD),
+)
+
+
+@given(
+    descents,
+    st.booleans(),
+    st.sampled_from(ms.ALGORITHMS),
+    zetas,
+    st.one_of(st.just(math.inf), st.integers(min_value=1, max_value=70)),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+@settings(max_examples=500, deadline=None)
+def test_inner_loop_matches_the_per_iterate_reference(descent, rejected, algorithm, zeta, budget, alpha, scale):
+    f0, steps = descent
+    values = [f0]
+    for kind, size in steps:
+        values.append(values[-1] - (size * abs(values[-1]) if kind == "share" else size))
+    p = params(alpha=alpha, ptilde_scale=scale)
+    got = ms.inner_loop(values, rejected, p, zeta, algorithm, budget)
+    assert got == reference.inner_loop(values, rejected, p, zeta, algorithm, budget)
+
+
+@given(zetas)
+@settings(max_examples=30, deadline=None)
+def test_a_record_never_makes_the_next_one_overdue(zeta):
+    # expected_records(j) < k implies expected_records(j + 1) < k + 1 for
+    # every k, which inner_loop relies on to check only after a non-record;
+    # the tightest k is the least integer above expected_records(j)
+    expected = 1.0  # expected_records(j, zeta), term by term
+    for j in range(1, 10_001):
+        after = expected + zeta / (j + zeta)
+        assert after < math.floor(expected) + 2
+        expected = after
+    assert expected == special.expected_records(10_001, zeta)
+
+
 # ---------------------------------------------------------------------------
 # global drivers
 # ---------------------------------------------------------------------------

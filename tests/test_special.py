@@ -19,6 +19,7 @@ from reference import (
     n_record_threshold,
     recorded_histories,
     run_histories,
+    survival_counts,
     tally_of,
     zeta_equation,
 )
@@ -274,7 +275,9 @@ def test_survival_count_score_matches_digamma_form(history, log_zeta):
     # relative to the size of the score's two parts, which cancel at the root
     zeta = math.exp(log_zeta)
     tally = tally_of(history)
-    survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(tally.survivors, start=1))
+    counts = survival_counts(history)
+    assert tally.survival_counts() == counts
+    survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(counts, start=1))
     scale = tally.record_sum - tally.runs + survivors
     assert sp.zeta_score(zeta, tally) == pytest.approx(zeta_equation(zeta, history), abs=1e-12 * scale)
 
@@ -290,17 +293,60 @@ def test_zeta_score_falls_as_zeta_grows(history, log_zeta, log_step):
     # the guard the root lies on
     tally = tally_of(history)
     lo, hi = math.exp(log_zeta), math.exp(log_zeta + log_step)
-    if tally.survivors:
+    if tally.iterate_sum > tally.runs:  # some run has a survivor past iterate 1
         assert sp.zeta_score(hi, tally) < sp.zeta_score(lo, tally)
     else:
         assert sp.zeta_score(hi, tally) == sp.zeta_score(lo, tally) == 0
 
 
 def test_run_tally_survival_counts():
-    tally = tally_of([sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)])
+    history = [sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)]
+    tally = tally_of(history)
     assert tally.runs == 3
-    assert tally.survivors == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
+    assert (tally.iterate_sum, tally.iterate_hist) == (8, {4: 1, 1: 1, 3: 1})
+    assert tally.survival_counts() == survival_counts(history) == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
     assert (tally.record_sum, tally.record_hist) == (6, {2: 1, 1: 1, 3: 1})
+
+
+# histories whose runs miss at most 3 records: most sit near the two-sum
+# test, which holds while under 1 in 26 of the steps past the start points
+# miss a record
+saturated_histories = st.lists(
+    st.integers(min_value=1, max_value=80).flatmap(
+        lambda j: st.builds(sp.RunStats, st.integers(min_value=max(1, j - 3), max_value=j), st.just(j))
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(st.one_of(run_histories, saturated_histories))
+@settings(max_examples=300, deadline=None)
+def test_two_sums_above_the_guard_put_the_score_above_it(history):
+    # each term N_i*G/(i+G) is at most N_i*G/(1+G), and the N_i add up to
+    # the steps past the start points, so the score at G is at least
+    # (26*past - 25*steps)/26, an integer over 26
+    tally = tally_of(history)
+    past, steps = tally.record_sum - tally.runs, tally.iterate_sum - tally.runs
+    if past * (1 + sp.ZETA_GUARD) > sp.ZETA_GUARD * steps:
+        assert sp.zeta_score(sp.ZETA_GUARD, tally) >= 1 / (1 + sp.ZETA_GUARD) - 1e-12
+        assert sp.solve_zeta_tally(tally) == sp.ZETA_GUARD
+
+
+def test_zeta_on_the_two_sum_boundary_takes_the_score_path(monkeypatch):
+    derived = []
+    survival = sp.RunTally.survival_counts
+    monkeypatch.setattr(sp.RunTally, "survival_counts", lambda tally: derived.append(tally) or survival(tally))
+    # 25 records past the start in 26 steps: 26 * 25 == 25 * 26, so the
+    # two sums leave it to the score, which is positive at the guard
+    boundary = tally_of([sp.RunStats(26, 27)])
+    assert sp.solve_zeta_tally(boundary) == sp.ZETA_GUARD
+    assert derived == [boundary]
+    assert sp.zeta_score(sp.ZETA_GUARD, boundary) == pytest.approx(25 - sum(25 / (i + 25) for i in range(1, 27)))
+    # one more record decides it from the two sums alone
+    derived.clear()
+    assert sp.solve_zeta_tally(tally_of([sp.RunStats(27, 27)])) == sp.ZETA_GUARD
+    assert derived == []
 
 
 @given(recorded_histories, st.randoms(use_true_random=False))
@@ -371,17 +417,20 @@ def test_p_fail_histogram_equals_p_fail_of_the_counts():
     ],
 )
 def test_p_fail_histogram_is_the_product_of_the_gamma_values_exactly(hist):
+    # the running sum reaches each order with the same bits whichever
+    # orders come before it
     x = -0.8 * math.log(1e-10)
     assert math.floor(x) == 18
     assert sp.p_fail_histogram(hist, x) == math.prod(
-        incomplete_gamma_g(k, x) ** c for k, c in sorted(hist.items())
+        sp.p_fail_histogram({k: 1}, x) ** c for k, c in sorted(hist.items())
     )
 
 
-@pytest.mark.parametrize("x", [0.5, 2.3026, 18.42, 60.0, 250.0])
+@pytest.mark.parametrize("x", [0.5, 2.3026, 18.42, 60.0, 250.0, 700.0, 750.0, 1000.0, 3000.0])
 def test_p_fail_histogram_against_mpmath(x):
     # orders from 1 up to 3x + 5, deep in the lower tail where G -> 0;
-    # rounding in the Poisson terms' exponents grows with x, ~1e-13 at 250
+    # above x = 708 exp(-x) is no normal float and the terms start in
+    # closed form, whose exponent's rounding grows with x (~2e-12 at 3000)
     mode, top = max(2, round(x)), int(3 * x) + 5
     hists = ({1: 2, top: 1}, {mode: 3}, {1: 1, mode: 2, mode + 1: 1, top: 2}, {k: 1 for k in range(1, 2 * mode)})
     for hist in hists:
