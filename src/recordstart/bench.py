@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -66,12 +67,15 @@ class ExperimentConfig:
     max_total_evals: int = AlgoParams.max_total_evals
 
     def __post_init__(self):
-        make(self.objective, self.dim)  # rejects an unknown objective or a dim below 2
+        make(self.objective, self.dim)  # rejects an unknown objective or a dim that is no integer >= 2
         check_algorithm(self.algorithm)
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
+            raise ValueError("runs must be an integer >= 1")
+        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
+            raise ValueError("workers must be an integer >= 1")
+        # derive_seed hashes the seed's text: 52.0 or True would seed other runs than 52 or 1
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
         if not 0.0 < self.eps_base < 1.0:
             raise ValueError("eps_base must be in (0, 1)")
         self.algo_params()  # rejects what AlgoParams rejects, epsilon underflow included

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -175,11 +176,13 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     below the target level and the slope window, and lies past both
     horizons.
 
-    Raises ``ValueError`` on fewer than 1000 trajectories, on an ``alpha``
-    outside (0, 1] or a ``lam`` that is not positive and finite, all before
-    the pass, and when no record falls in the slope window, which leaves
-    the window checks without a sample.
+    Raises ``ValueError`` on a trajectory count that is not an integer or
+    is below 1000, on an ``alpha`` outside (0, 1] or a ``lam`` that is not
+    positive and finite, all before the pass, and when no record falls in
+    the slope window, which leaves the window checks without a sample.
     """
+    if not isinstance(config.trajectories, numbers.Integral):
+        raise ValueError(f"trajectories must be an integer, got {config.trajectories!r}")
     if config.trajectories < 1000:
         raise ValueError("insufficient samples: need at least 1000 trajectories")
     alpha, lam = config.alpha, config.lam

@@ -32,10 +32,9 @@ is that run alone.
 
 A global run is written down once, in its ``RunReport``: per restart,
 the driver extends two columns, the values it read (``values``) and
-their record flags (``records``), and appends its ``RunStats`` to
-``run_stats`` and its oracle counts and engine steps (``RestartCost``,
-the descent's counts at the last step the driver read, and that step) to
-``costs``.
+their record flags (``records``), and appends a ``Restart`` to
+``run_stats``: its ``RunStats``, the descent's f and Hessian-vector
+counts at the last step the driver read, and that step.
 Restart ``r`` (1-based) holds the next ``run_stats[r - 1].iterates``
 evaluations, so no evaluation stores its restart index.  The restart
 count, the evaluation count, the mean inner-loop length and the success
@@ -71,7 +70,7 @@ __all__ = [
     "ALGORITHMS",
     "RECORD_TOL",
     "AlgoParams",
-    "RestartCost",
+    "Restart",
     "RunReport",
     "inner_loop",
     "run_block",
@@ -109,28 +108,28 @@ class AlgoParams:
 
 
 @dataclass(frozen=True)
-class RestartCost:
-    """What one restart cost: its f, gradient and Hessian-vector
-    evaluations and its engine steps, accepted or not."""
+class Restart(RunStats):
+    """A completed restart's ``RunStats`` and what it cost: its f and
+    Hessian-vector evaluations and its engine steps, accepted or not.  Its
+    gradients are one per iterate, its start point's and its accepted steps'."""
 
     f_evals: int
-    grad_evals: int
     hvp_evals: int
     steps: int
 
     @property
     def rejected_probes(self) -> int:
         """Line-search probes not accepted: every f evaluation but the
-        start point's and the accepted steps' (one gradient each)."""
-        return self.f_evals - self.grad_evals
+        start point's and the accepted steps'."""
+        return self.f_evals - self.iterates
 
 
 @dataclass
 class RunReport:
     """The one record of a global run, filled in as the run goes: every
-    evaluation's value and record flag in order, the completed restarts
-    and what each cost, and the working zeta and failure probability
-    after the last restart.  An evaluation's 1-based position in
+    evaluation's value and record flag in order, each completed
+    ``Restart`` with what it cost, and the working zeta and failure
+    probability after the last restart.  An evaluation's 1-based position in
     ``values`` is its index; restart ``r`` holds the next
     ``run_stats[r - 1].iterates`` of them.  The counts and the success
     flag are derived from these."""
@@ -139,7 +138,6 @@ class RunReport:
     values: list = field(default_factory=list)
     records: list = field(default_factory=list)
     run_stats: list = field(default_factory=list)
-    costs: list = field(default_factory=list)
     zeta_w: float = 1.0
     p_fail: float = 1.0
     budget_exhausted: bool = False
@@ -159,7 +157,7 @@ class RunReport:
 
     @property
     def avg_inner_iters(self) -> float:
-        return float(np.mean([s.iterates for s in self.run_stats]))
+        return self.total_evals / self.restarts
 
 
 def check_algorithm(algorithm: str) -> None:
@@ -278,8 +276,8 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             stats, flags, steps = inner_loop(values, stopped, params, report.zeta_w, algorithm, budget)
             report.values += values[: stats.iterates]
             report.records += flags
-            report.run_stats.append(stats)
-            report.costs.append(RestartCost(*counts[steps, r].tolist(), steps))
+            f_evals, _, hvp_evals = counts[steps, r].tolist()
+            report.run_stats.append(Restart(stats.records, stats.iterates, f_evals, hvp_evals, steps))
             report.budget_exhausted = report.total_evals >= params.max_total_evals
             if algorithm != "ncg":
                 tally.add(stats)

@@ -36,6 +36,7 @@ alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -323,6 +324,6 @@ def make(name: str, dim: int) -> ObjectiveSpec:
     """Build an objective by registry id."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown objective {name!r}; known: {', '.join(OBJECTIVE_IDS)}")
-    if dim < 2:
-        raise ValueError("dimension must be >= 2")
+    if not (isinstance(dim, numbers.Integral) and dim >= 2):
+        raise ValueError("dimension must be an integer >= 2")
     return _BUILDERS[name](dim)

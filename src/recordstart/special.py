@@ -2,11 +2,12 @@
 
 Everything in this module is pure and stateless.  :class:`RunTally` holds
 the running sufficient statistics of completed runs, two sums and two
-histograms that a run updates in O(1), from which :func:`zeta_score`,
-:func:`solve_zeta_tally` and :func:`p_fail_histogram` evaluate the
-drivers' cross-run statistics without digamma.  The drivers also use the
-surrogate slope law (:func:`ptilde`, :func:`expected_slope`); the closed
-forms below are what the lab in :mod:`recordstart.hasplid` checks.
+histograms that a run updates in O(1), from which :func:`zeta_score` (the
+records held minus the records expected), :func:`solve_zeta_tally` and
+:func:`p_fail_histogram` evaluate the drivers' cross-run statistics
+without digamma.  The drivers also use the surrogate slope law
+(:func:`ptilde`, :func:`expected_slope`); the closed forms below are what
+the lab in :mod:`recordstart.hasplid` checks.
 
 The record-value model of hesitant adaptive search with a power-law
 improvement distribution: a run of an iterative minimizer produces ``j``
@@ -68,10 +69,12 @@ class RunStats:
 
 @dataclass
 class RunTally:
-    """Sufficient statistics of completed runs for :func:`solve_zeta_tally`
-    and :func:`p_fail_histogram`: ``record_hist`` and ``iterate_hist`` map
-    a record and an iterate count to the number of runs with it, and
-    ``record_sum`` and ``iterate_sum`` add them up.  Adding a run is O(1).
+    """Sufficient statistics of completed runs: ``record_hist`` and
+    ``iterate_hist`` map a record and an iterate count to the number of
+    runs with it, and ``record_sum`` and ``iterate_sum`` add them up.
+    :func:`zeta_score` reads the record sum and the iterate histogram,
+    :func:`solve_zeta_tally` first the two sums, and
+    :func:`p_fail_histogram` the record histogram.  Adding a run is O(1).
     """
 
     runs: int = 0
@@ -86,14 +89,6 @@ class RunTally:
         self.iterate_sum += st.iterates
         self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
         self.iterate_hist[st.iterates] = self.iterate_hist.get(st.iterates, 0) + 1
-
-    def survival_counts(self) -> list[int]:
-        """``N_i``, the runs with more than ``i`` iterates, for ``i`` below the longest run's."""
-        counts, n = [], self.runs
-        for i in range(1, max(self.iterate_hist, default=1)):
-            n -= self.iterate_hist.get(i, 0)
-            counts.append(n)
-        return counts
 
 
 def record_count_pmf(j: int, k: int, zeta: float) -> float:
@@ -115,52 +110,51 @@ def record_count_pmf(j: int, k: int, zeta: float) -> float:
     return pmf[k - 1]
 
 
-def _score(zeta: float, past: int, survivors: list[int]) -> float:
-    acc = 0.0
-    for i, n in enumerate(survivors, start=1):
-        acc += n * zeta / (i + zeta)
-    return past - acc
-
-
 def zeta_score(zeta: float, tally: RunTally) -> float:
-    """Likelihood score whose root is the record-rate ratio estimate,
-    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``,
-    without digamma: as ``psi(j+zeta) - psi(1+zeta) = sum_{i<j}
-    1/(i+zeta)``, ``sum_r (k_r - 1) - sum_i N_i * zeta/(i+zeta)``, with
-    :meth:`RunTally.survival_counts` in order of ``i``.  It falls as
-    ``zeta`` grows, strictly unless every run has a single iterate.
+    """Likelihood score whose root is the record-rate ratio estimate: the
+    records the runs hold minus the records the record law expects of
+    their iterates, ``sum_r k_r - sum_j c_j * E(j, zeta)`` over the
+    iterate histogram ``{j: c_j}``, ``E`` as in :func:`expected_records`.
+    Both sides drop the start points' records, held and expected alike,
+    and ``E(j, zeta) - 1`` is summed left to right over the sorted ``j``,
+    so the score keeps its relative accuracy at small ``zeta``.  It is
+    the digamma form ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r
+    psi(j_r+zeta))`` and falls as ``zeta`` grows, strictly unless every
+    run has a single iterate.
     """
-    return _score(zeta, tally.record_sum - tally.runs, tally.survival_counts())
+    held, expected, done = tally.record_sum - tally.runs, 0.0, 1  # expected_records(done, zeta) - 1
+    for j in sorted(tally.iterate_hist):
+        for i in range(done, j):
+            expected += zeta / (i + zeta)
+        done = j
+        held -= tally.iterate_hist[j] * expected
+    return held
 
 
 def solve_zeta_tally(tally: RunTally) -> float:
     """Maximum-likelihood estimate of zeta from the runs' sufficient
     statistics, clamped to ``[ZETA_MIN, ZETA_GUARD]``.
 
-    The score falls as zeta grows, so a positive score at ``G =
+    :func:`zeta_score` falls as zeta grows, so a positive score at ``G =
     ZETA_GUARD`` puts the root above it; otherwise bisection on
     ``[ZETA_MIN, G]`` (geometric midpoints, relative width 1e-10) steps on
-    the score's sign, over survival counts derived once.  Only a history
-    with a record past some run's start point has a root: any other
-    raises ``ValueError``.  Most histories skip the score: a term
-    ``N_i*G/(i+G)`` is at most ``N_i*G/(1+G)`` and the ``N_i`` add up to
-    ``steps = sum_r (j_r - 1)``, so with ``past = sum_r (k_r - 1)`` the
-    score at G is at least ``(past*(1+G) - G*steps) / (1+G)``.  At the
-    integral guard both products are integers, so once the first exceeds
-    the second the score is at least 1/26, far above its rounding.
+    the score's sign.  Only a history with a record past some run's start
+    point has a root: any other raises ``ValueError``.  Most histories
+    skip the score: ``E(j, G) - 1 <= (j - 1) * G/(1+G)``, so with ``past =
+    sum_r (k_r - 1)`` and ``steps = sum_r (j_r - 1)`` the score at G is at
+    least ``(past*(1+G) - G*steps) / (1+G)``.  At the integral guard both
+    products are integers, so once the first exceeds the second the score
+    is at least 1/26, far above its rounding.
     """
     past, steps = tally.record_sum - tally.runs, tally.iterate_sum - tally.runs
     if not past > 0:
         raise ValueError("need a record past some run's start point")
-    if past * (1.0 + ZETA_GUARD) > ZETA_GUARD * steps:
-        return ZETA_GUARD
-    survivors = tally.survival_counts()
-    if _score(ZETA_GUARD, past, survivors) > 0:
+    if past * (1.0 + ZETA_GUARD) > ZETA_GUARD * steps or zeta_score(ZETA_GUARD, tally) > 0:
         return ZETA_GUARD
     lo, hi = ZETA_MIN, ZETA_GUARD
     while hi - lo > 1e-10 * lo:
         mid = math.sqrt(lo * hi)
-        if _score(mid, past, survivors) > 0:
+        if zeta_score(mid, tally) > 0:
             lo = mid
         else:
             hi = mid

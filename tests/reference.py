@@ -42,9 +42,8 @@ name.
 
 :func:`tally_of` and the ``run_histories`` and ``recorded_histories``
 strategies build the run statistics that the record-statistics tests
-share, :func:`survival_counts` counts a history's survivors run by run,
-and :func:`history_rows` lays a run's evaluations out as the rows of
-``history.csv``.
+share, and :func:`history_rows` lays a run's evaluations out as the
+rows of ``history.csv``.
 """
 
 from __future__ import annotations
@@ -88,13 +87,6 @@ def tally_of(history: list[RunStats]) -> RunTally:
     for run in history:
         tally.add(run)
     return tally
-
-
-def survival_counts(history: list[RunStats]) -> list[int]:
-    """``N_i``, the number of runs with more than ``i`` iterates, for ``i =
-    1 ..`` the longest run's iterates minus 1, counted run by run."""
-    longest = max((run.iterates for run in history), default=1)
-    return [sum(1 for run in history if run.iterates > i) for i in range(1, longest)]
 
 
 def inner_loop(values, rejected: bool, params, zeta: float, algorithm: str = "dmss", budget: float = math.inf):

@@ -222,7 +222,7 @@ def test_ncg_experiment_runs_the_shared_driver():
 # of tests/test_golden.py (delta=1e-30, ~100 restarts per run), recorded
 # from the block engine before restarts were descended in waves.  The
 # styblinski_tang dmss, rdmss and deep entries were re-recorded from these
-# RestartCost sums when its powers moved onto the C library's pow, which
+# per-restart sums when its powers moved onto the C library's pow, which
 # moves its values in the last bits and lengthens a few restarts by an
 # iterate; test_newton_cg holds the block engine's counts to the one-point
 # engine's.
@@ -256,10 +256,11 @@ def test_restart_costs_sum_to_the_one_point_engine_counts(key):
     settings = dict(runs=2, delta=1e-30) if deep else dict(runs=5)
     cfg = bench.ExperimentConfig(objective=objective, dim=5, algorithm=algorithm, seed=bench.DEFAULT_SEED, **settings)
     _, reports = bench.run_experiment(cfg)
-    costs = [cost for report in reports for cost in report.costs]
+    # a restart's gradient count is its iterate count
+    restarts = [restart for report in reports for restart in report.run_stats]
     totals = tuple(
-        sum(getattr(cost, name) for cost in costs)
-        for name in ("f_evals", "grad_evals", "hvp_evals", "steps", "rejected_probes")
+        sum(getattr(restart, name) for restart in restarts)
+        for name in ("f_evals", "iterates", "hvp_evals", "steps", "rejected_probes")
     )
     assert totals == COST_TOTALS[key]
 
@@ -372,6 +373,19 @@ def test_config_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", workers=workers)
+    # counts and seeds that are not integers fail when the config is built:
+    # 2.5 runs or 1.5 workers would fail inside a run, and seed 52.0 or True
+    # would seed other runs than 52 or 1
+    for bad, message in (
+        ({"runs": 2.5}, "runs"),
+        ({"workers": 1.5}, "workers"),
+        ({"seed": 52.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"dim": 5.0}, "dimension"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bench.ExperimentConfig(**{"objective": "zakharov", "dim": 5, "algorithm": "dmss", **bad})
+    assert bench.ExperimentConfig("zakharov", np.int64(5), "dmss", runs=np.int64(2), seed=np.int64(52)).runs == 2
     # bad parameters fail when the config is built, not in a run
     for bad, message in (
         ({"alpha": 2.0}, "alpha"),

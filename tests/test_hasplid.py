@@ -201,6 +201,12 @@ def test_validation_requires_enough_samples():
         hl.validate_statistics(hl.LabConfig(trajectories=999))
 
 
+def test_validation_rejects_a_trajectory_count_that_is_not_an_integer():
+    # numpy would fail on it with a TypeError deep inside the pass
+    with pytest.raises(ValueError, match="trajectories"):
+        hl.validate_statistics(hl.LabConfig(trajectories=1000.5))
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_validation_rejects_a_bad_lam(lam):
     with pytest.raises(ValueError, match="lam"):

@@ -449,6 +449,17 @@ def test_no_record_past_a_start_point_keeps_the_prior(descent):
     assert (report.zeta_w, report.p_fail) == (1.0, 1.0)
 
 
+def restart_draws(spec, seeds, n) -> dict:
+    """Start point -> ``(run, restart)`` for the first ``n`` restarts of
+    each run: run i's restart r starts at the r-th uniform draw of
+    ``default_rng(seeds[i])``."""
+    draws = {}
+    for i, seed in enumerate(seeds):
+        for r, x in enumerate(objectives.sample_uniform(spec, np.random.default_rng(seed), n)):
+            draws[tuple(x)] = (i, r)
+    return draws
+
+
 @pytest.mark.parametrize("algorithm", ["dmss", "rdmss"])
 @pytest.mark.parametrize("name, budget", [("styblinski_tang", 7), ("rosenbrock", 12)])
 def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, algorithm):
@@ -459,11 +470,7 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
     # left - (r - r0) - 1 steps
     spec = objectives.make(name, 5)
     p = params(max_total_evals=budget)
-    draws = {}  # start point -> (run, restart)
-    for i, seed in enumerate(BUDGET_SEEDS):
-        rng = np.random.default_rng(seed)
-        for r, x in enumerate(objectives.sample_uniform(spec, rng, budget)):
-            draws[tuple(x)] = (i, r)
+    draws = restart_draws(spec, BUDGET_SEEDS, budget)
     waves, row_steps = [], [0]
     descend, step = newton_cg.descend, newton_cg.step
 
@@ -488,7 +495,7 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
             r0 = rows[0][0]
             left = budget - sum(stats.iterates for stats in reports[i].run_stats[:r0])
             assert rows == [(r0 + q, left - q - 1) for q in range(len(rows))] and rows[-1][1] >= 0
-    charged = sum(cost.steps for report in reports for cost in report.costs)
+    charged = sum(restart.steps for report in reports for restart in report.run_stats)
     assert charged <= row_steps[0]
 
 
@@ -520,15 +527,44 @@ def test_restart_i_starts_at_the_runs_ith_draw(monkeypatch, name, algorithm):
 
 def test_every_restart_records_its_costs(zakharov_reports):
     for report in zakharov_reports:
-        assert len(report.costs) == len(report.run_stats)
-        for stats, cost in zip(report.run_stats, report.costs):
-            # one gradient per iterate; a step either moves (one iterate) or
-            # stops the restart natively
-            assert cost.grad_evals == stats.iterates
-            assert stats.iterates - 1 <= cost.steps <= stats.iterates
-            assert cost.rejected_probes == cost.f_evals - 1 - (stats.iterates - 1) >= 0
+        for restart in report.run_stats:
+            assert isinstance(restart, ms.Restart)
+            # a step either moves (one iterate) or stops the restart natively
+            assert restart.iterates - 1 <= restart.steps <= restart.iterates
+            assert restart.rejected_probes == restart.f_evals - 1 - (restart.iterates - 1) >= 0
             # at most one HVP per coordinate and step
-            assert cost.hvp_evals <= 5 * cost.steps
+            assert restart.hvp_evals <= 5 * restart.steps
+
+
+@pytest.mark.parametrize(
+    "name, algorithm, budget",
+    [
+        ("styblinski_tang", "rdmss", 100_000),
+        ("shifted_sinusoidal", "dmss", 100_000),
+        ("styblinski_tang", "dmss", 7),
+        ("rosenbrock", "rdmss", 12),
+    ],
+)
+def test_each_restart_is_charged_one_gradient_per_iterate(monkeypatch, name, algorithm, budget):
+    # a restart evaluates a gradient at its start point and at each
+    # accepted step, so the engine's count row it is charged at holds one
+    # per iterate it read, budget cuts included
+    spec = objectives.make(name, 5)
+    draws = restart_draws(spec, BUDGET_SEEDS, 1000)
+    rows = {}  # (run, restart) -> the descent's (f, grad, hvp) counts per step
+    descend = newton_cg.descend
+
+    def wave(spec, x0, max_steps):
+        out = descend(spec, x0, max_steps)
+        for c, x in enumerate(x0):
+            rows[draws[tuple(x)]] = out[1][:, c]
+        return out
+
+    monkeypatch.setattr(newton_cg, "descend", wave)
+    reports = ms.run_block(spec, params(max_total_evals=budget), BUDGET_SEEDS, algorithm)
+    for i, report in enumerate(reports):
+        for r, restart in enumerate(report.run_stats):
+            assert rows[i, r][restart.steps].tolist() == [restart.f_evals, restart.iterates, restart.hvp_evals]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +597,10 @@ def test_ncg_is_one_plain_descent(ncg_reports):
             values.append(fn)
         assert report.values == values
         oracle = engine.oracle
-        cost = ms.RestartCost(oracle.f_evals[0], oracle.grad_evals[0], oracle.hvp_evals[0], engine.steps)
-        assert report.costs == [cost]
+        (restart,) = report.run_stats
+        assert (restart.f_evals, restart.iterates, restart.hvp_evals, restart.steps) == (
+            oracle.f_evals[0], oracle.grad_evals[0], oracle.hvp_evals[0], engine.steps
+        )
         assert all(b < a for a, b in zip(values, values[1:]))
         assert [restart for _, _, restart in history_rows(report)] == [1] * len(values)
         assert report.restarts == 1 and not report.budget_exhausted
@@ -587,7 +625,8 @@ def test_ncg_leaves_the_record_statistics_alone(ncg_reports):
     for _, _, report in ncg_reports:
         assert (report.zeta_w, report.p_fail) == (default.zeta_w, default.p_fail)
         assert len(report.records) == len(report.values)
-        assert report.run_stats == [special.RunStats(sum(report.records), len(report.values))]
+        (restart,) = report.run_stats
+        assert (restart.records, restart.iterates) == (sum(report.records), len(report.values))
 
 
 def test_check_success_exact_hit_and_miss():

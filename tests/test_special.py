@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recordstart import hasplid
@@ -19,7 +19,6 @@ from reference import (
     n_record_threshold,
     recorded_histories,
     run_histories,
-    survival_counts,
     tally_of,
     zeta_equation,
 )
@@ -270,15 +269,17 @@ def test_zeta_of_one_restart_puts_its_records_on_the_overdue_tie():
 
 
 @given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
+@example([sp.RunStats(1, 80)] * 40, math.log(sp.ZETA_MIN))
 @settings(max_examples=200, deadline=None)
-def test_survival_count_score_matches_digamma_form(history, log_zeta):
-    # relative to the size of the score's two parts, which cancel at the root
+def test_zeta_score_matches_digamma_form(history, log_zeta):
+    # relative to the size of the score's two parts past the start points,
+    # the records held and expected, which cancel at the root.  At a small
+    # zeta both are small: a score summed from E(j, zeta) itself, start
+    # points included, would lose them in the rounding of E
     zeta = math.exp(log_zeta)
     tally = tally_of(history)
-    counts = survival_counts(history)
-    assert tally.survival_counts() == counts
-    survivors = sum(n * zeta / (i + zeta) for i, n in enumerate(counts, start=1))
-    scale = tally.record_sum - tally.runs + survivors
+    expected = math.fsum(sp.expected_records(run.iterates, zeta) - 1 for run in history)
+    scale = tally.record_sum - tally.runs + expected
     assert sp.zeta_score(zeta, tally) == pytest.approx(zeta_equation(zeta, history), abs=1e-12 * scale)
 
 
@@ -299,12 +300,11 @@ def test_zeta_score_falls_as_zeta_grows(history, log_zeta, log_step):
         assert sp.zeta_score(hi, tally) == sp.zeta_score(lo, tally) == 0
 
 
-def test_run_tally_survival_counts():
+def test_run_tally_sums_and_histograms():
     history = [sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)]
     tally = tally_of(history)
     assert tally.runs == 3
     assert (tally.iterate_sum, tally.iterate_hist) == (8, {4: 1, 1: 1, 3: 1})
-    assert tally.survival_counts() == survival_counts(history) == [2, 2, 1]  # runs with more than 1, 2, 3 iterates
     assert (tally.record_sum, tally.record_hist) == (6, {2: 1, 1: 1, 3: 1})
 
 
@@ -323,8 +323,8 @@ saturated_histories = st.lists(
 @given(st.one_of(run_histories, saturated_histories))
 @settings(max_examples=300, deadline=None)
 def test_two_sums_above_the_guard_put_the_score_above_it(history):
-    # each term N_i*G/(i+G) is at most N_i*G/(1+G), and the N_i add up to
-    # the steps past the start points, so the score at G is at least
+    # E(j, G) - 1 is at most (j - 1)*G/(1+G), and the j - 1 add up to the
+    # steps past the start points, so the score at G is at least
     # (26*past - 25*steps)/26, an integer over 26
     tally = tally_of(history)
     past, steps = tally.record_sum - tally.runs, tally.iterate_sum - tally.runs
@@ -334,19 +334,19 @@ def test_two_sums_above_the_guard_put_the_score_above_it(history):
 
 
 def test_zeta_on_the_two_sum_boundary_takes_the_score_path(monkeypatch):
-    derived = []
-    survival = sp.RunTally.survival_counts
-    monkeypatch.setattr(sp.RunTally, "survival_counts", lambda tally: derived.append(tally) or survival(tally))
+    scored = []
+    score = sp.zeta_score
+    monkeypatch.setattr(sp, "zeta_score", lambda zeta, tally: scored.append((zeta, tally)) or score(zeta, tally))
     # 25 records past the start in 26 steps: 26 * 25 == 25 * 26, so the
     # two sums leave it to the score, which is positive at the guard
     boundary = tally_of([sp.RunStats(26, 27)])
     assert sp.solve_zeta_tally(boundary) == sp.ZETA_GUARD
-    assert derived == [boundary]
-    assert sp.zeta_score(sp.ZETA_GUARD, boundary) == pytest.approx(25 - sum(25 / (i + 25) for i in range(1, 27)))
+    assert scored == [(sp.ZETA_GUARD, boundary)]
+    assert score(sp.ZETA_GUARD, boundary) == pytest.approx(25 - sum(25 / (i + 25) for i in range(1, 27)))
     # one more record decides it from the two sums alone
-    derived.clear()
+    scored.clear()
     assert sp.solve_zeta_tally(tally_of([sp.RunStats(27, 27)])) == sp.ZETA_GUARD
-    assert derived == []
+    assert scored == []
 
 
 @given(recorded_histories, st.randoms(use_true_random=False))
