@@ -32,7 +32,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .hasplid import LabConfig, validate_statistics
-from .multistart import ALGORITHMS, AlgoParams, RunReport, check_algorithm, run_block
+from .multistart import ALGORITHMS, AlgoParams, RunReport, run_block
 from .objectives import OBJECTIVE_IDS, make
 
 __all__ = [
@@ -68,17 +68,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         make(self.objective, self.dim)  # rejects an unknown objective or a dim that is no integer >= 2
-        check_algorithm(self.algorithm)
-        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
-            raise ValueError("runs must be an integer >= 1")
-        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
-            raise ValueError("workers must be an integer >= 1")
+        # True is an Integral: runs=True would run 1 run and write "runs": true
+        for name in ("runs", "workers"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
         # derive_seed hashes the seed's text: 52.0 or True would seed other runs than 52 or 1
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError("seed must be an integer")
         if not 0.0 < self.eps_base < 1.0:
             raise ValueError("eps_base must be in (0, 1)")
-        self.algo_params()  # rejects what AlgoParams rejects, epsilon underflow included
+        self.algo_params()  # rejects what AlgoParams rejects: the algorithm, epsilon underflow included
 
     @property
     def epsilon(self) -> float:
@@ -86,6 +86,7 @@ class ExperimentConfig:
 
     def algo_params(self) -> AlgoParams:
         return AlgoParams(
+            algorithm=self.algorithm,
             alpha=self.alpha,
             delta=self.delta,
             epsilon=self.epsilon,
@@ -117,7 +118,7 @@ def _run_share(job) -> list[RunReport]:
     """Runs ``start .. stop - 1`` of an experiment, as one block."""
     config, start, stop = job
     seeds = [derive_seed(config.seed, i) for i in range(start, stop)]
-    return run_block(make(config.objective, config.dim), config.algo_params(), seeds, config.algorithm)
+    return run_block(make(config.objective, config.dim), config.algo_params(), seeds)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):

@@ -87,12 +87,25 @@ CURVE_LENGTH = 100
 
 @dataclass(frozen=True)
 class LabConfig:
-    """Parameters of one validation campaign."""
+    """Parameters of one validation campaign, checked when it is built (a
+    bool is no count or seed: ``seed=True`` would run seed 1's pass)."""
 
     alpha: float = 0.5
     lam: float = 1.0
     trajectories: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.trajectories, numbers.Integral) or isinstance(self.trajectories, bool):
+            raise ValueError(f"trajectories must be an integer, got {self.trajectories!r}")
+        if self.trajectories < 1000:
+            raise ValueError("insufficient samples: need at least 1000 trajectories")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1] for validation")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -176,20 +189,11 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     below the target level and the slope window, and lies past both
     horizons.
 
-    Raises ``ValueError`` on a trajectory count that is not an integer or
-    is below 1000, on an ``alpha`` outside (0, 1] or a ``lam`` that is not
-    positive and finite, all before the pass, and when no record falls in
-    the slope window, which leaves the window checks without a sample.
+    ``LabConfig`` has checked its fields when it was built.  Raises
+    ``ValueError`` when no record falls in the slope window, which leaves
+    the window checks without a sample.
     """
-    if not isinstance(config.trajectories, numbers.Integral):
-        raise ValueError(f"trajectories must be an integer, got {config.trajectories!r}")
-    if config.trajectories < 1000:
-        raise ValueError("insufficient samples: need at least 1000 trajectories")
     alpha, lam = config.alpha, config.lam
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1] for validation")
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
     zeta = lam / alpha
     n = config.trajectories
     lo = WINDOW_CENTER - WINDOW_HALFWIDTH

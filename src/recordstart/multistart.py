@@ -1,6 +1,7 @@
 """DMSS/RDMSS drivers and the bare Newton-CG baseline, one loop.
 
-All three algorithms share one loop.  A global run repeats: draw a
+All three algorithms share one loop; a run's ``AlgoParams`` names its
+algorithm and its rules' parameters.  A global run repeats: draw a
 uniform restart point, descend with the Newton-CG engine while the run's
 record bookkeeping says a new record is not yet overdue, then refresh the
 record-rate ratio ``zeta`` (maximum likelihood over all completed runs)
@@ -74,7 +75,6 @@ __all__ = [
     "RunReport",
     "inner_loop",
     "run_block",
-    "check_algorithm",
     "check_success",
 ]
 
@@ -85,9 +85,11 @@ RECORD_TOL = 1e-14
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Full parameterization of one global run (epsilon is the target
-    size already raised to the d-th power by the caller)."""
+    """Full parameterization of one global run, checked when it is built:
+    its algorithm, one of ``ALGORITHMS``, and its rules' parameters
+    (epsilon is the target size already raised to the d-th power)."""
 
+    algorithm: str
     alpha: float = 0.5
     delta: float = 1e-3
     epsilon: float = 1e-10
@@ -95,6 +97,8 @@ class AlgoParams:
     max_total_evals: int = 100_000
 
     def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, not {self.algorithm!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 < self.delta < 1.0:
@@ -103,7 +107,8 @@ class AlgoParams:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0.0 < self.ptilde_scale < math.inf:
             raise ValueError("ptilde_scale must be positive and finite")
-        if not (isinstance(self.max_total_evals, numbers.Integral) and self.max_total_evals >= 1):
+        budget = self.max_total_evals
+        if not (isinstance(budget, numbers.Integral) and not isinstance(budget, bool) and budget >= 1):
             raise ValueError("max_total_evals must be an integer >= 1")
 
 
@@ -160,18 +165,11 @@ class RunReport:
         return self.total_evals / self.restarts
 
 
-def check_algorithm(algorithm: str) -> None:
-    """Reject a name outside ``ALGORITHMS``, which would run another one silently."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
-
-
-def inner_loop(
-    values, rejected: bool, params: AlgoParams, zeta: float, algorithm: str = "dmss", budget: float = math.inf
-):
-    """Where a restart stops on its known descent: at a native stop, once
-    a record is overdue (``dmss``, ``rdmss``), once the slope criterion
-    fires (``rdmss``) or once ``budget`` evaluations are held.
+def inner_loop(values, rejected: bool, params: AlgoParams, zeta: float, budget: float):
+    """Where a restart of a ``params.algorithm`` run stops on its known
+    descent: at a native stop, once a record is overdue (``dmss``,
+    ``rdmss``), once the slope criterion fires (``rdmss``) or once
+    ``budget`` evaluations are held.
 
     ``values`` are the descent's start value and those of its accepted
     steps, up to a native stop or to at least ``budget`` of them; the
@@ -191,9 +189,8 @@ def inner_loop(
     1``, or ``j`` when the loop asked for the step after the last value
     and it was rejected.
     """
-    check_algorithm(algorithm)
-    overdue = algorithm != "ncg"
-    use_slope = algorithm == "rdmss"
+    overdue = params.algorithm != "ncg"
+    use_slope = params.algorithm == "rdmss"
     j, k = 1, 1
     expected, done = 1.0, 1  # special.expected_records(done, zeta)
     best, best_t = values[0], 1
@@ -234,7 +231,7 @@ def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
     restarts, and a later one at most ``ceil(left * r / total_evals)``,
     the restarts the evaluations left hold at the run's mean restart
     length, so a flat trend cannot draw the whole budget as one block."""
-    if report.algorithm == "ncg":
+    if params.algorithm == "ncg":
         return 1
     r, p = report.restarts, report.p_fail
     if p < 1:
@@ -261,7 +258,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
     wave rule applies).  It returns once ncg has read its restart,
     ``p_fail`` drops below ``delta`` or the budget is spent; the steps
     past its stops and the restarts it never read are dropped."""
-    algorithm = report.algorithm
+    algorithm = params.algorithm
     # sufficient statistics of report.run_stats: a restart adds O(1) work
     tally = RunTally()
     neg_log_eps = -math.log(params.epsilon)
@@ -273,7 +270,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
         for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):
             values = fx[: a + 1, r].tolist()
             budget = params.max_total_evals - report.total_evals
-            stats, flags, steps = inner_loop(values, stopped, params, report.zeta_w, algorithm, budget)
+            stats, flags, steps = inner_loop(values, stopped, params, report.zeta_w, budget)
             report.values += values[: stats.iterates]
             report.records += flags
             f_evals, _, hvp_evals = counts[steps, r].tolist()
@@ -290,17 +287,16 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
                 return
 
 
-def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds, algorithm: str) -> list[RunReport]:
-    """One global run per seed, each driven by :func:`_drive` from
-    ``default_rng(seed)``, their waves batched.
+def run_block(spec: ObjectiveSpec, params: AlgoParams, seeds) -> list[RunReport]:
+    """One global ``params.algorithm`` run per seed, each driven by
+    :func:`_drive` from ``default_rng(seed)``, their waves batched.
 
     Each round concatenates the waves the running drivers ask for,
     descends them as one engine block (:func:`newton_cg.descend`) and
     sends each driver its own columns; the drivers that return are done.
     A row's bits do not depend on the block, so each report equals its
     run alone."""
-    check_algorithm(algorithm)
-    reports = [RunReport(algorithm) for _ in seeds]
+    reports = [RunReport(params.algorithm) for _ in seeds]
     runs = [_drive(spec, params, report, np.random.default_rng(seed)) for report, seed in zip(reports, seeds)]
     waves = [next(run) for run in runs]
     while runs:

@@ -158,13 +158,10 @@ def _direction(oracle: Oracle, rows, x, g):
     return p, gm, found
 
 
-def step(state: NcgState, rows=None) -> np.ndarray:
-    """One outer iteration on each of ``rows`` (engine slots, default
-    every row not converged).  Returns which rows accepted a move; the
-    others have terminated natively."""
-    if rows is None:
-        rows = np.flatnonzero(~state.converged)
-    rows = np.asarray(rows, dtype=int)
+def step(state: NcgState, rows) -> np.ndarray:
+    """One outer iteration on each of ``rows`` (an int array of engine
+    slots, none of them converged).  Returns which rows accepted a move;
+    the others have terminated natively."""
     if state.converged[rows].any():
         raise RuntimeError("step() on a converged engine row")
     oracle = state.oracle

@@ -55,7 +55,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from recordstart.multistart import RECORD_TOL, check_algorithm
+from recordstart.multistart import RECORD_TOL
 from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
 from recordstart.objectives import Oracle
 from recordstart.special import RunStats, RunTally, expected_slope
@@ -89,13 +89,12 @@ def tally_of(history: list[RunStats]) -> RunTally:
     return tally
 
 
-def inner_loop(values, rejected: bool, params, zeta: float, algorithm: str = "dmss", budget: float = math.inf):
+def inner_loop(values, rejected: bool, params, zeta: float, budget: float):
     """:func:`recordstart.multistart.inner_loop` one iterate at a time: the
     expected record count is summed on every iterate and checked before
     every step, and the slope is computed on every record."""
-    check_algorithm(algorithm)
-    overdue = algorithm != "ncg"
-    use_slope = algorithm == "rdmss"
+    overdue = params.algorithm != "ncg"
+    use_slope = params.algorithm == "rdmss"
     j, k = 1, 1
     expected = 1.0  # special.expected_records(j, zeta), one term per iterate
     best = values[0]

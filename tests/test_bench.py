@@ -209,7 +209,7 @@ def test_ncg_experiment_runs_the_shared_driver():
     _, reports = bench.run_experiment(cfg)
     spec = make("rosenbrock", 5)
     for i, report in enumerate(reports):
-        (direct,) = run_block(spec, cfg.algo_params(), [bench.derive_seed(cfg.seed, i)], "ncg")
+        (direct,) = run_block(spec, cfg.algo_params(), [bench.derive_seed(cfg.seed, i)])
         assert report.algorithm == "ncg"
         assert history_rows(report) == history_rows(direct)
 
@@ -374,11 +374,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="workers"):
             bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="dmss", workers=workers)
     # counts and seeds that are not integers fail when the config is built:
-    # 2.5 runs or 1.5 workers would fail inside a run, and seed 52.0 or True
-    # would seed other runs than 52 or 1
+    # 2.5 runs or 1.5 workers would fail inside a run, runs=True would run 1
+    # run and write "runs": true, and seed 52.0 or True would seed other
+    # runs than 52 or 1
     for bad, message in (
         ({"runs": 2.5}, "runs"),
+        ({"runs": True}, "runs"),
         ({"workers": 1.5}, "workers"),
+        ({"workers": True}, "workers"),
         ({"seed": 52.0}, "seed"),
         ({"seed": True}, "seed"),
         ({"dim": 5.0}, "dimension"),
@@ -392,6 +395,7 @@ def test_config_validation():
         ({"max_total_evals": 0}, "max_total_evals"),
         ({"max_total_evals": 2.5}, "max_total_evals"),
         ({"max_total_evals": math.inf}, "max_total_evals"),
+        ({"max_total_evals": True}, "max_total_evals"),
         ({"ptilde_scale": math.nan}, "ptilde_scale"),
         ({"ptilde_scale": math.inf}, "ptilde_scale"),
         ({"eps_base": 0.01, "dim": 200}, "epsilon"),  # 0.01**200 underflows to 0

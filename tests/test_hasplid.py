@@ -196,21 +196,40 @@ def test_validation_report_is_deterministic():
     assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()
 
 
+# a LabConfig checks its fields when it is built, before any pass
+
+
 def test_validation_requires_enough_samples():
     with pytest.raises(ValueError, match="insufficient"):
-        hl.validate_statistics(hl.LabConfig(trajectories=999))
+        hl.LabConfig(trajectories=999)
 
 
 def test_validation_rejects_a_trajectory_count_that_is_not_an_integer():
     # numpy would fail on it with a TypeError deep inside the pass
-    with pytest.raises(ValueError, match="trajectories"):
-        hl.validate_statistics(hl.LabConfig(trajectories=1000.5))
+    for trajectories in (1000.5, True):
+        with pytest.raises(ValueError, match="trajectories"):
+            hl.LabConfig(trajectories=trajectories)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_validation_rejects_a_bad_lam(lam):
     with pytest.raises(ValueError, match="lam"):
-        hl.validate_statistics(hl.LabConfig(lam=lam, trajectories=1000))
+        hl.LabConfig(lam=lam, trajectories=1000)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+def test_lab_config_rejects_a_bad_alpha(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        hl.LabConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("seed", [True, False, 52.0, -1, "0"])
+def test_lab_config_rejects_a_seed_that_is_no_non_negative_integer(seed):
+    # seed=True would reproduce seed 1's statistics and record "seed": true;
+    # 52.0 would fail with numpy's TypeError inside the pass
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        hl.LabConfig(trajectories=1000, seed=seed)
+    assert hl.LabConfig(trajectories=np.int64(1000), seed=np.int64(52)).seed == 52
 
 
 def test_validation_rejects_an_empty_slope_window():

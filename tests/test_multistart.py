@@ -15,20 +15,20 @@ from recordstart import multistart as ms
 from reference import history_rows, n_record_threshold, tally_of
 
 
-def run_inner(f0, script, converged=False, **kw):
-    """:func:`ms.inner_loop` on the descent ``f0``, then ``script``: a
-    step past its end is a native stop, by a rejected step unless the
-    start point is ``converged``.  Returns the loop's stats, the
-    evaluations it read ``[(f, is_record), ...]`` and its steps."""
-    kw.setdefault("zeta", 1.0)
+def run_inner(f0, script, converged=False, algorithm="dmss", zeta=1.0, budget=math.inf):
+    """:func:`ms.inner_loop` of an ``algorithm`` run on the descent
+    ``f0``, then ``script``: a step past its end is a native stop, by a
+    rejected step unless the start point is ``converged``.  Returns the
+    loop's stats, the evaluations it read ``[(f, is_record), ...]`` and
+    its steps."""
     values = [f0] if converged else [f0, *script]
-    stats, flags, steps = ms.inner_loop(values, not converged, params(), **kw)
+    stats, flags, steps = ms.inner_loop(values, not converged, params(algorithm=algorithm), zeta, budget)
     assert len(flags) == stats.iterates
     return stats, list(zip(values[: stats.iterates], flags)), steps
 
 
 def params(**kw):
-    defaults = dict(alpha=0.5, delta=1e-3, epsilon=0.01**5)
+    defaults = dict(algorithm="dmss", alpha=0.5, delta=1e-3, epsilon=0.01**5)
     defaults.update(kw)
     return ms.AlgoParams(**defaults)
 
@@ -97,7 +97,7 @@ def test_inner_loop_overdue_stop_before_a_rejected_step_reads_j_minus_one_steps(
     # converges there
     log, _, steps = run_inner(10.0, [9.0, 8.0], budget=3)
     assert (log.iterates, steps) == (3, 2)
-    log, _, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0)
+    log, _, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0, math.inf)
     assert (log.iterates, steps) == (3, 2)
 
 
@@ -171,9 +171,9 @@ def test_inner_loop_matches_the_per_iterate_reference(descent, rejected, algorit
     values = [f0]
     for kind, size in steps:
         values.append(values[-1] - (size * abs(values[-1]) if kind == "share" else size))
-    p = params(alpha=alpha, ptilde_scale=scale)
-    got = ms.inner_loop(values, rejected, p, zeta, algorithm, budget)
-    assert got == reference.inner_loop(values, rejected, p, zeta, algorithm, budget)
+    p = params(algorithm=algorithm, alpha=alpha, ptilde_scale=scale)
+    got = ms.inner_loop(values, rejected, p, zeta, budget)
+    assert got == reference.inner_loop(values, rejected, p, zeta, budget)
 
 
 @given(zetas)
@@ -198,14 +198,12 @@ def test_a_record_never_makes_the_next_one_overdue(zeta):
 @pytest.fixture(scope="module")
 def zakharov_reports():
     spec = objectives.make("zakharov", 5)
-    p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    return ms.run_block(spec, p, [424242], "dmss")[0], ms.run_block(spec, p, [424242], "rdmss")[0]
+    return ms.run_block(spec, params(), [424242])[0], ms.run_block(spec, params(algorithm="rdmss"), [424242])[0]
 
 
 def test_reports_are_deterministic(zakharov_reports):
     spec = objectives.make("zakharov", 5)
-    p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    (again,) = ms.run_block(spec, p, [424242], "dmss")
+    (again,) = ms.run_block(spec, params(), [424242])
     assert history_rows(again) == history_rows(zakharov_reports[0])
     assert again.total_evals == zakharov_reports[0].total_evals
 
@@ -263,11 +261,10 @@ def test_rdmss_equals_dmss_until_first_slope_cut(zakharov_reports):
 
 def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
     spec = objectives.make("rosenbrock", 5)
-    p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5)
-    (base,) = ms.run_block(spec, p, [777], "dmss")
+    (base,) = ms.run_block(spec, params(), [777])
     # no record's slope is below an expected slope of 0
     monkeypatch.setattr(ms, "expected_slope", lambda *a, **k: 0.0)
-    (disabled,) = ms.run_block(spec, p, [777], "rdmss")
+    (disabled,) = ms.run_block(spec, params(algorithm="rdmss"), [777])
     assert history_rows(disabled) == history_rows(base)
     assert disabled.restarts == base.restarts
 
@@ -275,8 +272,8 @@ def test_rdmss_with_slope_disabled_is_dmss(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["dmss", "rdmss", "ncg"])
 def test_budget_exhaustion_is_flagged_not_raised(algorithm):
     spec = objectives.make("zakharov", 5)
-    p = ms.AlgoParams(alpha=0.5, delta=1e-3, epsilon=0.01**5, max_total_evals=7)
-    (report,) = ms.run_block(spec, p, [3], algorithm)
+    p = params(algorithm=algorithm, max_total_evals=7)
+    (report,) = ms.run_block(spec, p, [3])
     assert report.budget_exhausted
     assert report.total_evals <= p.max_total_evals
 
@@ -286,11 +283,11 @@ def test_budgeted_run_is_a_prefix_of_the_unbudgeted_run(algorithm):
     # every decision reads only the evaluations so far, so a budget of m
     # cuts the run after its m-th evaluation and changes nothing before it
     spec = objectives.make("zakharov", 5)
-    (full,) = ms.run_block(spec, params(), [3], algorithm)
+    (full,) = ms.run_block(spec, params(algorithm=algorithm), [3])
     length = full.total_evals
     assert not full.budget_exhausted
     for m in range(1, length + 2):
-        (cut,) = ms.run_block(spec, params(max_total_evals=m), [3], algorithm)
+        (cut,) = ms.run_block(spec, params(algorithm=algorithm, max_total_evals=m), [3])
         assert history_rows(cut) == history_rows(full)[: min(length, m)]
         assert cut.budget_exhausted == (length >= m)
 
@@ -301,13 +298,13 @@ def test_a_block_runs_out_of_budget_row_by_row(name, budget, algorithm):
     # the rows of one block spend a small budget at different restarts;
     # each still stops at it and equals its run alone
     spec = objectives.make(name, 5)
-    p = params(max_total_evals=budget)
+    p = params(algorithm=algorithm, max_total_evals=budget)
     seeds = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(8)]
-    block = ms.run_block(spec, p, seeds, algorithm)
+    block = ms.run_block(spec, p, seeds)
     assert len({report.restarts for report in block}) > 1
     for seed, report in zip(seeds, block):
         assert report.total_evals <= budget and report.budget_exhausted
-        assert report == ms.run_block(spec, p, [seed], algorithm)[0]
+        assert report == ms.run_block(spec, p, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,46 +319,46 @@ BUDGET_SEEDS = [bench.derive_seed(bench.DEFAULT_SEED, i) for i in range(8)]
 AHEAD_BLOCKS = (
     # the golden 5-run prefix of every canonical DMSS/RDMSS configuration
     [
-        (name, params(), CANONICAL_SEEDS, algorithm)
+        (name, params(algorithm=algorithm), CANONICAL_SEEDS)
         for name in objectives.OBJECTIVE_IDS
         for algorithm in ("dmss", "rdmss")
     ]
     # budgets spent at different restarts
     + [
-        (name, params(max_total_evals=budget), BUDGET_SEEDS, algorithm)
+        (name, params(algorithm=algorithm, max_total_evals=budget), BUDGET_SEEDS)
         for name, budget in (("styblinski_tang", 7), ("rosenbrock", 12))
         for algorithm in ("dmss", "rdmss")
     ]
     # ~100 restarts per run
     + [
-        (name, params(delta=1e-30), CANONICAL_SEEDS[:3], algorithm)
+        (name, params(algorithm=algorithm, delta=1e-30), CANONICAL_SEEDS[:3])
         for name, algorithm in (("zakharov", "dmss"), ("styblinski_tang", "rdmss"))
     ]
 )
 
 
 @pytest.mark.parametrize(
-    "name, p, seeds, algorithm",
+    "name, p, seeds",
     AHEAD_BLOCKS,
-    ids=[f"{name}-{algorithm}-{p.max_total_evals}-{p.delta}" for name, p, _, algorithm in AHEAD_BLOCKS],
+    ids=[f"{name}-{p.algorithm}-{p.max_total_evals}-{p.delta}" for name, p, _ in AHEAD_BLOCKS],
 )
-def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds, algorithm):
+def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds):
     # a driver reads a prefix of each descent, in order, and is charged up
     # to the last step it read, however many restarts a wave descends,
     # and each run draws from its own generator, so it equals its run alone
     spec = objectives.make(name, 5)
-    assert ms._wave_size(p, ms.RunReport(algorithm), p.max_total_evals) > 1
-    ahead = ms.run_block(spec, p, seeds, algorithm)
+    assert ms._wave_size(p, ms.RunReport(p.algorithm), p.max_total_evals) > 1
+    ahead = ms.run_block(spec, p, seeds)
     for seed, report in zip(seeds, ahead):
-        assert report == ms.run_block(spec, p, [seed], algorithm)[0]
+        assert report == ms.run_block(spec, p, [seed])[0]
     monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: 1)
-    assert ahead == ms.run_block(spec, p, seeds, algorithm)
+    assert ahead == ms.run_block(spec, p, seeds)
 
 
-def report_after(restarts, iterates=10, p_fail=1.0, algorithm="dmss"):
-    """A run's report after ``restarts`` restarts of ``iterates`` each."""
+def report_after(restarts, iterates=10, p_fail=1.0):
+    """A DMSS run's report after ``restarts`` restarts of ``iterates`` each."""
     stats = [special.RunStats(records=1, iterates=iterates)] * restarts
-    return ms.RunReport(algorithm, values=[0.0] * (restarts * iterates), run_stats=stats, p_fail=p_fail)
+    return ms.RunReport("dmss", values=[0.0] * (restarts * iterates), run_stats=stats, p_fail=p_fail)
 
 
 # ceil(log(delta) / log(1/2)) + 1: the restarts a run needs at the record
@@ -375,7 +372,7 @@ def test_first_wave_is_the_record_prior_and_ncg_draws_one():
         assert ms._wave_size(p, report_after(0), 100_000) == prior
         assert ms._wave_size(p, report_after(0), prior) == prior
         assert ms._wave_size(p, report_after(0), 5) == 5  # capped at the evaluations left
-        assert ms._wave_size(p, report_after(0, algorithm="ncg"), 100_000) == 1
+        assert ms._wave_size(params(algorithm="ncg", delta=delta), report_after(0), 100_000) == 1
 
 
 @pytest.mark.parametrize("restarts", [1, 8, 20, 150])
@@ -409,7 +406,7 @@ def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
         return descend(spec, x0, max_steps)
 
     monkeypatch.setattr(newton_cg, "descend", wave)
-    (report,) = ms.run_block(spec, p, [7], "dmss")
+    (report,) = ms.run_block(spec, p, [7])
     assert report.budget_exhausted and waves[0] == PRIOR_WAVE[p.delta] and len(waves) > 1
     r = 0
     for n in waves:
@@ -418,7 +415,7 @@ def test_flat_p_fail_waves_hold_what_the_budget_left_can(monkeypatch):
             assert n <= math.ceil((p.max_total_evals - total) * r / total)
         r += n
     monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: 1)
-    assert report == ms.run_block(spec, p, [7], "dmss")[0]
+    assert report == ms.run_block(spec, p, [7])[0]
 
 
 def fake_wave(n, descent):
@@ -469,7 +466,7 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
     # most one step fewer than it holds evaluations, so its row may take
     # left - (r - r0) - 1 steps
     spec = objectives.make(name, 5)
-    p = params(max_total_evals=budget)
+    p = params(algorithm=algorithm, max_total_evals=budget)
     draws = restart_draws(spec, BUDGET_SEEDS, budget)
     waves, row_steps = [], [0]
     descend, step = newton_cg.descend, newton_cg.step
@@ -486,7 +483,7 @@ def test_no_row_steps_past_what_its_budget_can_read(monkeypatch, name, budget, a
 
     monkeypatch.setattr(newton_cg, "descend", wave)
     monkeypatch.setattr(newton_cg, "step", counted_step)
-    reports = ms.run_block(spec, p, BUDGET_SEEDS, algorithm)
+    reports = ms.run_block(spec, p, BUDGET_SEEDS)
     for restarts, caps in waves:
         drawn = {}  # run -> [(restart, cap), ...] in wave order
         for (i, r), cap in zip(restarts, caps):
@@ -508,10 +505,10 @@ def test_restart_i_starts_at_the_runs_ith_draw(monkeypatch, name, algorithm):
     # they are run again in waves of three, which every run spans
     spec = objectives.make(name, 5)
     seeds = CANONICAL_SEEDS[:3]
-    whole = ms.run_block(spec, params(), seeds, algorithm)
+    whole = ms.run_block(spec, params(algorithm=algorithm), seeds)
     assert all(report.restarts > 1 for report in whole)  # each run draws several restarts in a wave
     monkeypatch.setattr(ms, "_wave_size", lambda params, report, left: min(3, left))
-    reports = ms.run_block(spec, params(), seeds, algorithm)
+    reports = ms.run_block(spec, params(algorithm=algorithm), seeds)
     assert all(report.restarts > 3 for report in reports)  # every run's restarts span two waves
     assert reports == whole
     for seed, report in zip(seeds, reports):
@@ -561,7 +558,7 @@ def test_each_restart_is_charged_one_gradient_per_iterate(monkeypatch, name, alg
         return out
 
     monkeypatch.setattr(newton_cg, "descend", wave)
-    reports = ms.run_block(spec, params(max_total_evals=budget), BUDGET_SEEDS, algorithm)
+    reports = ms.run_block(spec, params(algorithm=algorithm, max_total_evals=budget), BUDGET_SEEDS)
     for i, report in enumerate(reports):
         for r, restart in enumerate(report.run_stats):
             assert rows[i, r][restart.steps].tolist() == [restart.f_evals, restart.iterates, restart.hvp_evals]
@@ -577,9 +574,9 @@ def test_each_restart_is_charged_one_gradient_per_iterate(monkeypatch, name, alg
 
 @pytest.fixture(scope="module")
 def ncg_reports():
-    p = params()
+    p = params(algorithm="ncg")
     return [
-        (name, seed, ms.run_block(objectives.make(name, 5), p, [seed], "ncg")[0])
+        (name, seed, ms.run_block(objectives.make(name, 5), p, [seed])[0])
         for name in objectives.OBJECTIVE_IDS
         for seed in CANONICAL_SEEDS
     ]
@@ -638,30 +635,31 @@ def test_check_success_exact_hit_and_miss():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ms.AlgoParams(alpha=0.0)
+        ms.AlgoParams("dmss", alpha=0.0)
     with pytest.raises(ValueError):
-        ms.AlgoParams(epsilon=1.0)
+        ms.AlgoParams("dmss", epsilon=1.0)
     with pytest.raises(ValueError):
-        ms.AlgoParams(delta=0.0)
+        ms.AlgoParams("dmss", delta=0.0)
     # a NaN scale makes ptilde NaN, so the slope cut never fires and RDMSS
-    # runs as DMSS; a budget that is not an integer fails only in a run
+    # runs as DMSS; a budget that is not an integer fails only in a run,
+    # and True would be a budget of 1
     for scale in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="ptilde_scale"):
-            ms.AlgoParams(ptilde_scale=scale)
-    for budget in (0, -5, 2.5, math.inf, math.nan):
+            ms.AlgoParams("dmss", ptilde_scale=scale)
+    for budget in (0, -5, 2.5, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="max_total_evals"):
-            ms.AlgoParams(max_total_evals=budget)
+            ms.AlgoParams("dmss", max_total_evals=budget)
+    assert ms.AlgoParams("dmss", max_total_evals=np.int64(7)).max_total_evals == 7
 
 
 @pytest.mark.parametrize("name", ["dmsss", "RDMSS"])
 def test_unknown_algorithm_names_are_rejected_with_one_message(name):
     # the loop branches on exact names: "dmsss" would run DMSS and
     # "RDMSS" would run without the slope rule
+    # the name is checked once, when a run's parameters are built
     message = f"algorithm must be one of {ms.ALGORITHMS}, not '{name}'"
-    spec = objectives.make("zakharov", 5)
     for call in (
-        lambda: ms.run_block(spec, params(), [7], name),
-        lambda: ms.inner_loop([1.0, 0.5], True, params(), 1.0, name),
+        lambda: ms.AlgoParams(name),
         lambda: bench.ExperimentConfig("zakharov", 5, name),
     ):
         with pytest.raises(ValueError) as caught:
