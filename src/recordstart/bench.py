@@ -76,7 +76,7 @@ class ExperimentConfig:
         # derive_seed hashes the seed's text: 52.0 or True would seed other runs than 52 or 1
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError("seed must be an integer")
-        if not 0.0 < self.eps_base < 1.0:
+        if isinstance(self.eps_base, bool) or not 0.0 < self.eps_base < 1.0:
             raise ValueError("eps_base must be in (0, 1)")
         self.algo_params()  # rejects what AlgoParams rejects: the algorithm, epsilon underflow included
 

@@ -13,9 +13,11 @@ exponent) and ``lam`` (improvement-quality exponent):
 So the sampler waits a Geometric(``y**alpha``) number of steps at each
 record, independently of the record values.  :func:`record_chain`
 simulates only the records: it draws each wait and each next record for a
-whole batch of trajectories at once, from one random stream, and
-:func:`validate_statistics` builds every check of the closed forms from
-:mod:`recordstart.special` out of one pass over it.  The checks look at one
+whole batch of trajectories at once, from one random stream, and only for
+the trajectories its consumer keeps.  :func:`validate_statistics` builds
+every check of the closed forms from :mod:`recordstart.special` out of
+one pass over it, and drops each trajectory once its records can no
+longer change a statistic.  The checks look at one
 fixed design, the module constants below: the uniform range model, target
 level 0.1, slope window 0.5 +- 0.02 and horizons 3 and 100; a
 :class:`LabConfig` sets only ``alpha``, ``lam``, the trajectory count and
@@ -52,22 +54,30 @@ _TINY = np.finfo(float).tiny
 def record_chain(alpha: float, lam: float, n: int, rng):
     """Levels and times of records 1, 2, ... of ``n`` trajectories.
 
-    An endless generator of ``(levels, times)`` arrays of length ``n``,
-    one pair per record, starting with the initial sample at time 0.  The
-    level ``p`` starts at ``U**(1/lam)``, and each step adds a
-    Geometric(``p**alpha``) wait to the time and multiplies ``p`` by a
-    fresh ``U**(1/lam)``, drawing both for all ``n`` trajectories from
-    ``rng``.  Times are floats, exact below ``2**53``; a wait past the
-    int64 range saturates instead of wrapping.  The yielded arrays are
-    never modified afterwards.
+    An endless generator of ``(levels, times)`` arrays, one pair per
+    record, starting with the initial sample at time 0.  The level ``p``
+    starts at ``U**(1/lam)``, and each step adds a Geometric(``p**alpha``)
+    wait to the time and multiplies ``p`` by a fresh ``U**(1/lam)``,
+    drawing both for every trajectory still going from ``rng``.  Times are
+    floats, exact below ``2**53``; a wait past the int64 range saturates
+    instead of wrapping.  The yielded arrays are never modified afterwards.
+
+    The consumer may ``send`` the indices into the last yielded arrays of
+    the trajectories that go on (``np.flatnonzero`` of a mask); the
+    generator keeps those, in that order, and draws only for them, so the
+    next pair has their length.  ``next()`` sends ``None`` and keeps
+    every trajectory: a chain that is never sent indices draws exactly as
+    one that keeps all.
     """
     inv_lam = 1.0 / lam
     p = rng.random(n) ** inv_lam
     t = np.zeros(n)
     while True:
-        yield p, t
+        keep = yield p, t
+        if keep is not None:
+            p, t = p.take(keep), t.take(keep)
         t = t + rng.geometric(np.maximum(p**alpha, _TINY))
-        p = p * rng.random(n) ** inv_lam
+        p = p * rng.random(p.size) ** inv_lam
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +98,8 @@ CURVE_LENGTH = 100
 @dataclass(frozen=True)
 class LabConfig:
     """Parameters of one validation campaign, checked when it is built (a
-    bool is no count or seed: ``seed=True`` would run seed 1's pass)."""
+    bool is no count, seed or parameter: ``seed=True`` would run seed 1's
+    pass and ``alpha=True`` alpha 1's, each recorded as true)."""
 
     alpha: float = 0.5
     lam: float = 1.0
@@ -100,9 +111,9 @@ class LabConfig:
             raise ValueError(f"trajectories must be an integer, got {self.trajectories!r}")
         if self.trajectories < 1000:
             raise ValueError("insufficient samples: need at least 1000 trajectories")
-        if not 0.0 < self.alpha <= 1.0:
+        if isinstance(self.alpha, bool) or not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1] for validation")
-        if not 0.0 < self.lam < math.inf:
+        if isinstance(self.lam, bool) or not 0.0 < self.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -184,10 +195,14 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
       (:func:`recordstart.special.mean_reciprocal_wait`).
 
     Every statistic comes from one pass of :func:`record_chain` over all
-    trajectories, drawn from ``default_rng(config.seed)``; the pass ends
-    once every trajectory's latest record is the third or later, lies
-    below the target level and the slope window, and lies past both
-    horizons.
+    trajectories, drawn from ``default_rng(config.seed)``.  A trajectory
+    leaves the pass, with its counts, once its latest record is the third
+    or later, lies at or below the target level and below the slope
+    window, and lies past both horizons: levels only fall and times only
+    rise, so it adds nothing to any later count and never enters the
+    window again.  From then on the chain draws nothing for it, and the
+    pass ends when every trajectory has left.  The first three records are
+    drawn for every trajectory.
 
     ``LabConfig`` has checked its fields when it was built.  Raises
     ``ValueError`` when no record falls in the slope window, which leaves
@@ -200,35 +215,49 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     hi = WINDOW_CENTER + WINDOW_HALFWIDTH
     poi = -lam * math.log(TARGET_LEVEL)
 
-    # per trajectory: records above the target level, and records among
-    # the first PMF_LENGTH and the first CURVE_LENGTH iterates
+    # per trajectory still going: records above the target level, and
+    # records among the first PMF_LENGTH and the first CURVE_LENGTH iterates
     counts, pmf_recs, curve_counts = (np.zeros(n, dtype=np.int32) for _ in range(3))
+    finished = []  # the three counts of the trajectories that left, per round
     gaps, slopes = [], []
     chain = record_chain(alpha, lam, n, np.random.default_rng(config.seed))
     y, t = next(chain)
+    keep = None
     for rec in itertools.count(1):
         counts += y > TARGET_LEVEL
         pmf_recs += t < PMF_LENGTH
         curve_counts += t < CURVE_LENGTH
         if rec == 3:
             third_above = y > TARGET_LEVEL
-        if rec >= 3 and not np.any((y > TARGET_LEVEL) | (y >= lo) | (t < max(PMF_LENGTH, CURVE_LENGTH))):
-            break
-        next_y, next_t = next(chain)
+        if rec >= 3:
+            # the trajectories that can still count go on; the others leave
+            going = (y > TARGET_LEVEL) | (y >= lo) | (t < max(PMF_LENGTH, CURVE_LENGTH))
+            gone = np.flatnonzero(~going)
+            finished.append(tuple(a.take(gone) for a in (counts, pmf_recs, curve_counts)))
+            if gone.size == y.size:
+                break
+            keep = np.flatnonzero(going)
+            counts, pmf_recs, curve_counts, y, t = (a.take(keep) for a in (counts, pmf_recs, curve_counts, y, t))
+        next_y, next_t = chain.send(keep)
         # wait and slope from each record in the window to the next one
         w = (lo <= y) & (y <= hi)
         gaps.append(next_t[w] - t[w])
         slopes.append((y[w] - next_y[w]) / gaps[-1])
         y, t = next_y, next_t
+    counts, pmf_recs, curve_counts = (np.concatenate(c) for c in zip(*finished))
     gaps = np.concatenate(gaps)
     slopes = np.concatenate(slopes)
     if not gaps.size:
         raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
     pmf_counts = np.bincount(pmf_recs, minlength=PMF_LENGTH + 1)
+    # the record-count moments from exact integer sums, correctly rounded,
+    # so the order in which trajectories left the pass changes no bit
+    s1, s2 = int(counts.sum(dtype=np.int64)), int(np.dot(counts, counts.astype(np.int64)))
+    count_mean, count_var = s1 / n, (n * s2 - s1 * s1) / (n * n)
 
     report = ValidationReport(config=config)
-    report.checks.append(_result("poisson_mean_records", float(np.mean(counts)), poi, 0.02))
-    report.checks.append(_result("poisson_variance_records", float(np.var(counts)), poi, 0.05))
+    report.checks.append(_result("poisson_mean_records", count_mean, poi, 0.02))
+    report.checks.append(_result("poisson_variance_records", count_var, poi, 0.05))
     report.checks.append(
         _result(
             "third_record_survival",

@@ -99,13 +99,14 @@ class AlgoParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, not {self.algorithm!r}")
-        if not 0.0 < self.alpha <= 1.0:
+        # True passes these ranges as 1, and a config would write it as true
+        if isinstance(self.alpha, bool) or not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 < self.delta < 1.0:
+        if isinstance(self.delta, bool) or not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if not 0.0 < self.epsilon < 1.0:
+        if isinstance(self.epsilon, bool) or not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 < self.ptilde_scale < math.inf:
+        if isinstance(self.ptilde_scale, bool) or not 0.0 < self.ptilde_scale < math.inf:
             raise ValueError("ptilde_scale must be positive and finite")
         budget = self.max_total_evals
         if not (isinstance(budget, numbers.Integral) and not isinstance(budget, bool) and budget >= 1):

@@ -20,7 +20,10 @@ name.
 * :func:`per_iterate_values` simulates HASPLID one iterate at a time, the
   brute-force counterpart of the event-driven kernel
   :func:`recordstart.hasplid.record_chain`, and :func:`extract_records`
-  flags the records of its trajectories.
+  flags the records of its trajectories;
+* :func:`lab_statistics` recounts every statistic of
+  :func:`recordstart.hasplid.validate_statistics` one trajectory at a
+  time from its records, with no trajectory ever leaving the count.
 * :func:`excl_one` and :func:`excl_two` are the loop forms of the
   exclusion products that the sinusoid derivatives vectorize, and
   :func:`sinusoid_value`, :func:`sinusoid_gradient` and
@@ -50,15 +53,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
+from recordstart import hasplid
 from recordstart.multistart import RECORD_TOL
 from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
 from recordstart.objectives import Oracle
-from recordstart.special import RunStats, RunTally, expected_slope
+from recordstart.special import RunStats, RunTally, expected_slope, record_count_pmf
 
 # completed-run histories: 1 to 40 runs of 1 to 80 iterates each
 run_histories = st.lists(
@@ -223,6 +228,43 @@ def extract_records(values: np.ndarray) -> np.ndarray:
     flags = np.ones(values.shape, dtype=bool)
     flags[1:] = values[1:] < np.minimum.accumulate(values, axis=0)[:-1]
     return flags
+
+
+def lab_statistics(levels, times, zeta: float) -> dict:
+    """The statistic of every check of ``validate_statistics``, by name,
+    recounted from ``levels[j]`` and ``times[j]``, trajectory ``j``'s
+    records in order, all of them counted.
+
+    The record-count moments are exact fractions, rounded once, and the
+    slopes are averaged in the lab's order: by record, then by trajectory.
+    """
+    lo = hasplid.WINDOW_CENTER - hasplid.WINDOW_HALFWIDTH
+    hi = hasplid.WINDOW_CENTER + hasplid.WINDOW_HALFWIDTH
+    n = len(levels)
+    above, short, long, third_above, window = [], [], [], [], []
+    for j, (y, t) in enumerate(zip(levels, times)):
+        above.append(sum(1 for level in y if level > hasplid.TARGET_LEVEL))
+        short.append(sum(1 for time in t if time < hasplid.PMF_LENGTH))
+        long.append(sum(1 for time in t if time < hasplid.CURVE_LENGTH))
+        third_above.append(y[2] > hasplid.TARGET_LEVEL)
+        for r in range(len(y) - 1):
+            if lo <= y[r] <= hi:
+                gap = t[r + 1] - t[r]
+                window.append((r, j, gap, (y[r] - y[r + 1]) / gap))
+    window.sort()
+    mean = Fraction(sum(above), n)
+    slope_mean = float(np.mean([w[3] for w in window]))
+    pmf = (abs(short.count(k) / n - record_count_pmf(hasplid.PMF_LENGTH, k, zeta)) for k in range(1, hasplid.PMF_LENGTH + 1))
+    return {
+        "poisson_mean_records": float(mean),
+        "poisson_variance_records": float(sum((c - mean) ** 2 for c in above) / n),
+        "third_record_survival": sum(third_above) / n,
+        "inter_record_time_mean": float(np.mean([w[2] for w in window])),
+        "record_count_pmf_short_horizon": max(pmf),
+        "expected_records_long_horizon": sum(long) / n,
+        "conditional_slope_mean": slope_mean,
+        "conditional_slope_mean_exact": slope_mean,
+    }
 
 
 def excl_one(t: np.ndarray) -> np.ndarray:

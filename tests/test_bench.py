@@ -392,12 +392,14 @@ def test_config_validation():
     # bad parameters fail when the config is built, not in a run
     for bad, message in (
         ({"alpha": 2.0}, "alpha"),
+        ({"alpha": True}, "alpha"),  # True is in (0, 1] as 1 and would be written as true
         ({"max_total_evals": 0}, "max_total_evals"),
         ({"max_total_evals": 2.5}, "max_total_evals"),
         ({"max_total_evals": math.inf}, "max_total_evals"),
         ({"max_total_evals": True}, "max_total_evals"),
         ({"ptilde_scale": math.nan}, "ptilde_scale"),
         ({"ptilde_scale": math.inf}, "ptilde_scale"),
+        ({"ptilde_scale": True}, "ptilde_scale"),
         ({"eps_base": 0.01, "dim": 200}, "epsilon"),  # 0.01**200 underflows to 0
         ({"dim": 1}, "dimension"),
         ({"dim": 0}, "dimension"),  # not the epsilon check that 0.01**0 = 1 fails

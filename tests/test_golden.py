@@ -40,13 +40,25 @@ the last digits, and no other number or pass flag changed.  They were
 re-recorded once more when ``special.p_fail_histogram`` took each Poisson
 term from the last by the ratio ``x/s``: only
 ``third_record_survival.theoretical``, ``G(3, poi)``, moved, by one ulp
-at both exponents.
+at both exponents.  They were re-recorded when the lab stopped drawing
+for a trajectory whose records can no longer change a statistic: the
+first three records are drawn as before, so ``third_record_survival`` and
+``record_count_pmf_short_horizon`` kept their bits, and every other
+statistic comes from a different sample of the same law.  Every pass flag
+stayed as it was, and the record-count variance became the exact
+population variance of the counts, rounded once.
+
+The decision digests of :mod:`decisions` hash every ``RunReport`` field of
+the seed-52 table at 50 runs and of all 18 configs at ``delta=1e-30`` at
+10 runs: ``zeta_w``, ``p_fail`` and each ``Restart``'s costs, which no
+artifact holds, included.
 """
 
 import hashlib
 
 import pytest
 
+import decisions
 from recordstart import bench, hasplid
 
 CANONICAL = {
@@ -76,8 +88,15 @@ DEEP = {
 }
 
 LAB = {
-    0.5: "ec096cee0c84e43d7fb20c8f9e282643cdb194a92075aaa063ce6e79a93000ed",
-    1.0: "1cf8e42bab87952e7a9447ac2053c455ce797dee4868359433c378d5ae443711",
+    0.5: "aeb4247d85ff0b24189c4a2d66e734135d9bbe2e887d1b5ecd6aa25ff9c7444e",
+    1.0: "27e389a7a232d42c6fe8c6b144160be1a839484340a13d010be93e3d2f54a673",
+}
+
+
+# tests/decisions.py's digests of every RunReport field, per set of configs
+DECISIONS = {
+    "table": "3c4777a9366bc3e35148b86f740183d29e75f70c5417509c395720540abaa767",
+    "deep": "10f625e1df90081fc6a505e915f75ab17ab22ac34c5289a65b5545919b6356e9",
 }
 
 
@@ -110,3 +129,8 @@ def test_lab_report_digest(alpha):
     config = hasplid.LabConfig(alpha=alpha, lam=1.0, trajectories=20_000, seed=0)
     text = hasplid.validate_statistics(config).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == LAB[alpha]
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_decision_digest(name):
+    assert decisions.digest(decisions.SETS[name]()) == DECISIONS[name]

@@ -1,7 +1,9 @@
 """Simulator tests: construction invariants, the initial sampling law,
 the event-driven record chain against an independent per-iterate sampler,
-and determinism of the validation report.  Distributional validation at
-full trajectory counts lives in the acceptance suite."""
+with and without dropped trajectories, its send protocol, a recount of
+the validation report from every trajectory's records, and determinism of
+the report.  Distributional validation at full trajectory counts lives in
+the acceptance suite."""
 
 import itertools
 import math
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordstart import hasplid as hl
-from reference import extract_records, per_iterate_values
+from reference import extract_records, lab_statistics, per_iterate_values
 
 
 def _chain_records(alpha, lam, n, count, seed):
@@ -98,26 +100,35 @@ TRAJECTORIES = 20_000
 HORIZON = 100
 # a difference of means or frequencies may reach Z_BOUND standard errors
 Z_BOUND = 4.0
-# Kolmogorov-Smirnov distance at significance 1e-3 for two samples of
-# TRAJECTORIES each: 1.95 * sqrt(2 / TRAJECTORIES) (conservative for the
-# discrete record times)
-KS_BOUND = 1.95 * math.sqrt(2.0 / TRAJECTORIES)
 
 
-def _chain_summary(alpha, lam, seed):
+def _ks_bound(n_a, n_b):
+    """Kolmogorov-Smirnov distance at significance 1e-3 for two samples of
+    ``n_a`` and ``n_b``: 1.95 * sqrt(1/n_a + 1/n_b) (conservative for the
+    discrete record times)."""
+    return 1.95 * math.sqrt(1.0 / n_a + 1.0 / n_b)
+
+
+def _chain_summary(alpha, lam, seed, drop_half=False):
     """Record counts among the first 3 and the first ``HORIZON`` iterates,
     and time and level of the second record, of ``record_chain``'s
     trajectories; a second record at or past the horizon reads as time
-    ``HORIZON`` and level inf."""
+    ``HORIZON`` and level inf.  With ``drop_half`` the chain keeps only
+    the even-numbered trajectories after their third record."""
     chain = hl.record_chain(alpha, lam, TRAJECTORIES, np.random.default_rng(seed))
     first3 = first_horizon = 0
+    keep = None
     for rec in itertools.count(1):
-        level, time = next(chain)
+        level, time = chain.send(keep)
+        keep = None
         first3 = first3 + (time < 3)
         first_horizon = first_horizon + (time < HORIZON)
         if rec == 2:
             t2 = np.where(time < HORIZON, time, HORIZON)
             y2 = np.where(time < HORIZON, level, np.inf)
+        if rec == 3 and drop_half:
+            keep = np.arange(0, TRAJECTORIES, 2)
+            first3, first_horizon, t2, y2 = (a.take(keep) for a in (first3, first_horizon, t2, y2))
         if rec >= 2 and np.all(time >= HORIZON):
             return first3, first_horizon, t2, y2
 
@@ -142,29 +153,65 @@ def _ks_distance(a, b):
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
+def _assert_same_law(chain, naive):
+    """Two summaries agree within the two-sample bounds at their sizes."""
+    n_chain, n_naive = chain[0].size, naive[0].size
+    # record-count pmf among the first 3 iterates
+    for k in (1, 2, 3):
+        f_chain, f_naive = np.mean(chain[0] == k), np.mean(naive[0] == k)
+        pooled = (f_chain * n_chain + f_naive * n_naive) / (n_chain + n_naive)
+        error = math.sqrt(pooled * (1 - pooled) * (1 / n_chain + 1 / n_naive))
+        assert abs(f_chain - f_naive) <= Z_BOUND * error, k
+    # mean record count among the first HORIZON iterates
+    error = math.sqrt(np.var(chain[1]) / n_chain + np.var(naive[1]) / n_naive)
+    assert abs(np.mean(chain[1]) - np.mean(naive[1])) <= Z_BOUND * error
+    # time and level of the second record
+    assert _ks_distance(chain[2], naive[2]) <= _ks_bound(n_chain, n_naive)
+    assert _ks_distance(chain[3], naive[3]) <= _ks_bound(n_chain, n_naive)
+
+
 # (alpha, lam) of the comparison; each id also names the range model
 CHAIN_CASES = [(0.5, 1.0), (1.0, 0.5), (0.2, 3.0), (0.8, 2.0), (0.0, 1.0)]
+CHAIN_IDS = [f"{a}-{l}-uniform" for a, l in CHAIN_CASES]
 
 
-@pytest.mark.parametrize("alpha, lam", CHAIN_CASES, ids=[f"{a}-{l}-uniform" for a, l in CHAIN_CASES])
+@pytest.mark.parametrize("alpha, lam", CHAIN_CASES, ids=CHAIN_IDS)
 def test_record_chain_matches_per_iterate_sampler(alpha, lam):
     # record_chain draws only the records (a Geometric(p**alpha) wait and
     # a U**(1/lam) shrink of p per record); the reference draws every
     # iterate, improving with probability y**alpha.  Independent seeds.
-    chain = _chain_summary(alpha, lam, seed=1)
-    naive = _sampler_summary(alpha, lam, seed=2)
-    n = TRAJECTORIES
-    # record-count pmf among the first 3 iterates
-    for k in (1, 2, 3):
-        f_chain, f_naive = np.mean(chain[0] == k), np.mean(naive[0] == k)
-        pooled = (f_chain + f_naive) / 2
-        assert abs(f_chain - f_naive) <= Z_BOUND * math.sqrt(2 * pooled * (1 - pooled) / n), k
-    # mean record count among the first HORIZON iterates
-    error = math.sqrt((np.var(chain[1]) + np.var(naive[1])) / n)
-    assert abs(np.mean(chain[1]) - np.mean(naive[1])) <= Z_BOUND * error
-    # time and level of the second record
-    assert _ks_distance(chain[2], naive[2]) <= KS_BOUND
-    assert _ks_distance(chain[3], naive[3]) <= KS_BOUND
+    _assert_same_law(_chain_summary(alpha, lam, seed=1), _sampler_summary(alpha, lam, seed=2))
+
+
+@pytest.mark.parametrize("alpha, lam", CHAIN_CASES, ids=CHAIN_IDS)
+def test_record_chain_that_drops_half_matches_per_iterate_sampler(alpha, lam):
+    # after a send the chain draws only for the kept trajectories; those
+    # still follow the law, on every later record (the counts to HORIZON)
+    _assert_same_law(_chain_summary(alpha, lam, seed=1, drop_half=True), _sampler_summary(alpha, lam, seed=2))
+
+
+def test_record_chain_sending_none_or_every_index_draws_as_next():
+    plain = _chain_records(0.5, 1.0, 64, 12, 7)
+    for keep in (None, np.arange(64)):
+        chain = hl.record_chain(0.5, 1.0, 64, np.random.default_rng(7))
+        sent = [next(chain)] + [chain.send(keep) for _ in range(11)]
+        assert np.array_equal(plain[0], [y for y, _ in sent])
+        assert np.array_equal(plain[1], [t for _, t in sent])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_record_chain_keeps_only_the_sent_trajectories(seed):
+    rng = np.random.default_rng(seed)
+    chain = hl.record_chain(0.6, 1.5, 40, np.random.default_rng(seed))
+    y, t = next(chain)
+    for _ in range(15):
+        keep = np.flatnonzero(rng.random(y.size) < 0.8)
+        next_y, next_t = chain.send(keep)
+        # the kept trajectories, in order: levels fall and times rise
+        assert next_y.size == next_t.size == keep.size
+        assert np.all(next_y < y[keep]) and np.all(next_t >= t[keep] + 1)
+        y, t = next_y, next_t
 
 
 @given(
@@ -191,6 +238,31 @@ def test_record_chain_draws_waits_past_underflow():
     assert np.all(np.diff(times, axis=0) >= 1)
 
 
+def test_validation_drops_no_trajectory_that_still_counts(monkeypatch):
+    # the wrapped chain draws every trajectory to the end of the pass and
+    # hands the lab only the ones it keeps, so the recount sees each dropped
+    # trajectory's later records too: one that could still count shows
+    drawn, handed = [], []
+
+    def every_trajectory(alpha, lam, n, rng):
+        ids = np.arange(n)
+        for y, t in record_chain(alpha, lam, n, rng):
+            drawn.append((y, t))
+            handed.append(ids.size)
+            keep = yield y.take(ids), t.take(ids)
+            if keep is not None:
+                ids = ids.take(keep)
+
+    record_chain = hl.record_chain
+    monkeypatch.setattr(hl, "record_chain", every_trajectory)
+    config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
+    report = hl.validate_statistics(config)
+    levels, times = (np.array([d[i] for d in drawn]).T for i in (0, 1))
+    assert handed[0] == 3000 > handed[-1]
+    recount = lab_statistics(levels, times, config.lam / config.alpha)
+    assert {c.name: c.statistic for c in report.checks} == recount
+
+
 def test_validation_report_is_deterministic():
     config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
     assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()
@@ -211,13 +283,13 @@ def test_validation_rejects_a_trajectory_count_that_is_not_an_integer():
             hl.LabConfig(trajectories=trajectories)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, True])
 def test_validation_rejects_a_bad_lam(lam):
     with pytest.raises(ValueError, match="lam"):
         hl.LabConfig(lam=lam, trajectories=1000)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan, True])
 def test_lab_config_rejects_a_bad_alpha(alpha):
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
         hl.LabConfig(alpha=alpha)

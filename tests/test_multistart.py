@@ -640,10 +640,13 @@ def test_params_validation():
         ms.AlgoParams("dmss", epsilon=1.0)
     with pytest.raises(ValueError):
         ms.AlgoParams("dmss", delta=0.0)
+    # True passes the range checks as 1 and would be recorded as true
+    with pytest.raises(ValueError, match="alpha"):
+        ms.AlgoParams("dmss", alpha=True)
     # a NaN scale makes ptilde NaN, so the slope cut never fires and RDMSS
     # runs as DMSS; a budget that is not an integer fails only in a run,
     # and True would be a budget of 1
-    for scale in (-1.0, 0.0, math.nan, math.inf):
+    for scale in (-1.0, 0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="ptilde_scale"):
             ms.AlgoParams("dmss", ptilde_scale=scale)
     for budget in (0, -5, 2.5, math.inf, math.nan, True):
