@@ -33,9 +33,9 @@ is that run alone.
 
 A global run is written down once, in its ``RunReport``: per restart,
 the driver extends two columns, the values it read (``values``) and
-their record flags (``records``), and appends a ``Restart`` to
-``run_stats``: its ``RunStats``, the descent's f and Hessian-vector
-counts at the last step the driver read, and that step.
+their record flags (``records``), and appends one ``Restart`` to
+``run_stats``: the flags' record and iterate counts, the descent's f and
+Hessian-vector counts at the last step the driver read, and that step.
 Restart ``r`` (1-based) holds the next ``run_stats[r - 1].iterates``
 evaluations, so no evaluation stores its restart index.  The restart
 count, the evaluation count, the mean inner-loop length and the success
@@ -184,11 +184,10 @@ def inner_loop(values, rejected: bool, params: AlgoParams, zeta: float, budget: 
     makes the next one overdue: the check waits for a non-record, which
     brings the running sum up to date in order, with the bits of
     ``expected_records``.  The slope check (``rdmss``) needs two records
-    and is evaluated at the previous record's value.  Returns the
-    restart's ``RunStats``, the record flags of the ``j`` iterates it
-    read, ``values[:j]``, and the engine steps read to decide them: ``j -
-    1``, or ``j`` when the loop asked for the step after the last value
-    and it was rejected.
+    and is evaluated at the previous record's value.  Returns the record
+    flags of the ``j`` iterates it read, ``values[:j]``, and the engine
+    steps read to decide them: ``j - 1``, or ``j`` when the loop asked for
+    the step after the last value and it was rejected.
     """
     overdue = params.algorithm != "ncg"
     use_slope = params.algorithm == "rdmss"
@@ -198,7 +197,7 @@ def inner_loop(values, rejected: bool, params: AlgoParams, zeta: float, budget: 
     flags = [True]
     while j < budget:
         if j == len(values):  # converged, or the next step is rejected
-            return RunStats(records=k, iterates=j), flags, j - 1 + rejected
+            return flags, j - 1 + rejected
         fn = values[j]
         j += 1
         is_record = fn < best - RECORD_TOL
@@ -215,7 +214,7 @@ def inner_loop(values, rejected: bool, params: AlgoParams, zeta: float, budget: 
             done = j
             if expected >= k:
                 break
-    return RunStats(records=k, iterates=j), flags, j - 1
+    return flags, j - 1
 
 
 def _wave_size(params: AlgoParams, report: RunReport, left: int) -> int:
@@ -271,14 +270,14 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
         for r, (a, stopped) in enumerate(zip(accepted.tolist(), rejected.tolist())):
             values = fx[: a + 1, r].tolist()
             budget = params.max_total_evals - report.total_evals
-            stats, flags, steps = inner_loop(values, stopped, params, report.zeta_w, budget)
-            report.values += values[: stats.iterates]
+            flags, steps = inner_loop(values, stopped, params, report.zeta_w, budget)
+            restart = Restart(flags.count(True), len(flags), *counts[steps, r].tolist(), steps)
+            report.values += values[: restart.iterates]
             report.records += flags
-            f_evals, _, hvp_evals = counts[steps, r].tolist()
-            report.run_stats.append(Restart(stats.records, stats.iterates, f_evals, hvp_evals, steps))
+            report.run_stats.append(restart)
             report.budget_exhausted = report.total_evals >= params.max_total_evals
             if algorithm != "ncg":
-                tally.add(stats)
+                tally.add(restart)
                 if tally.record_sum > tally.runs:
                     report.zeta_w = solve_zeta_tally(tally)
                     x = min(params.alpha * report.zeta_w * neg_log_eps, tally.record_sum / tally.runs)

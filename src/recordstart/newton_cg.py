@@ -10,8 +10,8 @@ step builds one Hessian operator for its rows (``Oracle.hvp_at``) and
 applies it in every CG iteration; each application is one counted HVP for
 every row still iterating.  ``descend`` steps a block to native
 termination, or to a step cap per row, and returns every row's values
-and counts after each block step, so a caller can apply its own
-termination rules to the known descents afterwards.
+and f and HVP counts after each block step, so a caller can apply its
+own termination rules to the known descents afterwards.
 
 The line search tries the step sizes ``t = 1, 1/2, ..., 2**-29``
 (``MAX_BACKTRACKS`` of them) and takes the first whose probe passes the
@@ -74,7 +74,7 @@ _STEP_SIZES = np.ldexp(1.0, -np.arange(MAX_BACKTRACKS))
 class NcgState:
     """R engine rows: points, values, gradients, native-stop flags and the
     engine steps (accepted or not) of each row's current restart.  The
-    oracle holds the row's evaluation counts."""
+    oracle holds the row's f and HVP counts."""
 
     oracle: Oracle
     x: np.ndarray
@@ -85,12 +85,10 @@ class NcgState:
 
 
 def init(spec: ObjectiveSpec, x0) -> NcgState:
-    """An engine with one row per row of ``x0`` (shape ``(R, d)``), each
-    started there (clipped to the box): one f and one gradient evaluation
-    each."""
+    """An engine with one row per row of ``x0`` (shape ``(R, d)``, which
+    the oracle checks), each started there (clipped to the box): one f and
+    one gradient evaluation each."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ValueError(f"start points have shape {x0.shape}, expected (rows, {spec.dim})")
     rows = np.arange(len(x0))
     oracle = Oracle(spec, len(x0))
     x = np.clip(x0, spec.lower, spec.upper)
@@ -212,8 +210,8 @@ def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray,
     """Descend from every row of ``x0`` as one block until each row has
     terminated natively or taken ``max_steps`` (per row) steps.
 
-    Returns the values ``(S + 1, R)`` and the f, gradient and HVP counts
-    ``(S + 1, R, 3)`` of every row after :func:`init` and after each of
+    Returns the values ``(S + 1, R)`` and the f and HVP counts ``(S + 1,
+    R, 2)`` of every row after :func:`init` and after each of
     the ``S`` block steps, and per row its accepted steps and whether its
     last step was rejected (a native stop in the line search).  Every row
     steps in every block step until it stops, so its s-th step is block
@@ -227,7 +225,7 @@ def descend(spec: ObjectiveSpec, x0, max_steps) -> tuple[np.ndarray, np.ndarray,
     fx, counts = [], []
     while True:
         fx.append(state.fx.copy())
-        counts.append(np.stack((oracle.f_evals, oracle.grad_evals, oracle.hvp_evals), 1))
+        counts.append(np.stack((oracle.f_evals, oracle.hvp_evals), 1))
         rows = np.flatnonzero(~state.converged & (state.steps < max_steps))
         if not rows.size:
             return np.stack(fx), np.stack(counts), state.steps - rejected, rejected

@@ -11,16 +11,16 @@ products interpret their arguments in degrees; that is the convention under
 which the stated minimizers (all coordinates 30, resp. 0) attain the stated
 minimum -3.5.
 
-Every kernel works over the last axis, so one code path serves a point
-``(d,)`` and a block of engine rows ``(R, d)``, and each row of a block
-takes the bits of its point alone.  That holds because rows never mix and
-because of two rules: every dot product and matrix-vector product is a
-stacked matmul (:func:`dot`, ``H @ v[..., None]``), whose rows round as the
-1-d products do where ``einsum`` or ``(a * b).sum(-1)`` may not; and every
-power above 2 is the C library's ``pow`` through ``np.float_power``,
-elementwise, so a row keeps its bits alone and on any SIMD level (numpy's
-vectorized ``power`` follows the CPU's dispatch and may differ in the last
-bit).  Squares stay ``x**2``, numpy's exact square.
+Every kernel works over the last axis of a block of engine rows ``(R,
+d)``, and each row takes the bits it takes in a block of one.  That holds
+because rows never mix and because of two rules: every dot product and
+matrix-vector product is a stacked matmul (:func:`dot`, ``H @ v[...,
+None]``), whose rows round as the 1-d products do where ``einsum`` or
+``(a * b).sum(-1)`` may not; and every power above 2 is the C library's
+``pow`` through ``np.float_power``, elementwise, so a row keeps its bits
+alone and on any SIMD level (numpy's vectorized ``power`` follows the
+CPU's dispatch and may differ in the last bit).  Squares stay ``x**2``,
+numpy's exact square.
 
 Each sinusoid sums a ``sin u`` and a ``sin 5u`` product.  Its kernels stack
 the two families as the rows of one (..., 2, d) angle array, so that every
@@ -28,9 +28,9 @@ numpy call serves both, and combine the rows only at the end; each row
 multiplies in the order of its family written out alone, so the values
 keep those bits.
 
-:class:`Oracle` is the one counted path to an objective.  It keeps its
-counts per engine row, so a block of restarts is counted as each restart
-alone.
+:class:`Oracle` is the one counted path to an objective.  It takes blocks
+only and keeps its counts per engine row, so a block of restarts is
+counted as each restart alone.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def dot(a: np.ndarray, b: np.ndarray):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _check_dim(spec: ObjectiveSpec, x, what: str = "point") -> np.ndarray:
+def _check_dim(spec: ObjectiveSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim:
-        raise ValueError(f"{spec.name}: {what} has shape {x.shape}, expected ({spec.dim},) or (rows, {spec.dim})")
+    if x.ndim != 2 or x.shape[1] != spec.dim:
+        raise ValueError(f"{spec.name}: point has shape {x.shape}, expected (rows, {spec.dim})")
     return x
 
 
@@ -85,30 +85,28 @@ class Oracle:
     """Counted, shape-checked view of one objective: the only way to
     evaluate it.
 
-    It takes a point of shape ``(d,)`` or a block of rows ``(R, d)`` and
-    keeps one count of each kind per slot, ``slots`` of them.  A call
-    charges the slots in ``rows``: for ``f`` and ``grad`` one per row of
-    the block (a scalar for a single point, slot 0 by default).  A probe
-    block (``f`` with ``stop``) holds K points per slot, is evaluated
-    whole, and then charges each slot the points a scan in order would
-    evaluate: up to and including the first that passes ``stop``, or all
-    K.  A rejected call is not counted."""
+    It takes blocks of rows ``(R, d)``, each row's slot named in ``rows``,
+    and keeps one f and one HVP count per slot, ``slots`` of them: ``f``
+    charges one per row.  A probe block (``f`` with ``stop``) holds K
+    points per slot, is evaluated whole, and then charges each slot the
+    points a scan in order would evaluate: up to and including the first
+    that passes ``stop``, or all K.  ``grad`` counts nothing, as a
+    restart's gradients are its iterates, its start point's and its
+    accepted steps'.  A rejected call is not counted."""
 
-    def __init__(self, spec: ObjectiveSpec, slots: int = 1):
+    def __init__(self, spec: ObjectiveSpec, slots: int):
         self.spec = spec
         self.f_evals = np.zeros(slots, dtype=int)
-        self.grad_evals = np.zeros(slots, dtype=int)
         self.hvp_evals = np.zeros(slots, dtype=int)
 
-    def _charge(self, counts, x, rows) -> np.ndarray:
+    def _block(self, x, rows) -> np.ndarray:
         x = _check_dim(self.spec, x)
-        if np.shape(rows) != x.shape[:-1]:
+        if np.shape(rows) != x.shape[:1]:
             raise ValueError(f"{self.spec.name}: rows {np.shape(rows)} for a block of shape {x.shape}")
-        counts[rows] += 1
         return x
 
-    def f(self, x, rows=0, stop=None):
-        """Values: a float at a point, shape ``(R,)`` on a block.
+    def f(self, x, rows, stop=None) -> np.ndarray:
+        """The ``(R,)`` values of the rows of ``x``.
 
         With ``stop``, ``x`` is a probe block of shape ``(L, K, d)``, K
         points for each of the L slots ``rows``.  Returns the ``(L, K)``
@@ -118,9 +116,9 @@ class Oracle:
         order evaluates: up to and including its first pass, or all K.  The
         values past that are computed and not charged."""
         if stop is None:
-            x = self._charge(self.f_evals, x, rows)
-            fx = self.spec._f(x)
-            return float(fx) if x.ndim == 1 else fx
+            x = self._block(x, rows)
+            self.f_evals[rows] += 1
+            return self.spec._f(x)
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or np.shape(rows) != x.shape[:1]:
             raise ValueError(f"{self.spec.name}: rows {np.shape(rows)} for a probe block of shape {x.shape}")
@@ -131,23 +129,24 @@ class Oracle:
         self.f_evals[rows] += np.minimum(first + 1, n)
         return fx, first
 
-    def grad(self, x, rows=0) -> np.ndarray:
-        x = self._charge(self.grad_evals, x, rows)
-        return self.spec._grad(x)
+    def grad(self, x, rows) -> np.ndarray:
+        return self.spec._grad(self._block(x, rows))
 
     def hvp_at(self, x):
-        """The Hessian at each row of ``x`` as ``(v, rows) -> Hv``;
-        :meth:`hvp` counts each use."""
-        return partial(self.hvp, self.spec._hvp_at(_check_dim(self.spec, x)))
+        """The Hessian at each row of ``x`` as ``(v, rows) -> Hv``, for a
+        ``v`` of the shape of ``x``; :meth:`hvp` counts each use."""
+        x = _check_dim(self.spec, x)
+        return partial(self.hvp, self.spec._hvp_at(x), x.shape)
 
-    def hvp(self, op, v, rows=0) -> np.ndarray:
-        """Applications of an operator from :meth:`hvp_at`, one counted for
-        each slot in ``rows``.  ``v`` has the operator's rows; rows that are
-        not charged (a CG solve that has stopped on them) are computed and
-        ignored by the caller."""
-        v = _check_dim(self.spec, v, "vector")
+    def hvp(self, op, shape, v, rows) -> np.ndarray:
+        """Applications of an operator from :meth:`hvp_at` at a point block
+        of ``shape``, one counted for each slot in ``rows``.  ``v`` has that
+        shape; rows that are not charged (a CG solve that has stopped on
+        them) are computed and ignored by the caller."""
+        if np.shape(v) != shape:
+            raise ValueError(f"{self.spec.name}: vector has shape {np.shape(v)}, expected {shape}")
         self.hvp_evals[rows] += 1
-        return op(v)
+        return op(np.asarray(v, dtype=float))
 
 
 def sample_uniform(spec: ObjectiveSpec, rng, n: int) -> np.ndarray:
@@ -157,8 +156,8 @@ def sample_uniform(spec: ObjectiveSpec, rng, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# function definitions: every kernel works over the last axis, so a point
-# (d,) and a block (R, d) run the same code
+# function definitions: every kernel works over the last axis of a block
+# (R, d)
 # ---------------------------------------------------------------------------
 
 

@@ -37,11 +37,15 @@ name.
   ``hvp(x, v)``, each evaluated from scratch; the kernels of
   :mod:`recordstart.objectives` reproduce them bit for bit, on every row
   of a block;
+* :class:`PointOracle` calls an objective one point at a time, each call
+  a block of one row charged to slot 0;
 * :func:`init`, :func:`step` and :func:`direction` are the Newton-CG
-  engine one point at a time, with ``np.linalg.norm``, 1-d dot products
-  and an out-of-place conjugate-direction update: every row of the block
-  engine :mod:`recordstart.newton_cg` reproduces them bit for bit, its
-  counts included.
+  engine one point at a time on a :class:`PointOracle`, with
+  ``np.linalg.norm``, 1-d dot products and an out-of-place
+  conjugate-direction update: every row of the block engine
+  :mod:`recordstart.newton_cg` reproduces them bit for bit, its f and
+  HVP counts included, and the engine's own gradient tally is its
+  iterate count.
 
 :func:`tally_of` and the ``run_histories`` and ``recorded_histories``
 strategies build the run statistics that the record-statistics tests
@@ -107,7 +111,7 @@ def inner_loop(values, rejected: bool, params, zeta: float, budget: float):
     flags = [True]
     while j < budget and not (overdue and j >= 2 and expected >= k):
         if j == len(values):
-            return RunStats(records=k, iterates=j), flags, j - 1 + rejected
+            return flags, j - 1 + rejected
         fn = values[j]
         expected += zeta / (j + zeta)
         j += 1
@@ -120,7 +124,7 @@ def inner_loop(values, rejected: bool, params, zeta: float, budget: float):
             best, best_t = fn, j
             if use_slope and slope < expected_slope(prev_value, params.alpha, zeta, params.ptilde_scale):
                 break
-    return RunStats(records=k, iterates=j), flags, j - 1
+    return flags, j - 1
 
 
 def expected_records_curve(j: float, zeta: float) -> float:
@@ -442,23 +446,47 @@ def direction(state):
     return p, gm
 
 
+class PointOracle(Oracle):
+    """An :class:`Oracle` of one slot, called one point at a time: each
+    call is a block of one row, charged to slot 0, and ``f`` returns a
+    float."""
+
+    SLOT = np.zeros(1, dtype=int)
+
+    def __init__(self, spec):
+        super().__init__(spec, 1)
+
+    def f(self, x):
+        return float(super().f(np.asarray(x, dtype=float)[None], self.SLOT)[0])
+
+    def grad(self, x):
+        return super().grad(np.asarray(x, dtype=float)[None], self.SLOT)[0]
+
+    def hvp_at(self, x):
+        hvp = super().hvp_at(np.asarray(x, dtype=float)[None])
+        return lambda v: hvp(np.asarray(v, dtype=float)[None], self.SLOT)[0]
+
+
 @dataclass
 class ScalarState:
-    """One engine row: its oracle (counts in slot 0), point, value,
-    gradient, native-stop flag and engine steps."""
+    """One engine row: its oracle (f and HVP counts in slot 0), point,
+    value, gradient, native-stop flag, engine steps and gradient
+    evaluations (the start point's included), which the oracle does not
+    count."""
 
-    oracle: Oracle
+    oracle: PointOracle
     x: np.ndarray
     fx: float
     gx: np.ndarray
     converged: bool
     steps: int = 0
+    grad_evals: int = 1
 
 
 def init(spec, x0) -> ScalarState:
     """Start one engine row at ``x0`` (clipped to the box): one f and one
     gradient evaluation."""
-    oracle = Oracle(spec)
+    oracle = PointOracle(spec)
     x = np.clip(np.asarray(x0, dtype=float), spec.lower, spec.upper)
     fx = oracle.f(x)
     if not math.isfinite(fx):
@@ -488,6 +516,7 @@ def step(state: ScalarState) -> float | None:
             state.x = xn
             state.fx = fn
             state.gx = state.oracle.grad(xn)
+            state.grad_evals += 1
             state.converged = math.sqrt(float(state.gx @ state.gx)) <= G_TOL
             return fn
         t *= 0.5

@@ -36,7 +36,7 @@ import pytest
 
 from recordstart import bench, newton_cg, objectives, special
 from recordstart.hasplid import LabConfig, validate_statistics
-from reference import n_record_threshold, tally_of
+from reference import PointOracle, n_record_threshold, tally_of
 
 MASTER_SEED = bench.DEFAULT_SEED
 RUNS = 50
@@ -169,7 +169,7 @@ def test_criterion_06_derivatives_match_finite_differences():
     for name in objectives.OBJECTIVE_IDS:
         for dim in (2, 5, 15):
             spec = objectives.make(name, dim)
-            oracle = objectives.Oracle(spec)
+            oracle = PointOracle(spec)
             rng = np.random.default_rng(zlib.crc32(f"{name}:{dim}".encode()))
             for _ in range(20):
                 x = objectives.sample_uniform(spec, rng, 1)[0]

@@ -238,10 +238,14 @@ def test_record_chain_draws_waits_past_underflow():
     assert np.all(np.diff(times, axis=0) >= 1)
 
 
-def test_validation_drops_no_trajectory_that_still_counts(monkeypatch):
-    # the wrapped chain draws every trajectory to the end of the pass and
-    # hands the lab only the ones it keeps, so the recount sees each dropped
-    # trajectory's later records too: one that could still count shows
+def assert_validation_recounts_every_trajectory(monkeypatch):
+    """The lab's report equals the recount of every record of every
+    trajectory, dropped or not, at ``alpha = 0.7``, ``lam = 1.5``, 3000
+    trajectories and seed 11, and the lab drops some trajectories.
+
+    The wrapped chain draws every trajectory to the end of the pass and
+    hands the lab only the ones it keeps, so the recount sees each dropped
+    trajectory's later records too: one that could still count shows."""
     drawn, handed = [], []
 
     def every_trajectory(alpha, lam, n, rng):
@@ -261,6 +265,19 @@ def test_validation_drops_no_trajectory_that_still_counts(monkeypatch):
     assert handed[0] == 3000 > handed[-1]
     recount = lab_statistics(levels, times, config.lam / config.alpha)
     assert {c.name: c.statistic for c in report.checks} == recount
+
+
+def test_validation_drops_no_trajectory_that_still_counts(monkeypatch):
+    assert_validation_recounts_every_trajectory(monkeypatch)
+
+
+def test_validation_drops_no_trajectory_above_the_target_level(monkeypatch):
+    # at the design's horizons a trajectory is dropped on its horizon term
+    # long after its records fall below the target level, so the test above
+    # cannot see the target-level term.  With the long horizon cut to the
+    # short one, that term decides which trajectories go on
+    monkeypatch.setattr(hl, "CURVE_LENGTH", hl.PMF_LENGTH)
+    assert_validation_recounts_every_trajectory(monkeypatch)
 
 
 def test_validation_report_is_deterministic():

@@ -19,12 +19,11 @@ def run_inner(f0, script, converged=False, algorithm="dmss", zeta=1.0, budget=ma
     """:func:`ms.inner_loop` of an ``algorithm`` run on the descent
     ``f0``, then ``script``: a step past its end is a native stop, by a
     rejected step unless the start point is ``converged``.  Returns the
-    loop's stats, the evaluations it read ``[(f, is_record), ...]`` and
-    its steps."""
+    restart's record and iterate counts, the evaluations it read ``[(f,
+    is_record), ...]`` and its steps."""
     values = [f0] if converged else [f0, *script]
-    stats, flags, steps = ms.inner_loop(values, not converged, params(algorithm=algorithm), zeta, budget)
-    assert len(flags) == stats.iterates
-    return stats, list(zip(values[: stats.iterates], flags)), steps
+    flags, steps = ms.inner_loop(values, not converged, params(algorithm=algorithm), zeta, budget)
+    return special.RunStats(flags.count(True), len(flags)), list(zip(values, flags)), steps
 
 
 def params(**kw):
@@ -97,8 +96,8 @@ def test_inner_loop_overdue_stop_before_a_rejected_step_reads_j_minus_one_steps(
     # converges there
     log, _, steps = run_inner(10.0, [9.0, 8.0], budget=3)
     assert (log.iterates, steps) == (3, 2)
-    log, _, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0, math.inf)
-    assert (log.iterates, steps) == (3, 2)
+    flags, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0, math.inf)
+    assert (len(flags), steps) == (3, 2)
 
 
 def test_inner_loop_native_stop_reads_the_rejected_step():
@@ -422,7 +421,7 @@ def fake_wave(n, descent):
     """The columns :func:`newton_cg.descend` sends for ``n`` restarts that
     each take the values ``descent`` and then converge, at no cost."""
     fx = np.tile(np.array(descent)[:, None], (1, n))
-    return fx, np.zeros((len(descent), n, 3), dtype=int), np.full(n, len(descent) - 1), np.zeros(n, dtype=bool)
+    return fx, np.zeros((len(descent), n, 2), dtype=int), np.full(n, len(descent) - 1), np.zeros(n, dtype=bool)
 
 
 @pytest.mark.parametrize("descent", [[1.0, 1.0], [1.0]], ids=["hesitation", "unmoved-start"])
@@ -544,11 +543,12 @@ def test_every_restart_records_its_costs(zakharov_reports):
 )
 def test_each_restart_is_charged_one_gradient_per_iterate(monkeypatch, name, algorithm, budget):
     # a restart evaluates a gradient at its start point and at each
-    # accepted step, so the engine's count row it is charged at holds one
-    # per iterate it read, budget cuts included
+    # accepted step (test_newton_cg counts them), so it holds one per
+    # iterate it read; it is charged the engine's f and HVP counts at the
+    # last step it read, budget cuts included
     spec = objectives.make(name, 5)
     draws = restart_draws(spec, BUDGET_SEEDS, 1000)
-    rows = {}  # (run, restart) -> the descent's (f, grad, hvp) counts per step
+    rows = {}  # (run, restart) -> the descent's (f, hvp) counts per step
     descend = newton_cg.descend
 
     def wave(spec, x0, max_steps):
@@ -561,7 +561,7 @@ def test_each_restart_is_charged_one_gradient_per_iterate(monkeypatch, name, alg
     reports = ms.run_block(spec, params(algorithm=algorithm, max_total_evals=budget), BUDGET_SEEDS)
     for i, report in enumerate(reports):
         for r, restart in enumerate(report.run_stats):
-            assert rows[i, r][restart.steps].tolist() == [restart.f_evals, restart.iterates, restart.hvp_evals]
+            assert rows[i, r][restart.steps].tolist() == [restart.f_evals, restart.hvp_evals]
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +596,7 @@ def test_ncg_is_one_plain_descent(ncg_reports):
         oracle = engine.oracle
         (restart,) = report.run_stats
         assert (restart.f_evals, restart.iterates, restart.hvp_evals, restart.steps) == (
-            oracle.f_evals[0], oracle.grad_evals[0], oracle.hvp_evals[0], engine.steps
+            oracle.f_evals[0], engine.grad_evals, oracle.hvp_evals[0], engine.steps
         )
         assert all(b < a for a, b in zip(values, values[1:]))
         assert [restart for _, _, restart in history_rows(report)] == [1] * len(values)

@@ -3,10 +3,12 @@ native termination semantics, oracle accounting, and the block engine
 against blocks of one row and against the one-point reference, bit for
 bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import reference
-from reference import ScalarState, direction
+from reference import PointOracle, ScalarState, direction
 
 from recordstart import newton_cg as ncg
 from recordstart import objectives as ob
@@ -28,6 +30,21 @@ def descend(spec, x0s, max_iters=1000):
     return histories, state
 
 
+def gradient_tally(monkeypatch, slots):
+    """The gradients asked of every oracle from now on, per slot:
+    ``Oracle.grad`` counts none, so the test counts them."""
+    tally = np.zeros(slots, dtype=int)
+    grad = ob.Oracle.grad
+
+    def counted(self, x, rows):
+        g = grad(self, x, rows)
+        tally[rows] += 1
+        return g
+
+    monkeypatch.setattr(ob.Oracle, "grad", counted)
+    return tally
+
+
 def same_bits(a, b):
     """Equal values and equal signs of zero."""
     a, b = np.asarray(a), np.asarray(b)
@@ -46,11 +63,12 @@ def test_init_clips_to_box():
     assert np.all(state.x <= 2.048) and np.all(state.x >= -2.048)
 
 
-def test_init_counts_one_eval_and_one_gradient():
+def test_init_counts_one_eval_and_one_gradient(monkeypatch):
     spec = ob.make("zakharov", 5)
+    gradients = gradient_tally(monkeypatch, 3)
     state = ncg.init(spec, np.ones((3, 5)))
     oracle = state.oracle
-    assert oracle.f_evals.tolist() == oracle.grad_evals.tolist() == [1, 1, 1]
+    assert oracle.f_evals.tolist() == gradients.tolist() == [1, 1, 1]
     assert oracle.hvp_evals.tolist() == state.steps.tolist() == [0, 0, 0]
 
 
@@ -120,8 +138,9 @@ def test_native_stop_at_floating_point_floor():
     assert any(history[-1][1] > 1.0 for history in histories)
 
 
-def test_oracle_accounting_covers_all_calls():
+def test_oracle_accounting_covers_all_calls(monkeypatch):
     spec = ob.make("zakharov", 5)
+    gradients = gradient_tally(monkeypatch, 3)
     state = ncg.init(spec, [np.full(5, 2.0), np.full(5, -3.0), np.linspace(-5.0, 10.0, 5)])
     oracle = state.oracle
     iterates = np.ones(3, dtype=int)
@@ -140,7 +159,27 @@ def test_oracle_accounting_covers_all_calls():
         assert np.isin(probes[~accepted], (0, ncg.MAX_BACKTRACKS)).all()
     assert state.converged.all()
     # one gradient per accepted iterate, the start point included
-    assert oracle.grad_evals.tolist() == iterates.tolist()
+    assert gradients.tolist() == iterates.tolist()
+
+
+@pytest.mark.parametrize("name", ob.OBJECTIVE_IDS)
+def test_descend_evaluates_one_gradient_per_iterate(name):
+    # the oracle counts no gradient, since a row's gradients are its
+    # iterates: its start point's and its accepted steps'.  The spec's
+    # own gradient kernel counts the rows it is given, step caps included
+    base = ob.make(name, 5)
+    rows_seen = [0]
+
+    def grad(x):
+        rows_seen[0] += len(x)
+        return base._grad(x)
+
+    spec = dataclasses.replace(base, _grad=grad)
+    x0 = ob.sample_uniform(spec, np.random.default_rng(9), 12)
+    caps = np.array([1, 2, 3, 5] * 2 + [1000] * 4)
+    _, _, accepted, _ = ncg.descend(spec, x0, caps)
+    assert rows_seen[0] == (accepted + 1).sum() > len(x0)
+    assert (accepted == caps)[:8].any()  # some rows stop at their caps
 
 
 def test_one_hessian_operator_per_step_and_every_application_counted():
@@ -173,7 +212,7 @@ def test_one_hessian_operator_per_step_and_every_application_counted():
     assert oracle.hvp_evals.sum() == charged[0] > len(builds)
 
     def counts():
-        return len(builds), charged[0], oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()
+        return len(builds), charged[0], oracle.f_evals.tolist(), oracle.hvp_evals.tolist()
 
     hvp = oracle.hvp_at(state.x)
     before = counts()
@@ -191,7 +230,7 @@ def face_point(spec, rng):
     """A uniform point with some coordinates moved onto a box face where
     the gradient pulls outward, so that the direction pins them."""
     x = ob.sample_uniform(spec, rng, 1)[0]
-    grad = ob.Oracle(spec).grad
+    grad = PointOracle(spec).grad
     for i in rng.permutation(spec.dim)[: max(1, spec.dim // 2)]:
         for bound, outward in ((spec.lower, 1.0), (spec.upper, -1.0)):
             y = x.copy()
@@ -210,7 +249,7 @@ def tolerance_points(spec, rng):
     pin_tol = 1e-12 * (spec.upper - spec.lower)
     middle = 0.5 * (spec.lower + spec.upper)
     pinned, free = [], []
-    grad = ob.Oracle(spec).grad
+    grad = PointOracle(spec).grad
     for face, edge, outward in ((spec.lower, spec.lower + pin_tol, 1.0), (spec.upper, spec.upper - pin_tol, -1.0)):
         for at in (np.nextafter(edge, face), edge, np.nextafter(edge, middle)):
             for pull in (outward, -outward):
@@ -236,7 +275,7 @@ def block_directions(spec, xs, gs=None):
     p, gm, found = ncg._direction(state.oracle, np.arange(len(xs)), state.x, state.gx)
     pinned = []
     for i, (x, g) in enumerate(zip(state.x, state.gx)):
-        ref = direction(ScalarState(ob.Oracle(spec), x, float(state.fx[i]), g.copy(), False))
+        ref = direction(ScalarState(PointOracle(spec), x, float(state.fx[i]), g.copy(), False))
         if ref is None:
             assert not found[i]
             pinned.append(True)
@@ -291,7 +330,7 @@ def saddle_points(spec, rng, count):
     along the gradient, so the step takes the saddle fallback: up to
     ``count`` of 200 draws, half of them from the box shrunk to 0.3 of its
     size about its middle."""
-    oracle = ob.Oracle(spec)
+    oracle = PointOracle(spec)
     middle = 0.5 * (spec.lower + spec.upper)
     found = []
     for draw in range(200):
@@ -311,7 +350,7 @@ def assert_same_rows(block, singles):
     for i, one in enumerate(singles):
         for field in ("x", "fx", "gx", "converged", "steps"):
             assert same_bits(getattr(block, field)[i], getattr(one, field)[0]), (field, i)
-        for count in ("f_evals", "grad_evals", "hvp_evals"):
+        for count in ("f_evals", "hvp_evals"):
             assert getattr(block.oracle, count)[i] == getattr(one.oracle, count)[0], (count, i)
 
 
@@ -345,7 +384,7 @@ def test_a_block_of_rows_equals_blocks_of_one_row_bitwise(name, d):
     block, singles = started(every), [started([i]) for i in every]
     p, gm, found = ncg._direction(ob.Oracle(spec, len(xs)), every, block.x, block.gx)
     for i, one in enumerate(singles):
-        p1, gm1, found1 = ncg._direction(ob.Oracle(spec), np.arange(1), one.x, one.gx)
+        p1, gm1, found1 = ncg._direction(ob.Oracle(spec, 1), np.arange(1), one.x, one.gx)
         assert same_bits(p[i], p1[0]) and same_bits(gm[i], gm1[0]) and found[i] == found1[0]
 
     for _ in range(4):
@@ -378,9 +417,11 @@ def test_block_engine_matches_the_scalar_reference_over_whole_restarts(name, d):
                 values.append(fn)
         assert [f for _, f in history] == values
         assert same_bits(block.x[i], ref.x) and same_bits(block.gx[i], ref.gx) and block.fx[i] == ref.fx
-        ref_counts = (ref.oracle.f_evals[0], ref.oracle.grad_evals[0], ref.oracle.hvp_evals[0], ref.steps)
-        counts_i = (block.oracle.f_evals[i], block.oracle.grad_evals[i], block.oracle.hvp_evals[i], block.steps[i])
+        ref_counts = (ref.oracle.f_evals[0], ref.oracle.hvp_evals[0], ref.steps)
+        counts_i = (block.oracle.f_evals[i], block.oracle.hvp_evals[i], block.steps[i])
         assert counts_i == (*counts[-1, i], block.steps[i]) == ref_counts
+        # the reference's gradients, one per iterate
+        assert ref.grad_evals == len(values)
         assert fx[: len(values), i].tolist() == values
         assert accepted[i] == len(values) - 1 and rejected[i] == (ref.steps == len(values))
 
@@ -415,8 +456,9 @@ def test_each_row_probes_as_the_sequential_line_search_bitwise():
             assert accepted[i] == (reference.step(ref) is not None), (name, i)
             for field in ("x", "fx", "gx", "converged", "steps"):
                 assert same_bits(getattr(block, field)[i], getattr(ref, field)), (name, i, field)
-            for count in ("f_evals", "grad_evals", "hvp_evals"):
+            for count in ("f_evals", "hvp_evals"):
                 assert getattr(block.oracle, count)[i] == getattr(ref.oracle, count)[0], (name, i, count)
+            assert ref.grad_evals == 1 + accepted[i], (name, i)
             probes = ref.oracle.f_evals[0] - 1
             if not accepted[i]:
                 cases.add("pinned" if probes == 0 else f"rejected {probes}")

@@ -12,6 +12,7 @@ import pytest
 from reference import (
     ANALYTIC_HVP,
     ANALYTIC_VALUE_GRADIENT,
+    PointOracle,
     excl_one,
     excl_two,
     sinusoid_gradient,
@@ -23,7 +24,7 @@ from recordstart import objectives as ob
 
 
 def fd_gradient(spec, x, h_scale=1e-6):
-    f = ob.Oracle(spec).f
+    f = PointOracle(spec).f
     g = np.zeros_like(x)
     for i in range(spec.dim):
         h = h_scale * (1.0 + abs(x[i]))
@@ -35,7 +36,7 @@ def fd_gradient(spec, x, h_scale=1e-6):
 
 
 def fd_hvp(spec, x, v, h=1e-6):
-    grad = ob.Oracle(spec).grad
+    grad = PointOracle(spec).grad
     return (grad(x + h * v) - grad(x - h * v)) / (2.0 * h)
 
 
@@ -55,35 +56,35 @@ def every_spec(request):
 
 def test_zakharov_zero_at_origin():
     spec = ob.make("zakharov", 7)
-    assert ob.Oracle(spec).f(np.zeros(7)) == 0.0
+    assert PointOracle(spec).f(np.zeros(7)) == 0.0
 
 
 def test_rosenbrock_zero_at_ones():
     spec = ob.make("rosenbrock", 5)
-    assert ob.Oracle(spec).f(np.ones(5)) == 0.0
+    assert PointOracle(spec).f(np.ones(5)) == 0.0
 
 
 def test_styblinski_tang_minimum_scales_with_dimension():
     spec = ob.make("styblinski_tang", 5)
     # the commonly quoted constant is a rounded version of the true value
     assert spec.f_star == pytest.approx(-39.16599 * 5, abs=1e-2)
-    assert ob.Oracle(spec).f(np.full(5, -2.903534)) == pytest.approx(-195.83, abs=1e-2)
+    assert PointOracle(spec).f(np.full(5, -2.903534)) == pytest.approx(-195.83, abs=1e-2)
 
 
 def test_shifted_sinusoidal_minimum_at_thirty():
     spec = ob.make("shifted_sinusoidal", 5)
-    assert ob.Oracle(spec).f(np.full(5, 30.0)) == pytest.approx(-3.5, abs=1e-12)
+    assert PointOracle(spec).f(np.full(5, 30.0)) == pytest.approx(-3.5, abs=1e-12)
 
 
 def test_centered_sinusoidal_minimum_at_origin():
     spec = ob.make("centered_sinusoidal", 4)
-    assert ob.Oracle(spec).f(np.zeros(4)) == pytest.approx(-3.5, abs=1e-12)
+    assert PointOracle(spec).f(np.zeros(4)) == pytest.approx(-3.5, abs=1e-12)
 
 
 def test_every_minimum_is_consistent(every_spec):
     spec = every_spec
-    assert ob.Oracle(spec).f(spec.x_star) == pytest.approx(spec.f_star, abs=1e-9)
-    assert np.linalg.norm(ob.Oracle(spec).grad(spec.x_star)) <= 1e-6
+    assert PointOracle(spec).f(spec.x_star) == pytest.approx(spec.f_star, abs=1e-9)
+    assert np.linalg.norm(PointOracle(spec).grad(spec.x_star)) <= 1e-6
     assert spec.lower <= spec.x_star.min() and spec.x_star.max() <= spec.upper
 
 
@@ -92,7 +93,7 @@ def test_uniform_samples_never_beat_the_minimum(every_spec):
     rng = np.random.default_rng(123)
     for _ in range(10_000):
         x = ob.sample_uniform(spec, rng, 1)[0]
-        assert ob.Oracle(spec).f(x) >= spec.f_star - 1e-9
+        assert PointOracle(spec).f(x) >= spec.f_star - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_gradient_matches_finite_differences(dim):
         spec = ob.make(name, dim)
         for _ in range(5):
             x = ob.sample_uniform(spec, rng, 1)[0]
-            assert rel_err(ob.Oracle(spec).grad(x), fd_gradient(spec, x)) <= 1e-5, name
+            assert rel_err(PointOracle(spec).grad(x), fd_gradient(spec, x)) <= 1e-5, name
 
 
 @pytest.mark.parametrize("dim", [2, 5])
@@ -118,12 +119,12 @@ def test_hvp_matches_gradient_differences(dim):
         for _ in range(5):
             x = ob.sample_uniform(spec, rng, 1)[0]
             v = rng.standard_normal(dim)
-            assert rel_err(ob.Oracle(spec).hvp_at(x)(v), fd_hvp(spec, x, v)) <= 1e-4, name
+            assert rel_err(PointOracle(spec).hvp_at(x)(v), fd_hvp(spec, x, v)) <= 1e-4, name
 
 
 def test_zakharov_gradient_zero_at_origin():
     spec = ob.make("zakharov", 6)
-    assert np.all(ob.Oracle(spec).grad(np.zeros(6)) == 0.0)
+    assert np.all(PointOracle(spec).grad(np.zeros(6)) == 0.0)
 
 
 def test_rhe_gradient_closed_form():
@@ -131,14 +132,14 @@ def test_rhe_gradient_closed_form():
     rng = np.random.default_rng(3)
     x = ob.sample_uniform(spec, rng, 1)[0]
     expected = 2.0 * np.array([5 - i for i in range(5)]) * x  # 2*(d-i+1)*x_i, one-indexed
-    assert np.allclose(ob.Oracle(spec).grad(x), expected, rtol=1e-14)
+    assert np.allclose(PointOracle(spec).grad(x), expected, rtol=1e-14)
 
 
 def test_rhe_hvp_independent_of_point():
     spec = ob.make("rhe", 4)
     v = np.array([1.0, -2.0, 0.5, 3.0])
-    a = ob.Oracle(spec).hvp_at(np.zeros(4))(v)
-    b = ob.Oracle(spec).hvp_at(np.full(4, 17.3))(v)
+    a = PointOracle(spec).hvp_at(np.zeros(4))(v)
+    b = PointOracle(spec).hvp_at(np.full(4, 17.3))(v)
     assert np.array_equal(a, b)
 
 
@@ -146,10 +147,10 @@ def test_hvp_linear_in_v_and_zero_at_zero(every_spec):
     spec = every_spec
     rng = np.random.default_rng(5)
     x = ob.sample_uniform(spec, rng, 1)[0]
-    assert np.all(ob.Oracle(spec).hvp_at(x)(np.zeros(5)) == 0.0)
+    assert np.all(PointOracle(spec).hvp_at(x)(np.zeros(5)) == 0.0)
     v = rng.standard_normal(5)
-    two = ob.Oracle(spec).hvp_at(x)(2.0 * v)
-    one = ob.Oracle(spec).hvp_at(x)(v)
+    two = PointOracle(spec).hvp_at(x)(2.0 * v)
+    one = PointOracle(spec).hvp_at(x)(v)
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
 
 
@@ -210,7 +211,7 @@ def test_analytic_hessian_operators_match_the_per_call_reference_bitwise(name, d
         if trial % 2:
             # exact zeros in the point, +0.0 or -0.0 by trial
             x[rng.random(d) < 0.3] = rng.choice([0.0, -0.0])
-        hvp = ob.Oracle(spec).hvp_at(x)
+        hvp = PointOracle(spec).hvp_at(x)
         for count in range(3):
             v = with_signed_zeros(rng, d, count)
             assert same_bits(hvp(v), reference(x, v))
@@ -233,7 +234,7 @@ def test_analytic_values_and_gradients_match_the_one_point_reference_bitwise(nam
     xs = ob.sample_uniform(spec, rng, 60)
     xs[20:40] = spec.x_star + (xs[20:40] - spec.x_star) * 10.0 ** rng.uniform(-9, 0, (20, 1))
     xs[40:, rng.integers(d)] = rng.choice([0.0, -0.0, spec.lower, spec.upper], size=20)
-    oracle = ob.Oracle(spec)
+    oracle = PointOracle(spec)
     for x in xs:
         assert same_bits(oracle.f(x), value(x)) and same_bits(oracle.grad(x), gradient(x))
     # the same points as the rows of one block
@@ -254,7 +255,7 @@ def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d)
         if trial % 2:
             # sin(u) is an exact zero at x = -shift
             x[rng.random(d) < 0.3] = -shift
-        hvp = ob.Oracle(spec).hvp_at(x)
+        hvp = PointOracle(spec).hvp_at(x)
         h_ref = sinusoid_hessian(x, shift)
         for _ in range(3):
             v = rng.standard_normal(d)
@@ -270,7 +271,7 @@ def test_sinusoid_hessian_operator_matches_the_reference_bitwise(name, shift, d)
 @pytest.mark.parametrize("d", [2, 3, 5, 15, 50])
 def test_sinusoid_value_and_gradient_match_the_per_family_reference_bitwise(name, shift, d):
     spec = ob.make(name, d)
-    oracle = ob.Oracle(spec)
+    oracle = PointOracle(spec)
     rng = np.random.default_rng(d)
     # sin(u) vanishes exactly at x = -shift; sin(5u) at x = 36k - shift,
     # exactly at k = 0 and to rounding at the other k inside the box
@@ -320,15 +321,19 @@ def test_sample_uniform_deterministic():
     assert np.array_equal(a, [ob.sample_uniform(spec, rng, 1)[0] for _ in range(3)])
 
 
+SLOT_0 = np.zeros(1, dtype=int)
+
+
 def test_oracle_counts_calls():
     spec = ob.make("zakharov", 5)
-    oracle = ob.Oracle(spec)
-    x = np.zeros(5)
-    assert isinstance(oracle.f(x), float)
-    oracle.f(x)
-    oracle.grad(x)
-    oracle.hvp_at(x)(np.ones(5))
-    assert (oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()) == ([2], [1], [1])
+    oracle = ob.Oracle(spec, 1)
+    x = np.zeros((1, 5))
+    values = oracle.f(x, SLOT_0)
+    assert values.shape == (1,) and values.dtype == float
+    oracle.f(x, SLOT_0)
+    oracle.grad(x, SLOT_0)
+    oracle.hvp_at(x)(np.ones((1, 5)), SLOT_0)
+    assert (oracle.f_evals.tolist(), oracle.hvp_evals.tolist()) == ([2], [1])
 
 
 def test_oracle_counts_per_row_of_a_block():
@@ -337,18 +342,18 @@ def test_oracle_counts_per_row_of_a_block():
     xs = np.zeros((2, 4))
     values = oracle.f(xs, np.array([0, 2]))
     assert values.shape == (2,)
-    oracle.grad(xs[:1], np.array([1]))
+    # a gradient is not counted
+    assert oracle.grad(xs[:1], np.array([1])).shape == (1, 4)
     # an operator over two rows, applied to both, charged to one
     oracle.hvp_at(xs)(np.ones((2, 4)), np.array([2]))
     assert oracle.f_evals.tolist() == [1, 0, 1]
-    assert oracle.grad_evals.tolist() == [0, 1, 0]
     assert oracle.hvp_evals.tolist() == [0, 0, 1]
     # rows that do not match the block are rejected, and not counted
     with pytest.raises(ValueError, match="rows"):
         oracle.f(xs, np.array([0]))
     with pytest.raises(ValueError, match="rows"):
         oracle.grad(xs, 0)
-    assert oracle.f_evals.tolist() == [1, 0, 1] and oracle.grad_evals.tolist() == [0, 1, 0]
+    assert oracle.f_evals.tolist() == [1, 0, 1]
     # a probe block of K = 3 points for slots 0 and 1, each charged as a
     # scan in order that stops at its first value below 1: rosenbrock is 3
     # at zero and 0 at ones, so row 0 passes at its second point and row 1
@@ -367,19 +372,19 @@ def test_oracle_counts_per_row_of_a_block():
         oracle.f(probes, np.array([0]), lambda fx: fx < 1.0)
     with pytest.raises(ValueError, match="rows"):
         oracle.f(probes[0], np.array([0, 1, 2]), lambda fx: fx < 1.0)
-    assert oracle.f_evals.tolist() == [3, 3, 2] and oracle.grad_evals.tolist() == [0, 1, 0]
+    assert oracle.f_evals.tolist() == [3, 3, 2] and oracle.hvp_evals.tolist() == [0, 0, 1]
 
 
 def test_dimension_mismatch_raises(every_spec):
-    oracle = ob.Oracle(every_spec)
+    oracle = ob.Oracle(every_spec, 1)
     with pytest.raises(ValueError, match="point"):
-        oracle.f(np.zeros(3))
+        oracle.f(np.zeros((1, 3)), SLOT_0)
     with pytest.raises(ValueError, match="point"):
-        oracle.grad(np.zeros(6))
+        oracle.grad(np.zeros((1, 6)), SLOT_0)
     with pytest.raises(ValueError, match="point"):
-        oracle.hvp_at(np.zeros(4))
+        oracle.hvp_at(np.zeros((1, 4)))
     with pytest.raises(ValueError, match="vector"):
-        oracle.hvp_at(np.zeros(5))(np.zeros(4))
+        oracle.hvp_at(np.zeros((1, 5)))(np.zeros((1, 4)), SLOT_0)
     with pytest.raises(ValueError, match="point"):
         oracle.f(np.zeros((2, 4)), np.arange(2))
     with pytest.raises(ValueError, match="point"):
@@ -387,7 +392,34 @@ def test_dimension_mismatch_raises(every_spec):
     with pytest.raises(ValueError, match="point"):
         oracle.f(np.zeros((1, 2, 4)), np.zeros(1, dtype=int), lambda fx: fx < 0.0)
     # a rejected call is not counted
-    assert (oracle.f_evals.tolist(), oracle.grad_evals.tolist(), oracle.hvp_evals.tolist()) == ([0], [0], [0])
+    assert (oracle.f_evals.tolist(), oracle.hvp_evals.tolist()) == ([0], [0])
+
+
+def test_oracle_takes_blocks_only(every_spec):
+    # a point (d,) is no block of rows, whatever slots it names
+    oracle = ob.Oracle(every_spec, 5)
+    for call in (oracle.f, oracle.grad):
+        for rows in (0, SLOT_0, np.arange(5)):
+            with pytest.raises(ValueError, match=r"expected \(rows, 5\)"):
+                call(np.zeros(5), rows)
+    with pytest.raises(ValueError, match=r"expected \(rows, 5\)"):
+        oracle.hvp_at(np.zeros(5))
+    assert (oracle.f_evals.tolist(), oracle.hvp_evals.tolist()) == ([0] * 5, [0] * 5)
+
+
+@pytest.mark.parametrize("name", ["zakharov", "rhe"])
+def test_hessian_operator_takes_only_vectors_of_its_point_block_shape(name):
+    # a vector of another row count would broadcast against the operator's
+    # rows (zakharov) or pass through (rhe) with the wrong slots charged
+    spec = ob.make(name, 4)
+    oracle = ob.Oracle(spec, 2)
+    hvp = oracle.hvp_at(np.ones((2, 4)))
+    for v in (np.ones((1, 4)), np.ones((3, 4)), np.ones(4), np.ones((2, 1)), np.ones((2, 2, 4))):
+        with pytest.raises(ValueError, match="vector"):
+            hvp(v, np.arange(2))
+    assert oracle.hvp_evals.tolist() == [0, 0]
+    assert hvp(np.ones((2, 4)), np.arange(2)).shape == (2, 4)
+    assert oracle.hvp_evals.tolist() == [1, 1]
 
 
 def test_registry_contents():
