@@ -147,8 +147,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
 
 def _json(obj, path: str | None = None) -> str:
     """``obj`` as the indented, key-sorted JSON of every artifact and CLI
-    print, also written to ``path``, newline-terminated, when given."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    print, also written to ``path``, newline-terminated, when given.  A
+    numpy scalar, which the configs accept, is written as its Python value."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=np.generic.item)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

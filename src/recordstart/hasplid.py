@@ -16,13 +16,13 @@ simulates only the records: it draws each wait and each next record for a
 whole batch of trajectories at once, from one random stream, and only for
 the trajectories its consumer keeps.  :func:`validate_statistics` builds
 every check of the closed forms from :mod:`recordstart.special` out of
-one pass over it, and drops each trajectory once its records can no
-longer change a statistic.  The checks look at one
-fixed design, the module constants below: the uniform range model, target
-level 0.1, slope window 0.5 +- 0.02 and horizons 3 and 100; a
-:class:`LabConfig` sets only ``alpha``, ``lam``, the trajectory count and
-the seed.  The test suite checks the kernel in distribution against a
-brute-force sampler that draws every iterate.
+one pass over it, tallying the record counts per record, and drops each
+trajectory once its records can no longer change a statistic.  The
+checks look at one fixed design, the module constants below: the uniform
+range model, target level 0.1, slope window 0.5 +- 0.02 and horizons 3
+and 100; a :class:`LabConfig` sets only ``alpha``, ``lam``, the
+trajectory count and the seed.  The test suite checks the kernel in
+distribution against a brute-force sampler that draws every iterate.
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ class ValidationReport:
     config: LabConfig
     checks: list = field(default_factory=list)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -162,7 +156,8 @@ class ValidationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        # a numpy scalar, which LabConfig accepts, is written as its Python value
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=np.generic.item)
 
 
 def _result(name, stat, theo, tol, relative=True) -> CheckResult:
@@ -195,14 +190,16 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
       (:func:`recordstart.special.mean_reciprocal_wait`).
 
     Every statistic comes from one pass of :func:`record_chain` over all
-    trajectories, drawn from ``default_rng(config.seed)``.  A trajectory
-    leaves the pass, with its counts, once its latest record is the third
-    or later, lies at or below the target level and below the slope
-    window, and lies past both horizons: levels only fall and times only
-    rise, so it adds nothing to any later count and never enters the
-    window again.  From then on the chain draws nothing for it, and the
-    pass ends when every trajectory has left.  The first three records are
-    drawn for every trajectory.
+    trajectories, drawn from ``default_rng(config.seed)``.  Levels only
+    fall and times only rise, so a trajectory's records above the target
+    level and before each horizon are its first few, and each count is
+    tallied per record over the trajectories still going, with no counter
+    per trajectory.  A trajectory leaves the pass once its latest record
+    is the third or later, lies at or below the target level and below
+    the slope window, and lies past both horizons: it adds nothing to any
+    later count and never enters the window again.  From then on the chain
+    draws nothing for it, and the pass ends when every trajectory has
+    left.  The first three records are drawn for every trajectory.
 
     ``LabConfig`` has checked its fields when it was built.  Raises
     ``ValueError`` when no record falls in the slope window, which leaves
@@ -215,44 +212,43 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     hi = WINDOW_CENTER + WINDOW_HALFWIDTH
     poi = -lam * math.log(TARGET_LEVEL)
 
-    # per trajectory still going: records above the target level, and
-    # records among the first PMF_LENGTH and the first CURVE_LENGTH iterates
-    counts, pmf_recs, curve_counts = (np.zeros(n, dtype=np.int32) for _ in range(3))
-    finished = []  # the three counts of the trajectories that left, per round
+    s1 = s2 = curve = 0  # count sum and sum of squares, records before CURVE_LENGTH
+    # short[r]: trajectories whose record r comes before time PMF_LENGTH,
+    # none past r = PMF_LENGTH, as record r comes at time r - 1 or later;
+    # short[k] - short[k + 1] of them hold exactly k such records
+    short = [0] * (PMF_LENGTH + 2)
     gaps, slopes = [], []
     chain = record_chain(alpha, lam, n, np.random.default_rng(config.seed))
     y, t = next(chain)
     keep = None
     for rec in itertools.count(1):
-        counts += y > TARGET_LEVEL
-        pmf_recs += t < PMF_LENGTH
-        curve_counts += t < CURVE_LENGTH
+        # a trajectory above the target at record rec holds rec records
+        # above it: its count gains 1 and its square 2*rec - 1
+        above = int(np.count_nonzero(y > TARGET_LEVEL))
+        s1 += above
+        s2 += (2 * rec - 1) * above
+        curve += int(np.count_nonzero(t < CURVE_LENGTH))
+        if rec <= PMF_LENGTH:
+            short[rec] = int(np.count_nonzero(t < PMF_LENGTH))
         if rec == 3:
-            third_above = y > TARGET_LEVEL
+            third_above = above
         if rec >= 3:
             # the trajectories that can still count go on; the others leave
-            going = (y > TARGET_LEVEL) | (y >= lo) | (t < max(PMF_LENGTH, CURVE_LENGTH))
-            gone = np.flatnonzero(~going)
-            finished.append(tuple(a.take(gone) for a in (counts, pmf_recs, curve_counts)))
-            if gone.size == y.size:
+            keep = np.flatnonzero((y > TARGET_LEVEL) | (y >= lo) | (t < max(PMF_LENGTH, CURVE_LENGTH)))
+            if not keep.size:
                 break
-            keep = np.flatnonzero(going)
-            counts, pmf_recs, curve_counts, y, t = (a.take(keep) for a in (counts, pmf_recs, curve_counts, y, t))
+            y, t = y.take(keep), t.take(keep)
         next_y, next_t = chain.send(keep)
         # wait and slope from each record in the window to the next one
         w = (lo <= y) & (y <= hi)
         gaps.append(next_t[w] - t[w])
         slopes.append((y[w] - next_y[w]) / gaps[-1])
         y, t = next_y, next_t
-    counts, pmf_recs, curve_counts = (np.concatenate(c) for c in zip(*finished))
     gaps = np.concatenate(gaps)
     slopes = np.concatenate(slopes)
     if not gaps.size:
         raise ValueError(f"no record of {n} trajectories fell in the slope window [{lo}, {hi}]")
-    pmf_counts = np.bincount(pmf_recs, minlength=PMF_LENGTH + 1)
-    # the record-count moments from exact integer sums, correctly rounded,
-    # so the order in which trajectories left the pass changes no bit
-    s1, s2 = int(counts.sum(dtype=np.int64)), int(np.dot(counts, counts.astype(np.int64)))
+    # the record-count moments from exact integer sums, correctly rounded
     count_mean, count_var = s1 / n, (n * s2 - s1 * s1) / (n * n)
 
     report = ValidationReport(config=config)
@@ -261,7 +257,7 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     report.checks.append(
         _result(
             "third_record_survival",
-            float(np.mean(third_above)),
+            third_above / n,
             p_fail_histogram({3: 1}, poi),  # G(3, poi): one factor, k = 3
             0.01,
             relative=False,
@@ -270,12 +266,14 @@ def validate_statistics(config: LabConfig) -> ValidationReport:
     report.checks.append(
         _result("inter_record_time_mean", float(np.mean(gaps)), WINDOW_CENTER ** (-alpha), 0.03)
     )
-    pmf_dev = max(abs(pmf_counts[k] / n - record_count_pmf(PMF_LENGTH, k, zeta)) for k in range(1, PMF_LENGTH + 1))
+    pmf_dev = max(
+        abs((short[k] - short[k + 1]) / n - record_count_pmf(PMF_LENGTH, k, zeta)) for k in range(1, PMF_LENGTH + 1)
+    )
     report.checks.append(_result("record_count_pmf_short_horizon", pmf_dev, 0.0, 0.01, relative=False))
     report.checks.append(
         _result(
             "expected_records_long_horizon",
-            float(np.mean(curve_counts)),
+            curve / n,
             expected_records(CURVE_LENGTH, zeta),
             0.02,
         )

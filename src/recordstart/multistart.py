@@ -65,7 +65,7 @@ import numpy as np
 
 from . import newton_cg
 from .objectives import ObjectiveSpec, sample_uniform
-from .special import RunStats, RunTally, expected_slope, p_fail_histogram, solve_zeta_tally
+from .special import RunTally, expected_slope, p_fail_histogram, solve_zeta_tally
 
 __all__ = [
     "ALGORITHMS",
@@ -114,11 +114,13 @@ class AlgoParams:
 
 
 @dataclass(frozen=True)
-class Restart(RunStats):
-    """A completed restart's ``RunStats`` and what it cost: its f and
+class Restart:
+    """A completed restart: its record and raw iterate counts, its f and
     Hessian-vector evaluations and its engine steps, accepted or not.  Its
-    gradients are one per iterate, its start point's and its accepted steps'."""
+    gradients are one per iterate, its start point's and accepted steps'."""
 
+    records: int
+    iterates: int
     f_evals: int
     hvp_evals: int
     steps: int
@@ -277,7 +279,7 @@ def _drive(spec: ObjectiveSpec, params: AlgoParams, report: RunReport, rng):
             report.run_stats.append(restart)
             report.budget_exhausted = report.total_evals >= params.max_total_evals
             if algorithm != "ncg":
-                tally.add(restart)
+                tally.add(restart.records, restart.iterates)
                 if tally.record_sum > tally.runs:
                     report.zeta_w = solve_zeta_tally(tally)
                     x = min(params.alpha * report.zeta_w * neg_log_eps, tally.record_sum / tally.runs)

@@ -2,12 +2,12 @@
 
 Everything in this module is pure and stateless.  :class:`RunTally` holds
 the running sufficient statistics of completed runs, two sums and two
-histograms that a run updates in O(1), from which :func:`zeta_score` (the
-records held minus the records expected), :func:`solve_zeta_tally` and
-:func:`p_fail_histogram` evaluate the drivers' cross-run statistics
-without digamma.  The drivers also use the surrogate slope law
-(:func:`ptilde`, :func:`expected_slope`); the closed forms below are what
-the lab in :mod:`recordstart.hasplid` checks.
+histograms that a run's record and iterate counts update in O(1), from
+which :func:`zeta_score` (the records held minus the records expected),
+:func:`solve_zeta_tally` and :func:`p_fail_histogram` evaluate the
+drivers' cross-run statistics without digamma.  The drivers also use the
+surrogate slope law (:func:`ptilde`, :func:`expected_slope`); the closed
+forms below are what the lab in :mod:`recordstart.hasplid` checks.
 
 The record-value model of hesitant adaptive search with a power-law
 improvement distribution: a run of an iterative minimizer produces ``j``
@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "RunStats",
     "RunTally",
     "ZETA_MIN",
     "ZETA_GUARD",
@@ -55,18 +54,6 @@ ZETA_GUARD = 25.0
 PTILDE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class RunStats:
-    """Record count ``k`` and raw iterate count ``j`` of one completed run."""
-
-    records: int
-    iterates: int
-
-    def __post_init__(self):
-        if not (self.iterates >= self.records >= 1):
-            raise ValueError(f"need iterates >= records >= 1, got k={self.records} j={self.iterates}")
-
-
 @dataclass
 class RunTally:
     """Sufficient statistics of completed runs: ``record_hist`` and
@@ -74,7 +61,9 @@ class RunTally:
     runs with it, and ``record_sum`` and ``iterate_sum`` add them up.
     :func:`zeta_score` reads the record sum and the iterate histogram,
     :func:`solve_zeta_tally` first the two sums, and
-    :func:`p_fail_histogram` the record histogram.  Adding a run is O(1).
+    :func:`p_fail_histogram` the record histogram.  Adding a run, its
+    record count ``k`` and raw iterate count ``j`` (``j >= k >= 1``,
+    checked), is O(1).
     """
 
     runs: int = 0
@@ -83,12 +72,14 @@ class RunTally:
     record_hist: dict = field(default_factory=dict)
     iterate_hist: dict = field(default_factory=dict)
 
-    def add(self, st: RunStats) -> None:
+    def add(self, records: int, iterates: int) -> None:
+        if not (iterates >= records >= 1):
+            raise ValueError(f"need iterates >= records >= 1, got k={records} j={iterates}")
         self.runs += 1
-        self.record_sum += st.records
-        self.iterate_sum += st.iterates
-        self.record_hist[st.records] = self.record_hist.get(st.records, 0) + 1
-        self.iterate_hist[st.iterates] = self.iterate_hist.get(st.iterates, 0) + 1
+        self.record_sum += records
+        self.iterate_sum += iterates
+        self.record_hist[records] = self.record_hist.get(records, 0) + 1
+        self.iterate_hist[iterates] = self.iterate_hist.get(iterates, 0) + 1
 
 
 def record_count_pmf(j: int, k: int, zeta: float) -> float:

@@ -23,7 +23,8 @@ name.
   flags the records of its trajectories;
 * :func:`lab_statistics` recounts every statistic of
   :func:`recordstart.hasplid.validate_statistics` one trajectory at a
-  time from its records, with no trajectory ever leaving the count.
+  time from its records, with no trajectory ever leaving the count, and
+  :func:`check` finds one of its checks by name;
 * :func:`excl_one` and :func:`excl_two` are the loop forms of the
   exclusion products that the sinusoid derivatives vectorize, and
   :func:`sinusoid_value`, :func:`sinusoid_gradient` and
@@ -67,18 +68,19 @@ from recordstart import hasplid
 from recordstart.multistart import RECORD_TOL
 from recordstart.newton_cg import ARMIJO_C, G_TOL, MAX_BACKTRACKS, SADDLE_STEP_FRACTION
 from recordstart.objectives import Oracle
-from recordstart.special import RunStats, RunTally, expected_slope, record_count_pmf
+from recordstart.special import RunTally, expected_slope, record_count_pmf
 
-# completed-run histories: 1 to 40 runs of 1 to 80 iterates each
+# completed-run histories: 1 to 40 runs, each ``(k, j)``, of 1 to 80
+# iterates ``j`` holding ``1 <= k <= j`` records
 run_histories = st.lists(
     st.integers(min_value=1, max_value=80).flatmap(
-        lambda j: st.builds(RunStats, st.integers(min_value=1, max_value=j), st.just(j))
+        lambda j: st.tuples(st.integers(min_value=1, max_value=j), st.just(j))
     ),
     min_size=1,
     max_size=40,
 )
 # the histories whose zeta MLE exists: some run holds a record past its start
-recorded_histories = run_histories.filter(lambda h: any(s.records > 1 for s in h))
+recorded_histories = run_histories.filter(lambda h: any(k > 1 for k, _ in h))
 
 
 def history_rows(report) -> list[tuple[float, bool, int]]:
@@ -90,11 +92,12 @@ def history_rows(report) -> list[tuple[float, bool, int]]:
     return list(zip(report.values, report.records, restart_index))
 
 
-def tally_of(history: list[RunStats]) -> RunTally:
-    """The running statistics of ``history``, added in order."""
+def tally_of(history: list[tuple[int, int]]) -> RunTally:
+    """The running statistics of the ``(k, j)`` runs of ``history``, added
+    in order."""
     tally = RunTally()
-    for run in history:
-        tally.add(run)
+    for k, j in history:
+        tally.add(k, j)
     return tally
 
 
@@ -135,15 +138,16 @@ def expected_records_curve(j: float, zeta: float) -> float:
         return float(zeta * (mpmath.digamma(j + zeta) - mpmath.digamma(zeta)))
 
 
-def zeta_equation(zeta: float, history: list[RunStats]) -> float:
+def zeta_equation(zeta: float, history: list[tuple[int, int]]) -> float:
     """Likelihood score whose root is the record-rate ratio estimate:
-    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``.
+    ``sum_r (k_r - 1) + zeta * (R*psi(1+zeta) - sum_r psi(j_r+zeta))``
+    over the ``(k_r, j_r)`` runs of ``history``.
 
     The digamma form of :func:`recordstart.special.zeta_score`.
     """
     with mpmath.workdps(30):
-        psi_sum = mpmath.fsum(mpmath.digamma(run.iterates + zeta) for run in history)
-        score = sum(run.records - 1 for run in history) + zeta * (len(history) * mpmath.digamma(1 + zeta) - psi_sum)
+        psi_sum = mpmath.fsum(mpmath.digamma(j + zeta) for _, j in history)
+        score = sum(k - 1 for k, _ in history) + zeta * (len(history) * mpmath.digamma(1 + zeta) - psi_sum)
         return float(score)
 
 
@@ -269,6 +273,12 @@ def lab_statistics(levels, times, zeta: float) -> dict:
         "conditional_slope_mean": slope_mean,
         "conditional_slope_mean_exact": slope_mean,
     }
+
+
+def check(report, name: str):
+    """The check called ``name`` of a lab ``ValidationReport``."""
+    (found,) = (c for c in report.checks if c.name == name)
+    return found
 
 
 def excl_one(t: np.ndarray) -> np.ndarray:

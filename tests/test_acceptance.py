@@ -36,7 +36,7 @@ import pytest
 
 from recordstart import bench, newton_cg, objectives, special
 from recordstart.hasplid import LabConfig, validate_statistics
-from reference import PointOracle, n_record_threshold, tally_of
+from reference import PointOracle, check, n_record_threshold, tally_of
 
 MASTER_SEED = bench.DEFAULT_SEED
 RUNS = 50
@@ -92,8 +92,8 @@ def benchmark_runs(objective, algorithm, ptilde_scale=1.0):
 def test_criterion_01_record_count_poisson():
     rep, elapsed_a = theory(0.5, 1.0)
     _, elapsed_b = theory(1.0, 1.0)
-    mean = rep.check("poisson_mean_records")
-    var = rep.check("poisson_variance_records")
+    mean = check(rep, "poisson_mean_records")
+    var = check(rep, "poisson_variance_records")
     ok = mean.passed and var.passed and (elapsed_a + elapsed_b) < 60.0
     report(
         1,
@@ -105,7 +105,7 @@ def test_criterion_01_record_count_poisson():
 
 def test_criterion_02_third_record_survival():
     rep, _ = theory(0.5, 1.0)
-    c = rep.check("third_record_survival")
+    c = check(rep, "third_record_survival")
     report(
         2,
         c.passed,
@@ -115,7 +115,7 @@ def test_criterion_02_third_record_survival():
 
 def test_criterion_03_inter_record_times_geometric():
     rep, _ = theory(0.5, 1.0)
-    c = rep.check("inter_record_time_mean")
+    c = check(rep, "inter_record_time_mean")
     report(
         3,
         c.passed,
@@ -125,8 +125,8 @@ def test_criterion_03_inter_record_times_geometric():
 
 def test_criterion_04_record_count_pmf_and_curve():
     rep, _ = theory(1.0, 1.0)
-    pmf = rep.check("record_count_pmf_short_horizon")
-    curve = rep.check("expected_records_long_horizon")
+    pmf = check(rep, "record_count_pmf_short_horizon")
+    curve = check(rep, "expected_records_long_horizon")
     ok = pmf.passed and curve.passed
     report(
         4,
@@ -141,8 +141,8 @@ def test_criterion_05_conditional_slope_expectation():
     ok = True
     for alpha in (0.5, 1.0):
         rep, _ = theory(alpha, 1.0)
-        exact = rep.check("conditional_slope_mean_exact")
-        stated = rep.check("conditional_slope_mean")
+        exact = check(rep, "conditional_slope_mean_exact")
+        stated = check(rep, "conditional_slope_mean")
         # the stated form is the RDMSS cut threshold at zeta = lam/alpha,
         # taken at the surrogate level whose CDF equals the lab's
         # q = p(window_center) = 0.5
@@ -305,10 +305,10 @@ def test_rdmss_restarts_are_prefixes_of_dmss_on_rosenbrock():
     # surrogate scale can stretch an RDMSS restart past the DMSS one.
     dmss = benchmark_runs("rosenbrock", "dmss")
     for run in dmss:
-        stats = run.run_stats
-        for i, s in enumerate(stats):
-            zeta_w = 1.0 if i == 0 else special.solve_zeta_tally(tally_of(stats[:i]))
-            assert s.iterates < n_record_threshold(s.records - 1, zeta_w)
+        counts = [(s.records, s.iterates) for s in run.run_stats]
+        for i, (k, j) in enumerate(counts):
+            zeta_w = 1.0 if i == 0 else special.solve_zeta_tally(tally_of(counts[:i]))
+            assert j < n_record_threshold(k - 1, zeta_w)
     for scale in (1.0, 2.0**DIM):
         for d, r in zip(dmss, benchmark_runs("rosenbrock", "rdmss", ptilde_scale=scale)):
             assert not (d.budget_exhausted or r.budget_exhausted)

@@ -365,6 +365,25 @@ def test_cli_validate_theory_defaults_are_the_lab_defaults(monkeypatch, capsys):
     assert configs == [hasplid.LabConfig(alpha=alpha, lam=1.0) for alpha in (0.5, 1.0)]
 
 
+def test_numpy_scalars_in_a_config_write_the_plain_configs_artifacts(tmp_path):
+    # the configs accept numpy integers, so the writers must take them too:
+    # summary.json and the lab report write each as its Python value
+    plain = dict(objective="rhe", dim=3, algorithm="dmss", runs=2, seed=52, max_total_evals=1000)
+    numpy = {**plain, **{k: np.int64(plain[k]) for k in ("dim", "runs", "seed", "max_total_evals")}}
+    artifacts = []
+    for name, fields in (("plain", plain), ("numpy", numpy)):
+        bench.run_experiment(bench.ExperimentConfig(**fields), out_dir=str(tmp_path / name))
+        artifacts.append([(tmp_path / name / f).read_bytes() for f in ("history.csv", "summary.json")])
+    assert artifacts[0] == artifacts[1]
+    bench.run_experiment(bench.ExperimentConfig(**plain, alpha=np.float32(0.5)), out_dir=str(tmp_path / "float32"))
+    assert json.loads((tmp_path / "float32" / "summary.json").read_text())["config"]["alpha"] == 0.5
+    lab = [hasplid.validate_statistics(hasplid.LabConfig(trajectories=n)).to_json() for n in (2000, np.int64(2000))]
+    assert lab[0] == lab[1]
+    # any other object still fails
+    with pytest.raises(TypeError):
+        bench._json({"config": object()})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         bench.ExperimentConfig(objective="zakharov", dim=5, algorithm="sgd")

@@ -2,7 +2,8 @@
 configuration (6 objectives x {dmss, rdmss, ncg}, d=5, master seed 52)
 at 5 runs, for two deep-confidence configurations (``delta=1e-30``)
 at 2 runs, and of the lab's validation report at both bettering
-exponents of ``bench validate-theory`` (20,000 trajectories, seed 0).
+exponents of ``bench validate-theory`` (20,000 trajectories, seed 0) and
+at the acceptance tests' 100,000 trajectories.
 
 Run ``i`` is seeded by ``derive_seed(52, i)``, so 5 runs are a prefix of
 the paper's 50-run table.  A history row changes only if a decision of
@@ -87,9 +88,13 @@ DEEP = {
     ("styblinski_tang", "rdmss"): "71fa7fe4ee5658246d6f7054cfda3628cebf2e8e0c96cb211f56a6956144de5e",
 }
 
+# by (alpha, trajectories): bench validate-theory's 20,000 and the
+# acceptance tests' 100,000
 LAB = {
-    0.5: "aeb4247d85ff0b24189c4a2d66e734135d9bbe2e887d1b5ecd6aa25ff9c7444e",
-    1.0: "27e389a7a232d42c6fe8c6b144160be1a839484340a13d010be93e3d2f54a673",
+    (0.5, 20_000): "aeb4247d85ff0b24189c4a2d66e734135d9bbe2e887d1b5ecd6aa25ff9c7444e",
+    (1.0, 20_000): "27e389a7a232d42c6fe8c6b144160be1a839484340a13d010be93e3d2f54a673",
+    (0.5, 100_000): "56d3f0fa0dbbe4b9df69bb70fe34f9bb522c5c723d6f9bfb07b2e9402bdf5818",
+    (1.0, 100_000): "48eb2939dbf8fd47d6bba462c68de6a3119ac68ec61573d4a92b491f27e8ed24",
 }
 
 
@@ -124,11 +129,13 @@ def test_deep_confidence_history_digest(tmp_path, objective, algorithm):
     assert digest == DEEP[(objective, algorithm)]
 
 
-@pytest.mark.parametrize("alpha", sorted(LAB))
-def test_lab_report_digest(alpha):
-    config = hasplid.LabConfig(alpha=alpha, lam=1.0, trajectories=20_000, seed=0)
+@pytest.mark.parametrize(
+    "alpha,trajectories", sorted(LAB), ids=[f"{a}" if n == 20_000 else f"{a}-{n}" for a, n in sorted(LAB)]
+)
+def test_lab_report_digest(alpha, trajectories):
+    config = hasplid.LabConfig(alpha=alpha, lam=1.0, trajectories=trajectories, seed=0)
     text = hasplid.validate_statistics(config).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == LAB[alpha]
+    assert hashlib.sha256(text.encode()).hexdigest() == LAB[alpha, trajectories]
 
 
 @pytest.mark.parametrize("name", sorted(DECISIONS))

@@ -280,6 +280,16 @@ def test_validation_drops_no_trajectory_above_the_target_level(monkeypatch):
     assert_validation_recounts_every_trajectory(monkeypatch)
 
 
+def test_validation_drops_no_trajectory_in_the_slope_window(monkeypatch):
+    # at the design's target level every record in the window is above the
+    # target, so neither test above can see the window term.  With the
+    # target above the window and the long horizon cut to the short one, a
+    # record in the window goes on only by that term
+    monkeypatch.setattr(hl, "TARGET_LEVEL", 0.6)
+    monkeypatch.setattr(hl, "CURVE_LENGTH", hl.PMF_LENGTH)
+    assert_validation_recounts_every_trajectory(monkeypatch)
+
+
 def test_validation_report_is_deterministic():
     config = hl.LabConfig(alpha=0.7, lam=1.5, trajectories=3000, seed=11)
     assert hl.validate_statistics(config).to_json() == hl.validate_statistics(config).to_json()

@@ -23,7 +23,7 @@ def run_inner(f0, script, converged=False, algorithm="dmss", zeta=1.0, budget=ma
     is_record), ...]`` and its steps."""
     values = [f0] if converged else [f0, *script]
     flags, steps = ms.inner_loop(values, not converged, params(algorithm=algorithm), zeta, budget)
-    return special.RunStats(flags.count(True), len(flags)), list(zip(values, flags)), steps
+    return (flags.count(True), len(flags)), list(zip(values, flags)), steps
 
 
 def params(**kw):
@@ -38,64 +38,64 @@ def params(**kw):
 
 
 def test_inner_loop_converged_at_init():
-    log, evals, steps = run_inner(4.0, [5.0], converged=True)
-    assert log.records == 1 and log.iterates == 1
+    (k, j), evals, steps = run_inner(4.0, [5.0], converged=True)
+    assert k == 1 and j == 1
     assert evals == [(4.0, True)] and steps == 0
 
 
 def test_inner_loop_stuck_after_second_record_stops_at_four():
     # one improvement then a plateau; at unit zeta the second record is
     # overdue once the iterate count passes ~3.64, so the run ends at 4
-    log, evals, _ = run_inner(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
-    assert log.records == 2
-    assert log.iterates == 4
+    (k, j), evals, _ = run_inner(10.0, [9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
+    assert k == 2
+    assert j == 4
     assert evals == [(10.0, True), (9.0, True), (9.0, False), (9.0, False)]
 
 
 def test_inner_loop_descending_run_records_every_iterate():
-    log, _, _ = run_inner(10.0, [8.0, 6.0, 4.0, 2.0])
-    assert log.records == log.iterates == 5
+    (k, j), _, _ = run_inner(10.0, [8.0, 6.0, 4.0, 2.0])
+    assert k == j == 5
 
 
 def test_inner_loop_slope_criterion_breaks_after_the_record():
     # second record improves by 1e-9 in one step: slope far below the
     # expectation at the previous record's level, so the loop breaks
     # right after evaluating it
-    log_plain, _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])
-    log_slope, _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0], algorithm="rdmss")
-    assert log_slope.records == 3
-    assert log_slope.iterates == 3
-    assert log_plain.iterates > log_slope.iterates
+    (_, j_plain), _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0])
+    (k_slope, j_slope), _, _ = run_inner(10.0, [5.0, 5.0 - 1e-9, 0.0, 0.0], algorithm="rdmss")
+    assert k_slope == 3
+    assert j_slope == 3
+    assert j_plain > j_slope
 
 
 def test_inner_loop_slope_needs_two_records():
     # a tiny first improvement alone must not trigger the slope break
-    log, _, _ = run_inner(10.0, [10.0 - 1e-9], algorithm="rdmss")
-    assert log.records == 2
+    (k, _), _, _ = run_inner(10.0, [10.0 - 1e-9], algorithm="rdmss")
+    assert k == 2
 
 
 def test_inner_loop_ncg_ignores_overdue_records():
     # the plateau that ends a dmss restart at iterate 4 runs on to native
     # termination under the baseline
-    log, _, _ = run_inner(10.0, [9.0] * 6, algorithm="ncg")
-    assert (log.records, log.iterates) == (2, 7)
+    counts, _, _ = run_inner(10.0, [9.0] * 6, algorithm="ncg")
+    assert counts == (2, 7)
 
 
 def test_inner_loop_stops_at_its_budget():
-    log, evals, _ = run_inner(10.0, [9.0, 8.0, 7.0, 6.0], budget=3)
+    (_, j), evals, _ = run_inner(10.0, [9.0, 8.0, 7.0, 6.0], budget=3)
     assert evals == [(10.0, True), (9.0, True), (8.0, True)]
-    assert log.iterates == 3  # init + the two evaluated steps
+    assert j == 3  # init + the two evaluated steps
 
 
 def test_inner_loop_overdue_stop_before_a_rejected_step_reads_j_minus_one_steps():
     # the plateau restart is overdue at its last accepted value, iterate 4,
     # so it never asks for the rejected step after it
-    log, _, steps = run_inner(10.0, [9.0, 9.0, 9.0])
-    assert (log.iterates, steps) == (4, 3)
+    (_, j), _, steps = run_inner(10.0, [9.0, 9.0, 9.0])
+    assert (j, steps) == (4, 3)
     # a budget stop there reads j - 1 steps too, as does a descent that
     # converges there
-    log, _, steps = run_inner(10.0, [9.0, 8.0], budget=3)
-    assert (log.iterates, steps) == (3, 2)
+    (_, j), _, steps = run_inner(10.0, [9.0, 8.0], budget=3)
+    assert (j, steps) == (3, 2)
     flags, steps = ms.inner_loop([10.0, 9.0, 8.0], False, params(), 1.0, math.inf)
     assert (len(flags), steps) == (3, 2)
 
@@ -103,8 +103,8 @@ def test_inner_loop_overdue_stop_before_a_rejected_step_reads_j_minus_one_steps(
 def test_inner_loop_native_stop_reads_the_rejected_step():
     # one iterate earlier nothing is overdue yet: the loop asks for the
     # step after the last value, which is rejected, and is charged j
-    log, evals, steps = run_inner(10.0, [9.0, 9.0])
-    assert (log.iterates, steps) == (3, 3)
+    (_, j), evals, steps = run_inner(10.0, [9.0, 9.0])
+    assert (j, steps) == (3, 3)
     assert evals == [(10.0, True), (9.0, True), (9.0, False)]
 
 
@@ -123,8 +123,8 @@ def test_overdue_rule_matches_threshold_bisection(log_zeta, k):
     script = [10.0 - i for i in range(1, k)] + [11.0 - k] * (horizon - k)
     overdue = [j for j in range(2, horizon + 1) if special.expected_records(j, zeta) >= min(j, k)]
     stop = overdue[0] if overdue else horizon
-    log, _, _ = run_inner(10.0, script, zeta=zeta)
-    assert (log.iterates, log.records) == (stop, min(stop, k))
+    (records, iterates), _, _ = run_inner(10.0, script, zeta=zeta)
+    assert (iterates, records) == (stop, min(stop, k))
     # the stop and the iterate before it against the bisection; a tie at an
     # integer j is decided by rounding, not by the rule
     for j in range(max(2, stop - 1), stop + 1):
@@ -215,7 +215,7 @@ def test_every_run_satisfies_record_bounds(zakharov_reports):
 
 def test_p_fail_matches_declared_relation(zakharov_reports):
     for report in zakharov_reports:
-        tally = tally_of(report.run_stats)
+        tally = tally_of([(s.records, s.iterates) for s in report.run_stats])
         assert report.zeta_w == special.solve_zeta_tally(tally)
         counts = [s.records for s in report.run_stats]
         x = min(0.5 * report.zeta_w * -math.log(0.01**5), float(np.mean(counts)))
@@ -356,7 +356,7 @@ def test_restarts_run_ahead_change_no_report(monkeypatch, name, p, seeds):
 
 def report_after(restarts, iterates=10, p_fail=1.0):
     """A DMSS run's report after ``restarts`` restarts of ``iterates`` each."""
-    stats = [special.RunStats(records=1, iterates=iterates)] * restarts
+    stats = [ms.Restart(records=1, iterates=iterates, f_evals=iterates, hvp_evals=0, steps=iterates - 1)] * restarts
     return ms.RunReport("dmss", values=[0.0] * (restarts * iterates), run_stats=stats, p_fail=p_fail)
 
 

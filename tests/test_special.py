@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from recordstart import hasplid
 from recordstart import special as sp
 from reference import (
+    check,
     expected_records_curve,
     incomplete_gamma_g,
     n_record_threshold,
@@ -201,29 +202,29 @@ def solve_zeta(history):
 
 def test_zeta_matches_independent_bisection():
     oracle = solve_zeta_oracle_k2_j5()
-    assert solve_zeta([sp.RunStats(2, 5)]) == pytest.approx(oracle, abs=1e-6)
+    assert solve_zeta([(2, 5)]) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_zeta_homogeneous_history_same_root():
-    one = solve_zeta([sp.RunStats(2, 5)])
-    two = solve_zeta([sp.RunStats(2, 5), sp.RunStats(2, 5)])
+    one = solve_zeta([(2, 5)])
+    two = solve_zeta([(2, 5), (2, 5)])
     assert two == pytest.approx(one, rel=1e-8)
 
 
 def test_zeta_residual_small_when_bracketed():
-    history = [sp.RunStats(3, 9), sp.RunStats(2, 7), sp.RunStats(4, 6)]
+    history = [(3, 9), (2, 7), (4, 6)]
     z = solve_zeta(history)
     residual = zeta_equation(z, history)
-    assert abs(residual) <= 1e-8 * (1 + sum(s.records for s in history))
+    assert abs(residual) <= 1e-8 * (1 + sum(k for k, _ in history))
 
 
 def test_zeta_record_saturated_history_clamps_high():
-    assert solve_zeta([sp.RunStats(5, 5)]) == sp.ZETA_GUARD
+    assert solve_zeta([(5, 5)]) == sp.ZETA_GUARD
 
 
 @pytest.mark.parametrize(
     "history",
-    [[], [sp.RunStats(1, 1), sp.RunStats(1, 1)], [sp.RunStats(1, 9)]],
+    [[], [(1, 1), (1, 1)], [(1, 9)]],
     ids=["empty", "single_point_runs", "single_record_run"],
 )
 def test_zeta_rejects_history_without_a_record_past_the_start(history):
@@ -256,20 +257,20 @@ def test_zeta_below_the_guard_matches_expected_to_held_records(history):
     # and a later restart's overdue check can tie to the last bits
     z = solve_zeta(history)
     if z < sp.ZETA_GUARD:
-        expected = math.fsum(sp.expected_records(s.iterates, z) for s in history)
-        assert expected == pytest.approx(sum(s.records for s in history), rel=1e-9)
+        expected = math.fsum(sp.expected_records(j, z) for _, j in history)
+        assert expected == pytest.approx(sum(k for k, _ in history), rel=1e-9)
 
 
 def test_zeta_of_one_restart_puts_its_records_on_the_overdue_tie():
     # a restart with 6 records in 7 iterates: a second one holding 6
     # records at iterate 7 is overdue or not by rounding alone
-    z = solve_zeta([sp.RunStats(6, 7)])
+    z = solve_zeta([(6, 7)])
     assert z == pytest.approx(16.777028167442428, rel=1e-9)
     assert sp.expected_records(7, z) == pytest.approx(6.0, rel=1e-9)
 
 
 @given(run_histories, st.floats(min_value=math.log(sp.ZETA_MIN), max_value=math.log(100.0)))
-@example([sp.RunStats(1, 80)] * 40, math.log(sp.ZETA_MIN))
+@example([(1, 80)] * 40, math.log(sp.ZETA_MIN))
 @settings(max_examples=200, deadline=None)
 def test_zeta_score_matches_digamma_form(history, log_zeta):
     # relative to the size of the score's two parts past the start points,
@@ -278,7 +279,7 @@ def test_zeta_score_matches_digamma_form(history, log_zeta):
     # points included, would lose them in the rounding of E
     zeta = math.exp(log_zeta)
     tally = tally_of(history)
-    expected = math.fsum(sp.expected_records(run.iterates, zeta) - 1 for run in history)
+    expected = math.fsum(sp.expected_records(j, zeta) - 1 for _, j in history)
     scale = tally.record_sum - tally.runs + expected
     assert sp.zeta_score(zeta, tally) == pytest.approx(zeta_equation(zeta, history), abs=1e-12 * scale)
 
@@ -301,7 +302,7 @@ def test_zeta_score_falls_as_zeta_grows(history, log_zeta, log_step):
 
 
 def test_run_tally_sums_and_histograms():
-    history = [sp.RunStats(2, 4), sp.RunStats(1, 1), sp.RunStats(3, 3)]
+    history = [(2, 4), (1, 1), (3, 3)]
     tally = tally_of(history)
     assert tally.runs == 3
     assert (tally.iterate_sum, tally.iterate_hist) == (8, {4: 1, 1: 1, 3: 1})
@@ -313,7 +314,7 @@ def test_run_tally_sums_and_histograms():
 # miss a record
 saturated_histories = st.lists(
     st.integers(min_value=1, max_value=80).flatmap(
-        lambda j: st.builds(sp.RunStats, st.integers(min_value=max(1, j - 3), max_value=j), st.just(j))
+        lambda j: st.tuples(st.integers(min_value=max(1, j - 3), max_value=j), st.just(j))
     ),
     min_size=1,
     max_size=40,
@@ -339,13 +340,13 @@ def test_zeta_on_the_two_sum_boundary_takes_the_score_path(monkeypatch):
     monkeypatch.setattr(sp, "zeta_score", lambda zeta, tally: scored.append((zeta, tally)) or score(zeta, tally))
     # 25 records past the start in 26 steps: 26 * 25 == 25 * 26, so the
     # two sums leave it to the score, which is positive at the guard
-    boundary = tally_of([sp.RunStats(26, 27)])
+    boundary = tally_of([(26, 27)])
     assert sp.solve_zeta_tally(boundary) == sp.ZETA_GUARD
     assert scored == [(sp.ZETA_GUARD, boundary)]
     assert score(sp.ZETA_GUARD, boundary) == pytest.approx(25 - sum(25 / (i + 25) for i in range(1, 27)))
     # one more record decides it from the two sums alone
     scored.clear()
-    assert sp.solve_zeta_tally(tally_of([sp.RunStats(27, 27)])) == sp.ZETA_GUARD
+    assert sp.solve_zeta_tally(tally_of([(27, 27)])) == sp.ZETA_GUARD
     assert scored == []
 
 
@@ -358,10 +359,10 @@ def test_zeta_does_not_depend_on_history_order(history, rnd):
 
 
 def test_run_stats_validation():
-    with pytest.raises(ValueError):
-        sp.RunStats(records=3, iterates=2)
-    with pytest.raises(ValueError):
-        sp.RunStats(records=0, iterates=2)
+    # a run's counts are checked where they are tallied
+    for records, iterates in ((3, 2), (0, 2)):
+        with pytest.raises(ValueError, match="need iterates >= records >= 1"):
+            sp.RunTally().add(records, iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +589,10 @@ def test_exact_slope_law_matches_improvement_quadrature(lam, alpha):
     y = hasplid.WINDOW_CENTER
     mean_next = mpmath.quad(lambda u: y * u ** (1.0 / lam), [0, 1])
     exact = (y - float(mean_next)) * sp.mean_reciprocal_wait(y**alpha)
-    assert report.check("conditional_slope_mean_exact").theoretical == pytest.approx(exact, rel=1e-9)
+    assert check(report, "conditional_slope_mean_exact").theoretical == pytest.approx(exact, rel=1e-9)
 
 
 def test_exact_slope_law_at_unit_exponents_is_log_two_over_four():
     # 0.5/2 * (-0.5*ln 0.5)/0.5, with no rounding in the mean improvement
     report = hasplid.validate_statistics(hasplid.LabConfig(alpha=1.0, lam=1.0, trajectories=2000, seed=0))
-    assert report.check("conditional_slope_mean_exact").theoretical == math.log(2) / 4
+    assert check(report, "conditional_slope_mean_exact").theoretical == math.log(2) / 4
